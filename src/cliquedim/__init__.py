@@ -102,6 +102,8 @@ from .dimensions import (
     EXACT,
     LOWER_BOUND,
     PerMRow,
+    cached_graph,
+    cached_omega_star,
     check_inequalities,
     clear_caches,
     clique_dimension,

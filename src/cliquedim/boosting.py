@@ -45,11 +45,10 @@ from .errors import (
     NoSeparationError,
     NotRealizableDistributionError,
 )
-from .fractional import coloring_to_distribution, omega_star
-from .graph import Caps, DEFAULT_CAPS, build_graph
+from .dimensions import LN2_HI, LN2_LO, cached_graph, cached_omega_star
+from .fractional import coloring_to_distribution
+from .graph import Caps, DEFAULT_CAPS
 
-LN2_LO = Fraction(693147, 10**6)
-LN2_HI = Fraction(693148, 10**6)
 LN4_HI = 2 * LN2_HI  # 1.386296 > ln 4
 
 
@@ -69,7 +68,7 @@ class MuTilde:
 
 
 def mu_tilde(cls: ConceptClass, m0: int, caps: Caps = DEFAULT_CAPS) -> MuTilde:
-    cert = omega_star(build_graph(cls, m0, caps), caps)
+    cert = cached_omega_star(cls, m0, caps)
     if cert.value == 1 << m0:
         raise NoSeparationError(
             f"omega*_{m0} = 2^{m0}: no separation, boosting has no margin"
@@ -93,7 +92,7 @@ def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
     sum to at most 2^|X|, so every m0 > |X| separates."""
     m0 = 1
     while True:
-        cert = omega_star(build_graph(cls, m0, caps), caps)
+        cert = cached_omega_star(cls, m0, caps)
         if cert.value < 1 << m0:
             return m0
         m0 += 1
@@ -441,7 +440,7 @@ def verify_sspfcd_bound(
     index, so trials are independent and order-free.  A row FAILs only when
     its one-sided 99% upper confidence limit sits below the bound.
     """
-    g = build_graph(cls, config.m, caps)
+    g = cached_graph(cls, config.m, caps)
     if g.num_vertices <= enumerate_cap:
         chosen = list(range(g.num_vertices))
         sampled = False
@@ -544,7 +543,7 @@ def small_pop_err_check(
             "no hypothesis has zero loss on the distribution"
         )
     if cert is None:
-        cert = omega_star(build_graph(cls, m, caps), caps)
+        cert = cached_omega_star(cls, m, caps)
     mu = coloring_to_distribution(cert.coloring)
     losses = {}
     for h, w in mu.items():

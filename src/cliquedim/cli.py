@@ -33,7 +33,8 @@ from .concepts import (
     parse_class_text,
 )
 from .dimensions import (
-    EXACT,
+    cached_graph,
+    cached_omega_star,
     check_inequalities,
     clique_dimension,
     dimension_report,
@@ -41,10 +42,8 @@ from .dimensions import (
     littlestone_dimension,
     littlestone_witness,
     vc_dimension,
-    _graph,
-    _omega_star_cert,
 )
-from .errors import CliquedimError, NoSeparationError, ResourceLimitError
+from .errors import CliquedimError, InvalidParamsError, NoSeparationError, ResourceLimitError
 from .fractional import (
     format_certificate,
     frac_str,
@@ -109,7 +108,7 @@ def _cmd_gen(args):
 def _cmd_graph(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    g = _graph(cls, args.m, caps)
+    g = cached_graph(cls, args.m, caps)
     lines = [_header(args), export_edge_list(g, verbose=args.verbose).rstrip("\n")]
     if args.sets:
         fam = independent_sets(g, maximal_only=args.prune_nonmaximal, caps=caps)
@@ -124,7 +123,7 @@ def _cmd_graph(args):
 def _cmd_omega(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    g = _graph(cls, args.m, caps)
+    g = cached_graph(cls, args.m, caps)
     c = max_clique(g, caps)
     lines = [_header(args), f"omega={c.size}"]
     if args.verbose:
@@ -137,7 +136,7 @@ def _cmd_omega(args):
 def _cmd_omega_star(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    cert = _omega_star_cert(cls, args.m, caps)
+    cert = cached_omega_star(cls, args.m, caps)
     if args.verbose:
         return 0, _header(args) + "\n" + format_certificate(cert)
     return 0, _header(args) + "\n" + frac_str(cert.value) + "\n"
@@ -172,7 +171,7 @@ def _cmd_cd_star(args):
 def _cmd_balanced(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    g = _graph(cls, args.m, caps)
+    g = cached_graph(cls, args.m, caps)
     rep = find_balanced_point(g, max_clique(g, caps))
     lines = [
         _header(args),
@@ -192,7 +191,7 @@ def _cmd_balanced(args):
 def _cmd_tree_from_clique(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    g = _graph(cls, args.m, caps)
+    g = cached_graph(cls, args.m, caps)
     tree = tree_from_clique(g, max_clique(g, caps))
     return 0, _header(args) + "\n" + serialize_tree(tree)
 
@@ -202,7 +201,7 @@ def _cmd_clique_from_tree(args):
     caps = _caps(args)
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_tree(fh.read())
-    g = _graph(cls, max_depth(tree), caps)
+    g = cached_graph(cls, max_depth(tree), caps)
     c = clique_from_tree(g, tree)
     lines = [
         _header(args),
@@ -215,8 +214,11 @@ def _cmd_clique_from_tree(args):
 def _cmd_boost(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
+    try:
+        gamma = Fraction(args.gamma) if args.gamma else None
+    except ZeroDivisionError:
+        raise InvalidParamsError(f"gamma {args.gamma} has a zero denominator") from None
     m0 = args.m0 if args.m0 is not None else smallest_separating_m0(cls, caps)
-    gamma = Fraction(args.gamma) if args.gamma else None
     try:
         config = boost_config(cls, m0, args.m, gamma, caps)
     except NoSeparationError:
@@ -227,7 +229,7 @@ def _cmd_boost(args):
     )
     text = _header(args) + "\n" + format_boost_report(report)
     if args.shadow:
-        g = _graph(cls, config.m, caps)
+        g = cached_graph(cls, config.m, caps)
         rng = random.Random(args.seed)
         tr = run_expert_game(
             g.vertices[0],
@@ -260,9 +262,9 @@ def _cmd_verify_lemmas(args):
         for cname, passed, detail in check_inequalities(report):
             checks.append((f"{name}:{cname}", passed, detail))
         for m in range(1, 4):
-            cert = _omega_star_cert(cls, m, caps)
-            validate_packing(_graph(cls, m, caps), cert.clique, caps)
-            validate_cover(_graph(cls, m, caps), cert.coloring)
+            cert = cached_omega_star(cls, m, caps)
+            validate_packing(cached_graph(cls, m, caps), cert.clique, caps)
+            validate_cover(cached_graph(cls, m, caps), cert.coloring)
             checks.append(
                 (
                     f"{name}:duality@m={m}",
@@ -271,8 +273,8 @@ def _cmd_verify_lemmas(args):
                 )
             )
         for m in range(1, 3):
-            g = _graph(cls, m, caps)
-            cert = _omega_star_cert(cls, m, caps)
+            g = cached_graph(cls, m, caps)
+            cert = cached_omega_star(cls, m, caps)
             for v in g.vertices:
                 dist = {}
                 for ex in v:
@@ -385,12 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vertex-cap", type=int, default=10**6)
     common.add_argument("--pattern-cap", type=int, default=20)
     common.add_argument("--node-budget", type=int, default=10**8)
-    common.add_argument(
-        "--single-worker",
-        action="store_true",
-        help="pin single-threaded execution (the default engine already is; "
-        "the flag additionally guarantees byte-stable clique membership)",
-    )
 
     cls_arg = argparse.ArgumentParser(add_help=False)
     cls_arg.add_argument(

@@ -351,6 +351,13 @@ def format_class_text(cls: ConceptClass) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_count(line: str) -> int:
+    try:
+        return int(line.split()[1])
+    except (IndexError, ValueError):
+        raise InvalidParamsError(f"bad header line: {line!r}") from None
+
+
 def parse_class_text(text: str) -> ConceptClass:
     """Parse the format above.  Input rows may be in any order and may
     contain duplicates; the constructor canonicalizes (duplicates collapse,
@@ -363,9 +370,9 @@ def parse_class_text(text: str) -> ConceptClass:
         if not line:
             continue
         if line.startswith("points"):
-            n_points = int(line.split()[1])
+            n_points = _header_count(line)
         elif line.startswith("hypotheses"):
-            n_hyp = int(line.split()[1])
+            n_hyp = _header_count(line)
         else:
             if not re.fullmatch(r"[01]+", line):
                 raise InvalidParamsError(f"bad hypothesis row: {line!r}")

@@ -26,20 +26,26 @@ by finitely many searches:
 Whatever remains in (value, cutoff] beyond m_max is searched directly when
 the graphs fit under the caps; otherwise the flag honestly degrades to
 lower-bound-at-m-max.
+
+The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
+is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
+q >= 2, so alpha > 32 * 3 * ln2_hi > 66 and every cutoff is at least
+ceil(67 * 10^6 / 693147) = 97.  Each omega* enumerates all 2^|X| labelings
+(refused beyond the pattern cap, 20 by default), so any call that finishes
+has |X| far below 97 and the bound |X| from (1) is the tighter one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Optional
 
 from .cliques import has_clique_of_size, max_clique
 from .concepts import ConceptClass
-from .errors import EmptyClassError, ResourceLimitError
+from .errors import ResourceLimitError
 from .fractional import omega_star
 from .graph import Caps, DEFAULT_CAPS, build_graph, independent_sets
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
@@ -51,15 +57,22 @@ LOWER_BOUND = "lower-bound-at-m-max"
 LN2_LO = Fraction(693147, 10**6)
 LN2_HI = Fraction(693148, 10**6)
 
+# cd* extension LPs past m_max run only on graphs of at most this many vertices
+EXTENSION_VERTEX_CAP = 500
 
+
+# Both memos call `build_graph` / `omega_star` through this module's globals,
+# so a wrapper installed on those names still sees every cache miss.
 @lru_cache(maxsize=256)
-def _graph(cls: ConceptClass, m: int, caps: Caps):
+def cached_graph(cls: ConceptClass, m: int, caps: Caps):
+    """G_m of `cls` under `caps`, built once until `clear_caches()`."""
     return build_graph(cls, m, caps)
 
 
 @lru_cache(maxsize=256)
-def _omega_star_cert(cls: ConceptClass, m: int, caps: Caps):
-    return omega_star(_graph(cls, m, caps), caps)
+def cached_omega_star(cls: ConceptClass, m: int, caps: Caps):
+    """Certified omega*_m of `cls` under `caps`, solved once until `clear_caches()`."""
+    return omega_star(cached_graph(cls, m, caps), caps)
 
 
 def vc_dimension(cls: ConceptClass) -> int:
@@ -76,7 +89,17 @@ def vc_dimension(cls: ConceptClass) -> int:
     return 0
 
 
-def littlestone_dimension(cls: ConceptClass) -> int:
+def _splits(rows: tuple, n: int):
+    """(x, H0, H1) for each point x splitting `rows` into two nonempty parts."""
+    for x in range(n):
+        zeros = tuple(r for r in rows if r[x] == 0)
+        ones = tuple(r for r in rows if r[x] == 1)
+        if zeros and ones:
+            yield x, zeros, ones
+
+
+def _ld_table(cls: ConceptClass):
+    """The memoised recursion ld(rows) over restrictions of `cls`."""
     cls.require_nonempty()
     n = cls.universe_size
 
@@ -84,48 +107,32 @@ def littlestone_dimension(cls: ConceptClass) -> int:
     def ld(rows: tuple) -> int:
         if len(rows) <= 1:
             return 0
-        best = 0
-        for x in range(n):
-            zeros = tuple(r for r in rows if r[x] == 0)
-            ones = tuple(r for r in rows if r[x] == 1)
-            if zeros and ones:
-                best = max(best, 1 + min(ld(zeros), ld(ones)))
-        return best
+        return max((1 + min(ld(h0), ld(h1)) for _, h0, h1 in _splits(rows, n)), default=0)
 
-    return ld(cls.hypotheses)
+    return ld
+
+
+def littlestone_dimension(cls: ConceptClass) -> int:
+    return _ld_table(cls)(cls.hypotheses)
 
 
 def littlestone_witness(cls: ConceptClass, depth: Optional[int] = None) -> MistakeTree:
     """A complete shattered mistake tree of the requested depth (default: the
     full dimension).  At every internal node both restrictions are nonempty
     and can still support depth-1 below, so each branch stays realizable."""
-    cls.require_nonempty()
+    ld = _ld_table(cls)
     n = cls.universe_size
-    full = littlestone_dimension(cls)
+    full = ld(cls.hypotheses)
     if depth is None:
         depth = full
     if depth > full:
         raise ValueError(f"requested depth {depth} exceeds the dimension {full}")
 
-    @lru_cache(maxsize=None)
-    def ld(rows: tuple) -> int:
-        if len(rows) <= 1:
-            return 0
-        best = 0
-        for x in range(n):
-            zeros = tuple(r for r in rows if r[x] == 0)
-            ones = tuple(r for r in rows if r[x] == 1)
-            if zeros and ones:
-                best = max(best, 1 + min(ld(zeros), ld(ones)))
-        return best
-
     def build(rows: tuple, d: int) -> MistakeTree:
         if d == 0:
             return MistakeLeaf()
-        for x in range(n):
-            zeros = tuple(r for r in rows if r[x] == 0)
-            ones = tuple(r for r in rows if r[x] == 1)
-            if zeros and ones and min(ld(zeros), ld(ones)) >= d - 1:
+        for x, zeros, ones in _splits(rows, n):
+            if min(ld(zeros), ld(ones)) >= d - 1:
                 return MistakeNode(x, build(zeros, d - 1), build(ones, d - 1))
         raise AssertionError("no splitting point although depth budget remains")
 
@@ -137,7 +144,7 @@ def tech_cd_cutoff(d: int) -> int:
     (2m+1)^d < 2^m for every m >= m_c."""
     m = 1
     while True:
-        if (2 * m + 1) ** d < 2**m and m * 693147 >= d * 10**6:
+        if (2 * m + 1) ** d < 2**m and m * LN2_LO >= d:
             return m
         m += 1
 
@@ -147,8 +154,9 @@ def fcd_alpha_cutoff(epsilon: Fraction) -> Optional[int]:
     where alpha upper-bounds the boosting exponent (32/eps^2) ln(2/eps).
 
     Uses ln(2q/p) <= bitlength(2q) * ln2_hi and requires m_c >= A/ln2 so the
-    step ratio (1+1/m)^A stays <= 2.  Returns None when A is too large to be
-    worth searching (the caller then treats the cutoff as unreachable).
+    step ratio (1+1/m)^A stays <= 2.  Returns None when no cutoff is
+    certified: eps <= 0, A > 10^5, or the search passes 10^7.  cd* does not
+    use it: the module docstring shows why it can never bind there.
     """
     if epsilon <= 0:
         return None
@@ -158,7 +166,7 @@ def fcd_alpha_cutoff(epsilon: Fraction) -> Optional[int]:
     a = -(-alpha_ub.numerator // alpha_ub.denominator)  # ceil
     if a > 10**5:
         return None
-    m = max(3, -(-(a * 10**6) // 693147))
+    m = max(3, -(-a // LN2_LO))  # ceil(A / ln2_lo)
     # monotone region: binary search after one doubling pass
     lo, hi = m, m
     while hi**a >= 2**hi:
@@ -185,10 +193,6 @@ class DimensionValue:
         return f"{rel}{self.value} {self.exactness}"
 
 
-def _pattern_count(cls: ConceptClass, m: int, caps: Caps) -> int:
-    return len(independent_sets(_graph(cls, m, caps), maximal_only=True, caps=caps))
-
-
 def clique_dimension(
     cls: ConceptClass,
     m_max: int,
@@ -213,9 +217,11 @@ def clique_dimension(
         if ld >= m:
             decisions[m] = True
             return True
-        g = _graph(cls, m, caps)
+        g = cached_graph(cls, m, caps)
         target = 1 << m
-        if target > g.num_vertices or target > _pattern_count(cls, m, caps):
+        if target > g.num_vertices or target > len(
+            independent_sets(g, maximal_only=True, caps=caps)
+        ):
             decisions[m] = False
             return False
         decisions[m] = has_clique_of_size(g, target, caps)
@@ -247,27 +253,22 @@ def fractional_clique_dimension(
     m_max: int,
     caps: Caps = DEFAULT_CAPS,
     known: Optional[dict] = None,
-    extension_vertex_cap: int = 500,
 ) -> DimensionValue:
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
     `known` optionally injects computed omega* values {m: Fraction}.
     Extension LPs past m_max run only while the graphs stay under
-    `extension_vertex_cap` vertices; otherwise the flag degrades.
+    EXTENSION_VERTEX_CAP vertices; otherwise the flag degrades.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     values: dict = dict(known or {})
+    extension_caps = replace(caps, max_vertices=min(caps.max_vertices, EXTENSION_VERTEX_CAP))
 
-    def val(m: int, cap_override: Optional[int] = None) -> Fraction:
+    def val(m: int, use: Caps = caps) -> Fraction:
         if m not in values:
-            use = caps if cap_override is None else Caps(
-                max_vertices=min(caps.max_vertices, cap_override),
-                max_pattern_universe=caps.max_pattern_universe,
-                node_budget=caps.node_budget,
-            )
-            values[m] = _omega_star_cert(cls, m, use).value
+            values[m] = cached_omega_star(cls, m, use).value
         return values[m]
 
     value = 0
@@ -282,21 +283,13 @@ def fractional_clique_dimension(
     except ResourceLimitError:
         return DimensionValue(value, LOWER_BOUND)
 
+    # exactness: everything beyond min(|X|, one_at-1) separates analytically
     upper = cls.universe_size
     if one_at is not None:
         upper = min(upper, one_at - 1)
-    first_sep = next(
-        (m for m in sorted(values) if values[m] < 1 << m), None
-    )
-    if first_sep is not None:
-        eps = Fraction(1) / values[first_sep] - Fraction(1, 1 << first_sep)
-        cut = fcd_alpha_cutoff(eps)
-        if cut is not None:
-            upper = min(upper, cut - 1)
-
     try:
         for m in range(value + 1, upper + 1):
-            v = val(m, cap_override=extension_vertex_cap)
+            v = val(m, extension_caps)
             if v == 1 << m:
                 return DimensionValue(value, LOWER_BOUND)
             if v == 1:
@@ -344,7 +337,7 @@ def dimension_report(
     omega_known: dict = {}
     star_known: dict = {}
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
-        g = _graph(cls, m, caps)
+        g = cached_graph(cls, m, caps)
         omega = None
         omega_exact = None
         if m <= m_max_clique:
@@ -357,7 +350,7 @@ def dimension_report(
                 omega_exact = False
         star = None
         if m <= m_max_lp:
-            star = _omega_star_cert(cls, m, caps).value
+            star = cached_omega_star(cls, m, caps).value
             star_known[m] = star
         rows.append(
             PerMRow(m=m, num_vertices=g.num_vertices, omega=omega,
@@ -413,5 +406,5 @@ def check_inequalities(report: DimensionReport) -> list:
 
 
 def clear_caches() -> None:
-    _graph.cache_clear()
-    _omega_star_cert.cache_clear()
+    cached_graph.cache_clear()
+    cached_omega_star.cache_clear()

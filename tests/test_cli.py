@@ -201,6 +201,29 @@ def test_boost_small_run_passes(capsys, tmp_path):
     assert any(l.startswith("shadow ") for l in out.splitlines())
 
 
+def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
+    # without --m0 the anchor search solves omega*_1..3 on thresholds(3); the
+    # configuration and the Monte Carlo check then reuse G_3 and omega*_3
+    import cliquedim.dimensions as dims
+    import cliquedim.simplex as simplex
+    from cliquedim import cached_graph, clear_caches, format_class_text
+
+    solves = []
+    built = []
+    solve, build = simplex.solve_packing_lp, dims.build_graph
+    monkeypatch.setattr(simplex, "solve_packing_lp", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(dims, "build_graph", lambda cls, m, caps: built.append(m) or build(cls, m, caps))
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(generate("thresholds", universe=3))))
+    clear_caches()
+    code, out, _ = run(capsys, "boost", "-", "--trials", "100")
+    assert code == 0
+    assert "m0=3 m=3" in out.splitlines()[1]
+    assert len(solves) == 3
+    assert sorted(built) == [1, 2, 3]
+    assert cached_graph.cache_info().misses == 3
+    clear_caches()
+
+
 def test_verify_lemmas_summary(capsys):
     code, out, _ = run(capsys, "verify-lemmas")
     assert code == 0
@@ -210,7 +233,7 @@ def test_verify_lemmas_summary(capsys):
     assert not any(l.startswith("FAIL") for l in out.splitlines())
 
 
-def test_exit_codes(capsys, tmp_path):
+def test_exit_codes(capsys, tmp_path, monkeypatch):
     # usage error from argparse
     with pytest.raises(SystemExit) as exc:
         main(["omega"])  # missing required --m
@@ -233,6 +256,17 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "graph", path, "--m", "3", "--vertex-cap", "5")
     assert code == 3
     assert "resource limit" in err
+
+    # input error: header without its count
+    monkeypatch.setattr("sys.stdin", io.StringIO("points\n"))
+    code, _, err = run(capsys, "omega", "-", "--m", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+    # input error: margin with a zero denominator
+    code, _, err = run(capsys, "boost", path, "--gamma", "1/0", "--trials", "10")
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -20,6 +20,7 @@ from cliquedim import (
     tech_cd_cutoff,
     vc_dimension,
 )
+from cliquedim.cli import corpus
 from cliquedim.dimensions import EXACT, LOWER_BOUND, DimensionValue
 from cliquedim.trees import branches, is_complete, min_depth
 
@@ -116,6 +117,17 @@ def test_fcd_cutoff_properties():
     assert fcd_alpha_cutoff(Fraction(10**-7)) is None
 
 
+def test_fcd_cutoff_never_binds_below_the_pattern_cap():
+    # cd* skips this cutoff because it is never below 97 for a margin in
+    # (0, 1), while |X| stays within the pattern cap
+    from cliquedim import DEFAULT_CAPS
+
+    cutoffs = [fcd_alpha_cutoff(Fraction(p, q)) for q in range(2, 17) for p in range(1, q)]
+    assert len(cutoffs) == 120
+    assert all(c is None or c >= 97 for c in cutoffs)
+    assert DEFAULT_CAPS.max_pattern_universe < 97
+
+
 # ─── clique dimension ──────────────────────────────────────────────────────
 
 
@@ -145,10 +157,17 @@ def test_clique_dimension_frozen(family, universe, m_max, value, exactness):
         ("full", 4, 3, 3, LOWER_BOUND),
         ("singleton", 2, 3, 0, EXACT),
         ("disjoint_pairs", 2, 3, 1, EXACT),
+        # corpus classes whose exactness extension runs past m_max
+        ("thresholds", 4, 3, 2, EXACT),
+        ("random-5", 4, 3, 1, EXACT),
+        ("random-7", 4, 3, 2, EXACT),
     ],
 )
 def test_fractional_clique_dimension_frozen(family, universe, m_max, value, exactness):
-    got = fractional_clique_dimension(generate(family, universe=universe), m_max)
+    named = dict(corpus())
+    cls = named[family] if family in named else generate(family, universe=universe)
+    assert cls.universe_size == universe
+    got = fractional_clique_dimension(cls, m_max)
     assert (got.value, got.exactness) == (value, exactness)
 
 

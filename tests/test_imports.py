@@ -1,0 +1,54 @@
+"""Import hygiene of the package, checked with the standard library only.
+
+Every name a module imports must be used in that module, and no module may
+import another module's private (underscore) names.  `__init__.py` only
+re-exports, so its imports are exempt from the unused check.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cliquedim"
+
+
+def import_findings(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}  # bound name -> line
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if node.level and alias.name.startswith("_"):
+                    findings.append(f"{path.name}:{node.lineno} private import {alias.name}")
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    if path.name == "__init__.py":
+        return findings
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for name, line in sorted(imported.items(), key=lambda item: item[1]):
+        if name not in used:
+            findings.append(f"{path.name}:{line} unused import {name}")
+    return findings
+
+
+def test_no_unused_or_private_imports():
+    findings = [f for path in sorted(SRC.glob("*.py")) for f in import_findings(path)]
+    assert findings == []
+
+
+def test_lint_reports_both_kinds(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "from math import isqrt, sqrt\n"
+        "from .dimensions import _graph\n"
+        "import numpy as np\n"
+        "print(sqrt(2), _graph, np.zeros)\n"
+    )
+    assert import_findings(bad) == [
+        "mod.py:2 private import _graph",
+        "mod.py:1 unused import isqrt",
+    ]
