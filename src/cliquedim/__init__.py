@@ -34,6 +34,7 @@ from .errors import (
     EmptyClassError,
     EvenLengthError,
     InfeasibleModelError,
+    InvariantError,
     InvalidParamsError,
     LengthMismatchError,
     NoSeparationError,

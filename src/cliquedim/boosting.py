@@ -41,6 +41,7 @@ from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
 from .errors import (
     EvenLengthError,
     InvalidParamsError,
+    InvariantError,
     LengthMismatchError,
     NoSeparationError,
     NotRealizableDistributionError,
@@ -76,7 +77,8 @@ def mu_tilde(cls: ConceptClass, m0: int, caps: Caps = DEFAULT_CAPS) -> MuTilde:
     dist = coloring_to_distribution(cert.coloring)
     patterns = tuple(sorted(dist))
     eps = Fraction(1) / cert.value - Fraction(1, 1 << m0)
-    assert eps > 0
+    if eps <= 0:
+        raise InvariantError(f"omega*_{m0} = {cert.value} leaves no positive margin")
     return MuTilde(
         m0=m0,
         omega_star=cert.value,
@@ -96,7 +98,8 @@ def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
         if cert.value < 1 << m0:
             return m0
         m0 += 1
-        assert m0 <= cls.universe_size + 1, "separation must occur by |X|+1"
+        if m0 > cls.universe_size + 1:
+            raise InvariantError("separation must occur by |X|+1")
 
 
 @dataclass(frozen=True)
@@ -364,7 +367,8 @@ def forced_gamma_good_check(
         # mass the pattern agrees with, per transcript x pattern
         mass = w @ agree.T  # (B, P)
         good = mass >= 0.5 + gamma_f - 1e-12  # loss 1-mass <= 1/2-gamma
-        assert good.any(axis=1).all(), "no gamma-good labeling available"
+        if not good.any(axis=1).all():
+            raise InvariantError("no gamma-good labeling available")
         r = rng.random(transcripts)
         # uniform choice among good patterns per row
         counts = good.sum(axis=1)

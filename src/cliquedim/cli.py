@@ -4,8 +4,8 @@ Every command reads a concept class from a positional path ('-' or omitted
 means stdin) except `gen`, which writes one.  Every output begins with a
 `# seed=<seed>` header line; all emitted formats treat '#' as a comment, so
 outputs round-trip through their parsers.  Exit codes: 0 all checks passed,
-1 a verification check failed, 2 usage or input error, 3 a resource cap was
-hit (the message names the limiting dimension).
+1 a verification check or an internal invariant failed, 2 usage or input
+error, 3 a resource cap was hit (the message names the limiting dimension).
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ from .dimensions import (
     littlestone_witness,
     vc_dimension,
 )
-from .errors import CliquedimError, InvalidParamsError, NoSeparationError, ResourceLimitError
+from .errors import (
+    CliquedimError,
+    InvalidParamsError,
+    InvariantError,
+    NoSeparationError,
+    ResourceLimitError,
+)
 from .fractional import (
     format_certificate,
     frac_str,
@@ -149,10 +155,14 @@ def _cmd_vc(args):
 
 def _cmd_ld(args):
     cls = _load_class(args.cls)
-    d = littlestone_dimension(cls)
-    if args.verbose and d > 0:
-        # verbose output stays parseable as a mistake tree, value commented
-        return 0, _header(args) + f"\n# ld={d}\n" + serialize_tree(littlestone_witness(cls))
+    if args.verbose:
+        tree = littlestone_witness(cls)
+        d = max_depth(tree)
+        if d > 0:
+            # verbose output stays parseable as a mistake tree, value commented
+            return 0, _header(args) + f"\n# ld={d}\n" + serialize_tree(tree)
+    else:
+        d = littlestone_dimension(cls)
     return 0, _header(args) + f"\nld={d}\n"
 
 
@@ -459,6 +469,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        # an internal check failed: a bug, reported like a failed verification
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except (CliquedimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .concepts import Dataset
 from .errors import (
     DegenerateCliqueError,
+    InvariantError,
     NotCompleteError,
     NotShatteredError,
     ResourceLimitError,
@@ -232,10 +233,13 @@ def find_balanced_point(g: ContradictionGraph, clique: Clique) -> BalancedPointR
                 alive[j] &= ~(1 << i)
                 edges_dropped += 1
 
-    assert deletions <= c * m, "elimination deleted more than |C|*m examples"
-    assert edges_dropped < c * (c - 1) // 2, "elimination dropped every edge's worth"
+    if deletions > c * m:
+        raise InvariantError("elimination deleted more than |C|*m examples")
+    if edges_dropped >= c * (c - 1) // 2:
+        raise InvariantError("elimination dropped every edge's worth")
     surviving = sum(a.bit_count() for a in alive) // 2
-    assert surviving >= 1, "no surviving edge after elimination"
+    if surviving < 1:
+        raise InvariantError("no surviving edge after elimination")
 
     # first surviving edge, then its least contradiction point
     ei = ej = -1
@@ -249,7 +253,10 @@ def find_balanced_point(g: ContradictionGraph, clique: Clique) -> BalancedPointR
 
     count_zero = sum(1 for idx in members if (g.zeros[idx] >> x) & 1)
     count_one = sum(1 for idx in members if (g.ones[idx] >> x) & 1)
-    assert count_zero >= threshold and count_one >= threshold
+    if count_zero < threshold or count_one < threshold:
+        raise InvariantError(
+            f"point {x} is not balanced: counts {count_zero}/{count_one} below {threshold}"
+        )
     return BalancedPointReport(
         point=x,
         count_zero=count_zero,
@@ -285,7 +292,8 @@ def tree_from_clique(g: ContradictionGraph, clique: Clique) -> MistakeTree:
             x = rep.point
             left = tuple(i for i in indices if (g.zeros[i] >> x) & 1)
             right = tuple(i for i in indices if (g.ones[i] >> x) & 1)
-            assert left and right
+            if not (left and right):
+                raise InvariantError(f"balanced point {x} leaves one side of the split empty")
             got = (x, left, right)
             split_cache[indices] = got
         return got

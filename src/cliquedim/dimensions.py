@@ -45,7 +45,7 @@ from typing import Optional
 
 from .cliques import has_clique_of_size, max_clique
 from .concepts import ConceptClass
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .fractional import omega_star
 from .graph import Caps, DEFAULT_CAPS, build_graph, independent_sets
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
@@ -61,18 +61,41 @@ LN2_HI = Fraction(693148, 10**6)
 EXTENSION_VERTEX_CAP = 500
 
 
-# Both memos call `build_graph` / `omega_star` through this module's globals,
-# so a wrapper installed on those names still sees every cache miss.
-@lru_cache(maxsize=256)
+# Both memos key on (cls, m) alone, hold at most MEMO_SIZE entries each
+# (oldest dropped first), and call `build_graph` / `omega_star` through this
+# module's globals, so a wrapper installed on those names sees every miss.
+MEMO_SIZE = 256
+_graphs: dict = {}
+_certs: dict = {}
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def cached_graph(cls: ConceptClass, m: int, caps: Caps):
-    """G_m of `cls` under `caps`, built once until `clear_caches()`."""
-    return build_graph(cls, m, caps)
+    """G_m of `cls`, built once until `clear_caches()`.  `caps` applies on
+    every call: a cached graph larger than `caps.max_vertices` raises the
+    vertex-cap error a build under `caps` would."""
+    g = _graphs.get((cls, m))
+    if g is None:
+        return _remember(_graphs, (cls, m), build_graph(cls, m, caps))
+    caps.check_vertices(g.num_vertices, m)
+    return g
 
 
-@lru_cache(maxsize=256)
 def cached_omega_star(cls: ConceptClass, m: int, caps: Caps):
-    """Certified omega*_m of `cls` under `caps`, solved once until `clear_caches()`."""
-    return omega_star(cached_graph(cls, m, caps), caps)
+    """Certified omega*_m of `cls`, solved once until `clear_caches()`, with
+    `caps` applied on every call as `omega_star` would apply them."""
+    g = cached_graph(cls, m, caps)
+    cert = _certs.get((cls, m))
+    if cert is None:
+        return _remember(_certs, (cls, m), omega_star(g, caps))
+    caps.check_universe(cls.universe_size)
+    return cert
 
 
 def vc_dimension(cls: ConceptClass) -> int:
@@ -134,7 +157,7 @@ def littlestone_witness(cls: ConceptClass, depth: Optional[int] = None) -> Mista
         for x, zeros, ones in _splits(rows, n):
             if min(ld(zeros), ld(ones)) >= d - 1:
                 return MistakeNode(x, build(zeros, d - 1), build(ones, d - 1))
-        raise AssertionError("no splitting point although depth budget remains")
+        raise InvariantError("no splitting point although depth budget remains")
 
     return build(cls.hypotheses, depth)
 
@@ -406,5 +429,5 @@ def check_inequalities(report: DimensionReport) -> list:
 
 
 def clear_caches() -> None:
-    cached_graph.cache_clear()
-    cached_omega_star.cache_clear()
+    _graphs.clear()
+    _certs.clear()

@@ -62,6 +62,12 @@ class InfeasibleModelError(CliquedimError):
     signals an internal construction bug, not a user error."""
 
 
+class InvariantError(CliquedimError):
+    """A result failed an internal consistency check (strong duality, set
+    coverage, balanced-point accounting and the like).  Raised explicitly so
+    the checks survive `python -O`; it signals a bug, not bad input."""
+
+
 class ZeroColoringError(CliquedimError, ValueError):
     """A fractional coloring with zero total weight cannot be normalized."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .concepts import HypothesisPattern, mask_to_pattern, pattern_to_mask
-from .errors import ZeroCliqueError, ZeroColoringError
+from .errors import InvariantError, ZeroCliqueError, ZeroColoringError
 from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, independent_sets
 
 
@@ -118,7 +118,8 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
         weights={fam.patterns[i]: w for i, w in enumerate(dual) if w},
         colors=sum(dual, Fraction(0)),
     )
-    assert col.colors == value, "strong duality mismatch"
+    if col.colors != value:
+        raise InvariantError(f"strong duality mismatch: dual total {col.colors} != value {value}")
     validate_packing(g, fc, caps)
     validate_cover(g, col)
     return DualityCertificate(value=value, clique=fc, coloring=col)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
-from .errors import NotIndependentError, ResourceLimitError
+from .errors import InvariantError, NotIndependentError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,13 @@ class Caps:
     max_vertices: int = 10**6
     max_pattern_universe: int = 20  # 2^|X| pattern enumerations beyond this refuse
     node_budget: int = 10**8  # branch-and-bound expansion budget
+
+    def check_vertices(self, count: int, m: int) -> None:
+        if count > self.max_vertices:
+            raise ResourceLimitError(
+                "vertex-cap",
+                f"more than {self.max_vertices} realizable datasets at m={m}",
+            )
 
     def check_universe(self, n: int) -> None:
         if n > self.max_pattern_universe:
@@ -114,10 +121,7 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
     def walk(start: int, remaining: int, alive: int) -> None:
         if remaining == 0:
             if len(vertices) >= caps.max_vertices:
-                raise ResourceLimitError(
-                    "vertex-cap",
-                    f"more than {caps.max_vertices} realizable datasets at m={m}",
-                )
+                caps.check_vertices(len(vertices) + 1, m)
             vertices.append(Dataset(prefix))
             return
         for k in range(start, len(pairs)):
@@ -181,7 +185,8 @@ def independent_sets(
     covered = 0
     for vm in order:
         covered |= vm
-    assert covered == full, "consistency sets failed to cover the vertices"
+    if covered != full:
+        raise InvariantError("consistency sets failed to cover the vertices")
     return IndependentSetFamily(
         patterns=tuple(mask_to_pattern(seen[vm], n) for vm in order),
         masks=tuple(order),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ def truncate(tree: MistakeTree, depth: int) -> MistakeTree:
         )
     if depth == 0:
         return tree if isinstance(tree, MistakeLeaf) else MistakeLeaf()
-    assert isinstance(tree, MistakeNode)
+    if not isinstance(tree, MistakeNode):
+        raise InvariantError(f"expected an internal node above depth {depth}")
     return MistakeNode(tree.point, truncate(tree.zero, depth - 1), truncate(tree.one, depth - 1))
 
 

@@ -206,7 +206,7 @@ def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
     # configuration and the Monte Carlo check then reuse G_3 and omega*_3
     import cliquedim.dimensions as dims
     import cliquedim.simplex as simplex
-    from cliquedim import cached_graph, clear_caches, format_class_text
+    from cliquedim import clear_caches, format_class_text
 
     solves = []
     built = []
@@ -220,8 +220,81 @@ def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
     assert "m0=3 m=3" in out.splitlines()[1]
     assert len(solves) == 3
     assert sorted(built) == [1, 2, 3]
-    assert cached_graph.cache_info().misses == 3
+    assert len(built) == 3  # every memo miss is one build
     clear_caches()
+
+
+# (cd, cd*) of every corpus class, all exact; frozen values
+CORPUS_CD_LINES = {
+    "singleton": (0, 0), "full-1": (1, 1), "full-2": (2, 2), "full-3": (3, 3),
+    "thresholds-3": (2, 2), "thresholds-4": (2, 2), "thresholds-5": (2, 2),
+    "parities-3": (2, 2), "disjoint_pairs": (1, 1), "paper_example_sec6": (3, 3),
+    "random-0": (1, 1), "random-1": (1, 1), "random-2": (2, 2), "random-3": (2, 2),
+    "random-4": (2, 2), "random-5": (1, 1), "random-6": (1, 1), "random-7": (2, 2),
+    "random-8": (2, 2), "random-9": (2, 2),
+}
+
+
+def test_curves_builds_each_graph_once(capsys, monkeypatch):
+    # the cd* extension past m_max reuses graphs the report already built,
+    # under its own smaller vertex cap, instead of building them again
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches, format_class_text
+
+    build = dims.build_graph
+    for name, cls in corpus():
+        built = []
+        monkeypatch.setattr(dims, "build_graph", lambda cls, m, caps: built.append(m) or build(cls, m, caps))
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+        clear_caches()
+        code, out, _ = run(capsys, "curves", "-")
+        assert code == 0
+        assert len(built) == len(set(built)), name
+        if name == "thresholds-5":
+            assert sorted(built) == [1, 2, 3, 4, 5]
+        cd, cd_star = CORPUS_CD_LINES[name]
+        assert out.splitlines()[-2:] == [f"# cd={cd} exact", f"# cd_star={cd_star} exact"], name
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("thresholds-3", "# seed=0\n# ld=2\nn 1\nn 0\nl\nl\nn 2\nl\nl\n"),
+        ("paper_example_sec6", "# seed=0\n# ld=2\nn 0\nn 1\nl\nl\nn 1\nl\nl\n"),
+    ],
+    ids=["thresholds-3", "paper_example_sec6"],
+)
+def test_ld_verbose_runs_the_recursion_once(capsys, monkeypatch, name, expected):
+    import cliquedim.dimensions as dims
+    from cliquedim import format_class_text
+
+    tables = []
+    table = dims._ld_table
+    monkeypatch.setattr(dims, "_ld_table", lambda cls: tables.append(cls) or table(cls))
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(dict(corpus())[name])))
+    code, out, _ = run(capsys, "ld", "-", "--verbose")
+    assert (code, out) == (0, expected)
+    assert len(tables) == 1
+
+
+def test_internal_invariant_exits_one(capsys, monkeypatch, tmp_path):
+    # a solver whose dual total disagrees with its value is a bug: exit 1
+    import cliquedim.simplex as simplex
+    from cliquedim import clear_caches
+
+    solve = simplex.solve_packing_lp
+
+    def broken(n, masks):
+        value, x, y = solve(n, masks)
+        return value, x, [yi * 2 for yi in y]
+
+    monkeypatch.setattr(simplex, "solve_packing_lp", broken)
+    clear_caches()
+    code, out, err = run(capsys, "omega-star", write_class(tmp_path), "--m", "2")
+    clear_caches()
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: strong duality mismatch") and err.count("\n") == 1
 
 
 def test_verify_lemmas_summary(capsys):

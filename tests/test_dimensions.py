@@ -171,6 +171,24 @@ def test_fractional_clique_dimension_frozen(family, universe, m_max, value, exac
     assert (got.value, got.exactness) == (value, exactness)
 
 
+def test_memo_applies_caps_on_every_call():
+    # a graph cached under large caps still refuses a smaller vertex cap (the
+    # cd* extension's), and a cached certificate a smaller pattern cap
+    from cliquedim import Caps, ResourceLimitError, cached_graph, cached_omega_star, clear_caches
+
+    cls = generate("thresholds", universe=5)
+    clear_caches()
+    g = cached_graph(cls, 3, Caps())
+    with pytest.raises(ResourceLimitError) as exc:
+        cached_omega_star(cls, 3, Caps(max_vertices=g.num_vertices - 1))
+    assert exc.value.dimension == "vertex-cap"
+    assert cached_graph(cls, 3, Caps(max_vertices=g.num_vertices)) is g
+    with pytest.raises(ResourceLimitError) as exc:
+        cached_omega_star(cls, 3, Caps(max_pattern_universe=4))
+    assert exc.value.dimension == "pattern-cap"
+    clear_caches()
+
+
 def test_dimension_value_rendering():
     assert str(DimensionValue(3, EXACT)) == "=3 exact"
     assert str(DimensionValue(2, LOWER_BOUND)) == ">=2 lower-bound-at-m-max"

@@ -1,6 +1,10 @@
 """Exact LP duality certificates for the fractional clique number."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,30 @@ def test_parse_certificate_rejects_stray_lines():
 def test_frac_str_round_trip():
     for f in [F(0), F(1), F(3, 2), F(-7, 6)]:
         assert parse_frac(frac_str(f)) == f
+
+
+OPTIMIZED_DUALITY_PROBE = """
+import cliquedim.simplex as simplex
+from cliquedim import InvariantError, build_graph, generate, omega_star
+
+assert False, "asserts must be stripped in this process"
+solve = simplex.solve_packing_lp
+simplex.solve_packing_lp = lambda n, masks: (lambda v, x, y: (v, x, [2 * w for w in y]))(*solve(n, masks))
+try:
+    omega_star(build_graph(generate("thresholds", universe=3), 2))
+except InvariantError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_duality_check_survives_python_O():
+    # a dual whose total differs from the value must be refused even with
+    # asserts compiled out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_DUALITY_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: strong duality mismatch")

@@ -1,8 +1,11 @@
-"""Import hygiene of the package, checked with the standard library only.
+"""Import hygiene and invariant style of the package, checked with the
+standard library only.
 
 Every name a module imports must be used in that module, and no module may
 import another module's private (underscore) names.  `__init__.py` only
-re-exports, so its imports are exempt from the unused check.
+re-exports, so its imports are exempt from the unused check.  No module may
+use an `assert` statement: `python -O` strips them, so a check that guards a
+result must raise instead.
 """
 
 import ast
@@ -35,6 +38,11 @@ def import_findings(path: Path) -> list:
     return findings
 
 
+def assert_findings(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno} assert statement" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_no_unused_or_private_imports():
     findings = [f for path in sorted(SRC.glob("*.py")) for f in import_findings(path)]
     assert findings == []
@@ -52,3 +60,20 @@ def test_lint_reports_both_kinds(tmp_path):
         "mod.py:2 private import _graph",
         "mod.py:1 unused import isqrt",
     ]
+
+
+def test_no_assert_statements():
+    findings = [f for path in sorted(SRC.glob("*.py")) for f in assert_findings(path)]
+    assert findings == []
+
+
+def test_assert_lint_reports_asserts(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x:\n"
+        "        assert x\n"
+        "    return 'assert x'\n"
+    )
+    assert sorted(assert_findings(bad)) == ["mod.py:2 assert statement", "mod.py:4 assert statement"]

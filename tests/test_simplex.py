@@ -1,15 +1,64 @@
-"""Exact-rational simplex spot checks and a basis-enumeration cross-check."""
+"""Exact-rational simplex spot checks, a basis-enumeration cross-check, and
+pivot-path checks against a Fraction-tableau reference."""
 
+import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from cliquedim import format_class_text
+from cliquedim.cli import corpus, main
 from cliquedim.errors import InfeasibleModelError
 from cliquedim.simplex import simplex_max, solve_packing_lp
 
 F = Fraction
+
+
+def reference_simplex(c, rows, b):
+    """Textbook Bland simplex on a Fraction tableau: the pivot rule the
+    integer tableau must follow step for step."""
+    m, n = len(rows), len(c)
+    if any(bi < 0 for bi in b):
+        raise InfeasibleModelError("rhs must be nonnegative for the slack basis")
+    width = n + m + 1
+    tab = []
+    for i in range(m):
+        row = [F(v) for v in rows[i]] + [F(0)] * m + [F(b[i])]
+        row[n + i] = F(1)
+        tab.append(row)
+    obj = [F(v) for v in c] + [F(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(width - 1) if obj[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise InfeasibleModelError("LP is unbounded")
+        piv = [v / tab[leave][enter] for v in tab[leave]]
+        tab[leave] = piv
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [tab[i][j] - f * piv[j] for j in range(width)]
+        f = obj[enter]
+        obj = [obj[j] - f * piv[j] for j in range(width)]
+        basis[leave] = enter
+    x = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return -obj[-1], x, [-obj[n + i] for i in range(m)]
 
 
 def test_two_variable_box():
@@ -106,3 +155,70 @@ def test_packing_against_basis_enumeration():
         # dual covering feasibility, exact
         for j in range(n):
             assert sum(dual[i] for i, vm in enumerate(masks) if (vm >> j) & 1) >= 1
+
+
+# ─── pivot path: same (value, x, y) as the Fraction tableau ─────────────────
+
+
+@st.composite
+def packing_lps(draw):
+    n = draw(st.integers(1, 10))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=9))
+    covered = 0
+    for vm in masks:
+        covered |= vm
+    missing = ((1 << n) - 1) & ~covered
+    if missing:
+        masks.append(missing)  # every variable bounded
+    return n, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_lps())
+def test_packing_lp_matches_fraction_tableau(lp):
+    n, masks = lp
+    rows = [[(vm >> j) & 1 for j in range(n)] for vm in masks]
+    expected = reference_simplex([1] * n, rows, [1] * len(masks))
+    assert solve_packing_lp(n, masks) == expected
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_lps(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rationals.map(abs), min_size=m, max_size=m))
+    return c, rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_lps())
+def test_rational_lp_matches_fraction_tableau(lp):
+    c, rows, b = lp
+    try:
+        expected = reference_simplex(c, rows, b)
+    except InfeasibleModelError:
+        with pytest.raises(InfeasibleModelError):
+            simplex_max(c, rows, b)
+        return
+    assert simplex_max(c, rows, b) == expected
+
+
+# sha256 of `omega-star --verbose` stdout, m = 1..3 over the 20 corpus
+# classes in corpus order, as produced by the Fraction-tableau solver
+OMEGA_STAR_CERTIFICATES_SHA256 = "39fd2d7720e717e24edb0a297ff21afd627210a650cd92e6f5675f5434656031"
+
+
+def test_corpus_certificates_are_frozen(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for _, cls in corpus():
+        text = format_class_text(cls)
+        for m in (1, 2, 3):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["omega-star", "-", "--m", str(m), "--verbose"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == OMEGA_STAR_CERTIFICATES_SHA256
