@@ -1,12 +1,17 @@
 """Exact clique search and clique/mistake-tree conversions.
 
 The maximum-clique solver is a deterministic branch-and-bound over bitmask
-candidate sets with a greedy-coloring upper bound: vertices are ordered by
-descending degree (ties by index), each node color-sorts its candidates and
-prunes when the current clique plus the candidate's color cannot beat the
-incumbent (or reach the decision target).  A node budget caps the search;
-exhaustion raises ResourceLimitError carrying the best clique found, which
-remains a certified lower bound.
+candidate sets with two upper bounds.  Vertices are ordered by descending
+degree (ties by index).  Each node first counts the rows of the class that
+realize some candidate: adjacent vertices share no realizing row, so a
+clique among the candidates has at most that many members.  It then
+color-sorts its candidates (greedy coloring, Tomita & Seki's MCQ) and prunes
+when the current clique plus the candidate's color cannot beat the incumbent
+(or reach the decision target).  Both prunes only cut branches that cannot
+beat the incumbent, which changes only on a strictly larger clique, so the
+row count changes the work and never the members returned.  A node budget
+caps the search; exhaustion raises ResourceLimitError carrying the best
+clique found, which remains a certified lower bound.
 
 `find_balanced_point` runs the elimination loop that powers the conversion
 of large cliques into shattered mistake trees: repeatedly delete a labeled
@@ -76,10 +81,22 @@ def _greedy_clique(adj, order) -> list:
     return out
 
 
-def _search(adj, node_budget: int, target=None):
+def _row_covers(realizers) -> list:
+    """covers[k] = bitmask of the vertices that row k realizes."""
+    covers: dict = {}
+    for v, rows in enumerate(realizers):
+        while rows:
+            k = (rows & -rows).bit_length() - 1
+            rows &= rows - 1
+            covers[k] = covers.get(k, 0) | (1 << v)
+    return list(covers.values())
+
+
+def _search(adj, realizers, node_budget: int, target=None):
     """Core branch-and-bound.  Returns (best_members, nodes_used).
 
-    With `target` set, stops as soon as a clique of that size is found and
+    `realizers[v]` is the mask of rows consistent with vertex v.  With
+    `target` set, stops as soon as a clique of that size is found and
     prunes branches that cannot reach it.  Raises ResourceLimitError carrying
     the incumbent when the budget runs out before the answer is certain.
     """
@@ -89,6 +106,8 @@ def _search(adj, node_budget: int, target=None):
     nodes = 0
     if target is not None and len(best) >= target:
         return best, nodes
+    # popcount(OR of realizers over p) is the number of rows covering p
+    covers = _row_covers(realizers)
 
     def expand(r: list, p: int) -> bool:
         nonlocal best, nodes
@@ -99,6 +118,9 @@ def _search(adj, node_budget: int, target=None):
                 f"clique search exceeded {node_budget} nodes",
                 best=list(best),
             )
+        bound = len(best) if target is None else max(len(best), target - 1)
+        if len(r) + sum(1 for c in covers if c & p) <= bound:
+            return False  # one vertex per realizing row: nothing larger below
         # color-sort candidates: first-fit color classes over the static order
         class_masks: list[int] = []
         class_verts: list[list[int]] = []
@@ -140,7 +162,7 @@ def _search(adj, node_budget: int, target=None):
 
 def max_clique(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> Clique:
     """Exact maximum clique (deterministic membership)."""
-    best, _ = _search(g.adj, caps.node_budget)
+    best, _ = _search(g.adj, g.realizers, caps.node_budget)
     return Clique(tuple(sorted(best)))
 
 
@@ -151,7 +173,7 @@ def has_clique_of_size(g: ContradictionGraph, k: int, caps: Caps = DEFAULT_CAPS)
         return True
     if k > g.num_vertices:
         return False
-    best, _ = _search(g.adj, caps.node_budget, target=k)
+    best, _ = _search(g.adj, g.realizers, caps.node_budget, target=k)
     return len(best) >= k
 
 

@@ -12,10 +12,12 @@ cd / cd* report the largest passing m up to m_max together with an exactness
 flag.  Exactness uses three analytic facts so the infinite sup can be pinned
 by finitely many searches:
 
-  (1) pattern cap: a clique takes at most one vertex per consistency set and
-      the <= 2^|X| maximal sets cover everything, so omega_m <= 2^|X| (and,
-      summing the packing constraints, omega*_m <= 2^|X|); hence every
-      m > |X| separates automatically;
+  (1) row bound: for each row h of H the datasets h labels correctly form
+      an independent set V_h, and these |H| sets cover every vertex.  A
+      clique takes at most one vertex from each, so omega_m <= |H|, and
+      weight 1 on each is a fractional coloring, so omega*_m <= |H|; hence
+      every m > floor(log2 |H|) separates automatically.  The rows are
+      distinct, so |H| <= 2^|X| and this subsumes the bound m <= |X|;
   (2) growth cutoff for cd: once m_c satisfies (2m_c+1)^ld < 2^(m_c) and
       m_c >= ld/ln2 (checked with the rational bound 693147/10^6 < ln 2),
       every m >= m_c has (2m+1)^ld < 2^m, and omega_m <= (2m+1)^ld always;
@@ -32,7 +34,8 @@ is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
 q >= 2, so alpha > 32 * 3 * ln2_hi > 66 and every cutoff is at least
 ceil(67 * 10^6 / 693147) = 97.  Each omega* enumerates all 2^|X| labelings
 (refused beyond the pattern cap, 20 by default), so any call that finishes
-has |X| far below 97 and the bound |X| from (1) is the tighter one.
+has |X| far below 97 and the bound from (1), at most |X|, is the tighter
+one.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .cliques import has_clique_of_size, max_clique
 from .concepts import ConceptClass
 from .errors import InvariantError, ResourceLimitError
 from .fractional import omega_star
-from .graph import Caps, DEFAULT_CAPS, build_graph, independent_sets
+from .graph import Caps, DEFAULT_CAPS, build_graph
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
 
 EXACT = "exact"
@@ -61,12 +64,14 @@ LN2_HI = Fraction(693148, 10**6)
 EXTENSION_VERTEX_CAP = 500
 
 
-# Both memos key on (cls, m) alone, hold at most MEMO_SIZE entries each
-# (oldest dropped first), and call `build_graph` / `omega_star` through this
-# module's globals, so a wrapper installed on those names sees every miss.
+# The memos key on (cls, m) (the ld tables on cls) alone, hold at most
+# MEMO_SIZE entries each (oldest dropped first), and call `build_graph` /
+# `omega_star` / `_ld_table` through this module's globals, so a wrapper
+# installed on those names sees every miss.
 MEMO_SIZE = 256
 _graphs: dict = {}
 _certs: dict = {}
+_ld_tables: dict = {}
 
 
 def _remember(memo: dict, key, value):
@@ -135,15 +140,28 @@ def _ld_table(cls: ConceptClass):
     return ld
 
 
+def _cached_ld_table(cls: ConceptClass):
+    table = _ld_tables.get(cls)
+    if table is None:
+        table = _remember(_ld_tables, cls, _ld_table(cls))
+    return table
+
+
+def _log2_rows(cls: ConceptClass) -> int:
+    """floor(log2 |H|): the largest m with 2^m <= |H|, past which omega_m
+    and omega*_m cannot reach 2^m (fact (1) of the module docstring)."""
+    return len(cls.hypotheses).bit_length() - 1
+
+
 def littlestone_dimension(cls: ConceptClass) -> int:
-    return _ld_table(cls)(cls.hypotheses)
+    return _cached_ld_table(cls)(cls.hypotheses)
 
 
 def littlestone_witness(cls: ConceptClass, depth: Optional[int] = None) -> MistakeTree:
     """A complete shattered mistake tree of the requested depth (default: the
     full dimension).  At every internal node both restrictions are nonempty
     and can still support depth-1 below, so each branch stays realizable."""
-    ld = _ld_table(cls)
+    ld = _cached_ld_table(cls)
     n = cls.universe_size
     full = ld(cls.hypotheses)
     if depth is None:
@@ -226,12 +244,23 @@ def clique_dimension(
 
     `known` optionally injects already-computed decisions {m: bool}.
     Decisions use, in order: the mistake-tree fast path (ld >= m certifies a
-    2^m-clique), vertex/pattern counting, then targeted branch-and-bound.
+    2^m-clique), the row bound omega_m <= |H| (no graph is built), then
+    targeted branch-and-bound.
+
+    The row bound is at least as strong as counting the maximal consistency
+    sets.  Let k be the number of points that are not constant on H.  A
+    realizable dataset labels every constant point with its constant, so
+    the maximal V_h are those of the 2^k labelings h that agree with the
+    constants.  They are distinct and pairwise incomparable: two such h
+    differ at a non-constant point x, and m copies of (x, h(x)) are
+    realizable, in V_h and not in the other set.  The rows of H are
+    distinct and differ only at non-constant points, so 2^k >= |H|.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     ld = littlestone_dimension(cls)
+    top = _log2_rows(cls)
     decisions: dict = dict(known or {})
 
     def decide(m: int) -> bool:
@@ -239,15 +268,11 @@ def clique_dimension(
             return decisions[m]
         if ld >= m:
             decisions[m] = True
-            return True
-        g = cached_graph(cls, m, caps)
-        target = 1 << m
-        if target > g.num_vertices or target > len(
-            independent_sets(g, maximal_only=True, caps=caps)
-        ):
+        elif m > top:
             decisions[m] = False
-            return False
-        decisions[m] = has_clique_of_size(g, target, caps)
+        else:
+            g = cached_graph(cls, m, caps)
+            decisions[m] = has_clique_of_size(g, 1 << m, caps)
         return decisions[m]
 
     value = 0
@@ -258,8 +283,8 @@ def clique_dimension(
     except ResourceLimitError:
         return DimensionValue(value, LOWER_BOUND)
 
-    # exactness: everything beyond min(|X|, cutoff-1) separates analytically
-    upper = min(cls.universe_size, tech_cd_cutoff(ld) - 1)
+    # exactness: everything beyond min(log2 |H|, cutoff-1) separates analytically
+    upper = min(top, tech_cd_cutoff(ld) - 1)
     try:
         for m in range(value + 1, upper + 1):
             if decide(m):
@@ -279,9 +304,10 @@ def fractional_clique_dimension(
 ) -> DimensionValue:
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
-    `known` optionally injects computed omega* values {m: Fraction}.
-    Extension LPs past m_max run only while the graphs stay under
-    EXTENSION_VERTEX_CAP vertices; otherwise the flag degrades.
+    `known` optionally injects computed omega* values {m: Fraction}.  No LP
+    runs for an m with 2^m > |H|, which cannot pass.  Extension LPs past
+    m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
+    vertices; otherwise the flag degrades.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -294,10 +320,11 @@ def fractional_clique_dimension(
             values[m] = cached_omega_star(cls, m, use).value
         return values[m]
 
+    top = _log2_rows(cls)
     value = 0
     one_at = None
     try:
-        for m in range(1, m_max + 1):
+        for m in range(1, min(m_max, top) + 1):
             v = val(m)
             if v == 1 << m:
                 value = m
@@ -306,8 +333,8 @@ def fractional_clique_dimension(
     except ResourceLimitError:
         return DimensionValue(value, LOWER_BOUND)
 
-    # exactness: everything beyond min(|X|, one_at-1) separates analytically
-    upper = cls.universe_size
+    # exactness: everything beyond min(log2 |H|, one_at-1) separates analytically
+    upper = top
     if one_at is not None:
         upper = min(upper, one_at - 1)
     try:
@@ -431,3 +458,4 @@ def check_inequalities(report: DimensionReport) -> list:
 def clear_caches() -> None:
     _graphs.clear()
     _certs.clear()
+    _ld_tables.clear()

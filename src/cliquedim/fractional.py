@@ -61,7 +61,13 @@ class DualityCertificate:
 
 def validate_packing(g: ContradictionGraph, fc: FractionalClique, caps: Caps = DEFAULT_CAPS) -> None:
     """Exact feasibility against the full maximal-V_h family (not only the
-    constraints the solver happened to touch)."""
+    constraints the solver happened to touch), derived here from `g`."""
+    _check_packing(g, fc, lambda: independent_sets(g, maximal_only=True, caps=caps))
+
+
+def _check_packing(g: ContradictionGraph, fc: FractionalClique, family) -> None:
+    """`validate_packing` against the maximal family that `family()`
+    returns, asked for only once the weights themselves check out."""
     for v, w in fc.weights.items():
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"weight on unknown vertex {v}")
@@ -69,7 +75,7 @@ def validate_packing(g: ContradictionGraph, fc: FractionalClique, caps: Caps = D
             raise ValueError(f"negative weight on vertex {v}")
     if sum(fc.weights.values(), Fraction(0)) != fc.size:
         raise ValueError("declared size differs from the weight total")
-    fam = independent_sets(g, maximal_only=True, caps=caps)
+    fam = family()
     for pattern, mask in zip(fam.patterns, fam.masks):
         total = sum(w for v, w in fc.weights.items() if (mask >> v) & 1)
         if total > 1:
@@ -105,7 +111,8 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
     """Exact fractional clique number with matching primal/dual certificates.
 
     The primal optimum is a fractional clique, the dual a fractional coloring
-    of equal total weight; both are revalidated before returning.
+    of equal total weight; both are revalidated before returning, the primal
+    against the same maximal family the LP was built from.
     """
     from .simplex import solve_packing_lp
 
@@ -120,7 +127,7 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
     )
     if col.colors != value:
         raise InvariantError(f"strong duality mismatch: dual total {col.colors} != value {value}")
-    validate_packing(g, fc, caps)
+    _check_packing(g, fc, lambda: fam)
     validate_cover(g, col)
     return DualityCertificate(value=value, clique=fc, coloring=col)
 

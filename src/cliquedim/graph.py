@@ -4,9 +4,12 @@ G_m(H): vertices are the realizable m-example datasets of H (canonical
 multisets), and two datasets are adjacent iff some point appears with label 0
 in one and label 1 in the other.  Independent sets of interest are the
 consistency sets V_h = {S : h consistent with S} for full labelings h of the
-universe; they cover the vertex set and each is independent, so any clique
-uses at most one vertex from each, bounding the clique number by the number
-of maximal consistency sets (at most 2^|X|).
+universe; each is independent.  The sets V_h for the rows h of H already
+cover the vertex set, since a dataset is a vertex exactly when some row
+realizes it.  A clique uses at most one vertex from each, so omega_m <= |H|,
+and weight 1 on each is a fractional coloring, so omega*_m <= |H| too.
+`build_graph` keeps each vertex's realizing rows as `realizers`; the clique
+search applies the same bound to every candidate set.
 """
 
 from __future__ import annotations
@@ -46,12 +49,15 @@ DEFAULT_CAPS = Caps()
 
 
 class ContradictionGraph:
-    """Vertices in canonical dataset order; adjacency via point-label masks."""
+    """Vertices in canonical dataset order; adjacency via point-label masks.
+    `realizers[i]` has bit k set iff row k of the class is consistent with
+    vertex i."""
 
-    def __init__(self, cls: ConceptClass, m: int, vertices: tuple):
+    def __init__(self, cls: ConceptClass, m: int, vertices: tuple, realizers: tuple):
         self.cls = cls
         self.m = m
         self.vertices = vertices
+        self.realizers = realizers
         self.ones = tuple(v.ones_mask for v in vertices)
         self.zeros = tuple(v.zeros_mask for v in vertices)
         # adj[i] = bitmask over vertex indices adjacent to i
@@ -97,8 +103,9 @@ class ContradictionGraph:
 def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> ContradictionGraph:
     """Enumerate realizable size-m datasets in canonical order and assemble
     the graph.  DFS over labeled pairs in (point, label) order with the set
-    of still-consistent hypotheses as a prune mask; nondecreasing pair
-    sequences enumerate each multiset exactly once, already sorted."""
+    of still-consistent hypotheses as a prune mask, which each leaf keeps as
+    its vertex's realizer mask; nondecreasing pair sequences enumerate each
+    multiset exactly once, already sorted."""
     cls.require_nonempty()
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -116,6 +123,7 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
         pair_masks.append(mask)
 
     vertices: list[Dataset] = []
+    realizers: list[int] = []
     prefix: list[tuple] = []
 
     def walk(start: int, remaining: int, alive: int) -> None:
@@ -123,6 +131,7 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
             if len(vertices) >= caps.max_vertices:
                 caps.check_vertices(len(vertices) + 1, m)
             vertices.append(Dataset(prefix))
+            realizers.append(alive)
             return
         for k in range(start, len(pairs)):
             # skip (x,1) when (x,0) is already in the prefix: pairs are
@@ -137,7 +146,7 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
             prefix.pop()
 
     walk(0, m, (1 << len(cls.hypotheses)) - 1)
-    return ContradictionGraph(cls, m, tuple(vertices))
+    return ContradictionGraph(cls, m, tuple(vertices), tuple(realizers))
 
 
 def is_edge(g: ContradictionGraph, i: int, j: int) -> bool:

@@ -251,10 +251,27 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
         assert code == 0
         assert len(built) == len(set(built)), name
         if name == "thresholds-5":
-            assert sorted(built) == [1, 2, 3, 4, 5]
+            # G_5 is never needed: 2^5 > |H| = 6
+            assert sorted(built) == [1, 2, 3, 4]
         cd, cd_star = CORPUS_CD_LINES[name]
         assert out.splitlines()[-2:] == [f"# cd={cd} exact", f"# cd_star={cd_star} exact"], name
     clear_caches()
+
+
+def test_curves_builds_the_ld_table_once(capsys, monkeypatch):
+    # the report's ld and the cd decisions share one memoised recursion
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches, format_class_text
+
+    tables = []
+    table = dims._ld_table
+    monkeypatch.setattr(dims, "_ld_table", lambda cls: tables.append(cls) or table(cls))
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(dict(corpus())["thresholds-4"])))
+    clear_caches()
+    code, out, _ = run(capsys, "curves", "-")
+    clear_caches()
+    assert code == 0 and out.splitlines()[-2:] == ["# cd=2 exact", "# cd_star=2 exact"]
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize(

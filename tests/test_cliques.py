@@ -1,6 +1,7 @@
 """Exact clique search, balanced-example elimination, and tree conversions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cliquedim import (
@@ -22,6 +23,7 @@ from cliquedim import (
     tree_from_clique,
     validate_clique,
 )
+from cliquedim.cliques import _search
 from cliquedim.graph import is_edge
 from cliquedim.trees import MistakeLeaf, MistakeNode, branches, is_complete, min_depth
 
@@ -123,6 +125,105 @@ def test_random_graphs_match_both_oracles():
         )
         assert found == oracles.max_clique_size_bk(adj)
         assert found == oracles.max_clique_size_subsets(adj)
+
+
+def reference_search(adj, node_budget, target=None):
+    """Branch-and-bound with the coloring bound alone, without the bound by
+    realizing rows: the search whose members the clique solver must keep."""
+    n = len(adj)
+    degs = [a.bit_count() for a in adj]
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    best = []
+    p = (1 << n) - 1
+    for v in order:
+        if (p >> v) & 1:
+            best.append(v)
+            p &= adj[v]
+    nodes = 0
+    if target is not None and len(best) >= target:
+        return best, nodes
+
+    def expand(r, p):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError("node-budget", "budget", best=list(best))
+        class_masks, class_verts = [], []
+        for v in order:
+            if not (p >> v) & 1:
+                continue
+            for ci in range(len(class_masks)):
+                if not (adj[v] & class_masks[ci]):
+                    class_masks[ci] |= 1 << v
+                    class_verts[ci].append(v)
+                    break
+            else:
+                class_masks.append(1 << v)
+                class_verts.append([v])
+        seq = [(v, ci + 1) for ci, vs in enumerate(class_verts) for v in vs]
+        local = p
+        for v, color in reversed(seq):
+            bound = len(best) if target is None else max(len(best), target - 1)
+            if len(r) + color <= bound:
+                return False
+            r.append(v)
+            if len(r) > len(best):
+                best = list(r)
+                if target is not None and len(best) >= target:
+                    r.pop()
+                    return True
+            nxt = local & adj[v]
+            if nxt and expand(r, nxt):
+                r.pop()
+                return True
+            r.pop()
+            local &= ~(1 << v)
+        return False
+
+    if n:
+        expand([], (1 << n) - 1)
+    return best, nodes
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12))
+    return build_graph(ConceptClass(n, rows), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_row_bound_keeps_the_members_of_the_coloring_search(g):
+    budget = 10**6
+    best, nodes = reference_search(g.adj, budget)
+    assert max_clique(g).members == tuple(sorted(best))
+    got, got_nodes = _search(g.adj, g.realizers, budget)
+    assert got == best and got_nodes <= nodes  # the bound only prunes
+    for k in range(1, len(best) + 2):
+        expected, _ = reference_search(g.adj, budget, target=k)
+        assert _search(g.adj, g.realizers, budget, target=k)[0] == expected
+        assert has_clique_of_size(g, k) == (len(expected) >= k)
+
+
+def test_row_bound_settles_g4_of_random_6_12_1():
+    # 12 rows bound every clique by 12, which the search reaches and proves
+    # in about 200 nodes; the coloring bound alone ran past 2*10^6 nodes here
+    cls = generate("random", universe=6, count=12, seed=1)
+    g = build_graph(cls, 4)
+    clique = max_clique(g, Caps(node_budget=10**4))
+    assert validate_clique(g, clique.members).size == 12 == len(cls.hypotheses)
+
+
+def test_realizers_are_the_consistent_rows():
+    cls = generate("paper_example_sec6")
+    g = build_graph(cls, 2)
+    for v, rows in zip(g.vertices, g.realizers):
+        expected = sum(
+            1 << k for k, r in enumerate(cls.row_masks)
+            if (v.ones_mask & ~r) == 0 and (v.zeros_mask & r) == 0
+        )
+        assert rows == expected != 0
 
 
 # ─── balanced-example elimination ──────────────────────────────────────────

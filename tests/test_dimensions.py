@@ -161,10 +161,16 @@ def test_clique_dimension_frozen(family, universe, m_max, value, exactness):
         ("thresholds", 4, 3, 2, EXACT),
         ("random-5", 4, 3, 1, EXACT),
         ("random-7", 4, 3, 2, EXACT),
+        # benchmark classes whose extension a vertex cap stopped before the
+        # row bound 2^m <= |H| ended it
+        ("random-5-8-2", 5, 3, 2, EXACT),
+        ("random-6-8-2", 6, 3, 3, EXACT),
     ],
 )
 def test_fractional_clique_dimension_frozen(family, universe, m_max, value, exactness):
     named = dict(corpus())
+    named["random-5-8-2"] = generate("random", universe=5, count=8, seed=2)
+    named["random-6-8-2"] = generate("random", universe=6, count=8, seed=2)
     cls = named[family] if family in named else generate(family, universe=universe)
     assert cls.universe_size == universe
     got = fractional_clique_dimension(cls, m_max)
@@ -187,6 +193,21 @@ def test_memo_applies_caps_on_every_call():
         cached_omega_star(cls, 3, Caps(max_pattern_universe=4))
     assert exc.value.dimension == "pattern-cap"
     clear_caches()
+
+
+def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
+    # ld = 3 = floor(log2 12): m <= 3 pass by the mistake tree, m >= 4 fail
+    # by the row bound omega_m <= |H| = 12 < 16, so no G_m is built
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches
+
+    built = []
+    monkeypatch.setattr(dims, "build_graph", lambda *a: built.append(a[1]))
+    clear_caches()
+    got = clique_dimension(generate("random", universe=6, count=12, seed=1), 3)
+    clear_caches()
+    assert (got.value, got.exactness) == (3, EXACT)
+    assert built == []
 
 
 def test_dimension_value_rendering():

@@ -95,6 +95,18 @@ def test_certificate_sides_validate():
     assert cert.clique.size == cert.coloring.colors
 
 
+def test_omega_star_enumerates_the_labelings_once(monkeypatch):
+    # the primal is checked against the family the LP was built from
+    import cliquedim.fractional as fractional
+
+    calls = []
+    sets = fractional.independent_sets
+    monkeypatch.setattr(fractional, "independent_sets", lambda *a, **k: calls.append(a) or sets(*a, **k))
+    cert = omega_star(build_graph(generate("thresholds", universe=4), 3))
+    assert cert.value == 5
+    assert len(calls) == 1
+
+
 def test_validate_packing_rejects_overload():
     g = build_graph(generate("full", universe=2), 1)
     bad = FractionalClique(weights={0: F(2)}, size=F(2))
