@@ -68,7 +68,6 @@ from .trees import (
     min_depth,
     parse_tree,
     serialize_tree,
-    truncate,
 )
 from .cliques import (
     BalancedPointReport,

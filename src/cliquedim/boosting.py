@@ -582,7 +582,7 @@ def _floor_bracketed(alpha: int, scale: int) -> int:
         f_hi = v_hi.numerator // v_hi.denominator
         if f_lo == f_hi:
             return f_lo
-    raise AssertionError(f"could not pin floor({scale}*{alpha}*ln {alpha})")
+    raise InvariantError(f"could not pin floor({scale}*{alpha}*ln {alpha})")
 
 
 def numeric_lemma_checks() -> list:

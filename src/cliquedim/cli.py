@@ -48,6 +48,7 @@ from .errors import (
     InvalidParamsError,
     InvariantError,
     NoSeparationError,
+    NotCompleteError,
     ResourceLimitError,
 )
 from .fractional import (
@@ -57,7 +58,7 @@ from .fractional import (
     validate_packing,
 )
 from .graph import Caps, export_edge_list, independent_sets, wl_fingerprint
-from .trees import max_depth, parse_tree, serialize_tree
+from .trees import is_complete, max_depth, parse_tree, serialize_tree
 
 
 def corpus(seed: int = 0) -> list:
@@ -211,7 +212,11 @@ def _cmd_clique_from_tree(args):
     caps = _caps(args)
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_tree(fh.read())
-    g = cached_graph(cls, max_depth(tree), caps)
+    depth = max_depth(tree)
+    # the tree's depth picks m, so reject a malformed tree before building G_m
+    if not is_complete(tree, depth):
+        raise NotCompleteError(f"tree is not complete at depth m={depth}")
+    g = cached_graph(cls, depth, caps)
     c = clique_from_tree(g, tree)
     lines = [
         _header(args),

@@ -21,12 +21,12 @@ by finitely many searches:
   (2) growth cutoff for cd: once m_c satisfies (2m_c+1)^ld < 2^(m_c) and
       m_c >= ld/ln2 (checked with the rational bound 693147/10^6 < ln 2),
       every m >= m_c has (2m+1)^ld < 2^m, and omega_m <= (2m+1)^ld always;
-  (3) absorbing optimum for cd*: if omega*_{m1} = 1 then some single
-      labeling is consistent with every realizable m1-dataset, hence with
-      every larger realizable dataset too, so omega*_m = 1 for all m >= m1.
+  (3) omega*_m = 1 only when |H| = 1 (two rows differing at x make m copies
+      of (x,0) and m copies of (x,1) adjacent vertices), where (1) already
+      ends the sweep at m = 0.
 
-Whatever remains in (value, cutoff] beyond m_max is searched directly when
-the graphs fit under the caps; otherwise the flag honestly degrades to
+Whatever remains in (m_max, cutoff] is searched directly when the graphs
+fit under the caps; otherwise the flag honestly degrades to
 lower-bound-at-m-max.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
@@ -234,119 +234,65 @@ class DimensionValue:
         return f"{rel}{self.value} {self.exactness}"
 
 
-def clique_dimension(
-    cls: ConceptClass,
-    m_max: int,
-    caps: Caps = DEFAULT_CAPS,
-    known: Optional[dict] = None,
-) -> DimensionValue:
+def _sweep(m_max: int, upper: int, passes) -> DimensionValue:
+    """The largest m <= m_max with passes(m), exact when no m in
+    (m_max, upper] passes; a pass there or a cap hit anywhere leaves a lower
+    bound.  Every m > upper must fail analytically."""
+    value = 0
+    try:
+        for m in range(1, m_max + 1):
+            if passes(m):
+                value = m
+        for m in range(m_max + 1, upper + 1):
+            if passes(m):
+                # the true dimension exceeds the m_max-capped value
+                return DimensionValue(value, LOWER_BOUND)
+    except ResourceLimitError:
+        return DimensionValue(value, LOWER_BOUND)
+    return DimensionValue(value, EXACT)
+
+
+def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -> DimensionValue:
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
-    `known` optionally injects already-computed decisions {m: bool}.
-    Decisions use, in order: the mistake-tree fast path (ld >= m certifies a
-    2^m-clique), the row bound omega_m <= |H| (no graph is built), then
-    targeted branch-and-bound.
-
-    The row bound is at least as strong as counting the maximal consistency
-    sets.  Let k be the number of points that are not constant on H.  A
-    realizable dataset labels every constant point with its constant, so
-    the maximal V_h are those of the 2^k labelings h that agree with the
-    constants.  They are distinct and pairwise incomparable: two such h
-    differ at a non-constant point x, and m copies of (x, h(x)) are
-    realizable, in V_h and not in the other set.  The rows of H are
-    distinct and differ only at non-constant points, so 2^k >= |H|.
+    An m passes by, in order: the mistake-tree fast path (ld >= m certifies
+    a 2^m-clique), the row bound omega_m <= |H| (no graph is built), then
+    targeted branch-and-bound.  Facts (1) and (2) end the sweep.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     ld = littlestone_dimension(cls)
     top = _log2_rows(cls)
-    decisions: dict = dict(known or {})
 
-    def decide(m: int) -> bool:
-        if m in decisions:
-            return decisions[m]
-        if ld >= m:
-            decisions[m] = True
-        elif m > top:
-            decisions[m] = False
-        else:
-            g = cached_graph(cls, m, caps)
-            decisions[m] = has_clique_of_size(g, 1 << m, caps)
-        return decisions[m]
+    def passes(m: int) -> bool:
+        return ld >= m or (
+            m <= top and has_clique_of_size(cached_graph(cls, m, caps), 1 << m, caps)
+        )
 
-    value = 0
-    try:
-        for m in range(1, m_max + 1):
-            if decide(m):
-                value = m
-    except ResourceLimitError:
-        return DimensionValue(value, LOWER_BOUND)
-
-    # exactness: everything beyond min(log2 |H|, cutoff-1) separates analytically
-    upper = min(top, tech_cd_cutoff(ld) - 1)
-    try:
-        for m in range(value + 1, upper + 1):
-            if decide(m):
-                # a pass beyond m_max: the true dimension exceeds the
-                # reported (m_max-capped) value, so only a lower bound
-                return DimensionValue(value, LOWER_BOUND)
-    except ResourceLimitError:
-        return DimensionValue(value, LOWER_BOUND)
-    return DimensionValue(value, EXACT)
+    return _sweep(m_max, min(top, tech_cd_cutoff(ld) - 1), passes)
 
 
 def fractional_clique_dimension(
-    cls: ConceptClass,
-    m_max: int,
-    caps: Caps = DEFAULT_CAPS,
-    known: Optional[dict] = None,
+    cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS
 ) -> DimensionValue:
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
-    `known` optionally injects computed omega* values {m: Fraction}.  No LP
-    runs for an m with 2^m > |H|, which cannot pass.  Extension LPs past
-    m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
+    No LP runs for an m with 2^m > |H|, which cannot pass.  Extension LPs
+    past m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
     vertices; otherwise the flag degrades.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    values: dict = dict(known or {})
     extension_caps = replace(caps, max_vertices=min(caps.max_vertices, EXTENSION_VERTEX_CAP))
-
-    def val(m: int, use: Caps = caps) -> Fraction:
-        if m not in values:
-            values[m] = cached_omega_star(cls, m, use).value
-        return values[m]
-
     top = _log2_rows(cls)
-    value = 0
-    one_at = None
-    try:
-        for m in range(1, min(m_max, top) + 1):
-            v = val(m)
-            if v == 1 << m:
-                value = m
-            if v == 1 and one_at is None:
-                one_at = m
-    except ResourceLimitError:
-        return DimensionValue(value, LOWER_BOUND)
 
-    # exactness: everything beyond min(log2 |H|, one_at-1) separates analytically
-    upper = top
-    if one_at is not None:
-        upper = min(upper, one_at - 1)
-    try:
-        for m in range(value + 1, upper + 1):
-            v = val(m, extension_caps)
-            if v == 1 << m:
-                return DimensionValue(value, LOWER_BOUND)
-            if v == 1:
-                break  # absorbing: everything above separates too
-    except ResourceLimitError:
-        return DimensionValue(value, LOWER_BOUND)
-    return DimensionValue(value, EXACT)
+    def passes(m: int) -> bool:
+        use = caps if m <= m_max else extension_caps
+        return m <= top and cached_omega_star(cls, m, use).value == 1 << m
+
+    return _sweep(m_max, top, passes)
 
 
 @dataclass(frozen=True)
@@ -384,8 +330,6 @@ def dimension_report(
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
     rows = []
-    omega_known: dict = {}
-    star_known: dict = {}
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
         g = cached_graph(cls, m, caps)
         omega = None
@@ -394,20 +338,18 @@ def dimension_report(
             try:
                 omega = max_clique(g, caps).size
                 omega_exact = True
-                omega_known[m] = omega == 1 << m
             except ResourceLimitError as exc:
                 omega = len(exc.best) if exc.best else 0
                 omega_exact = False
         star = None
         if m <= m_max_lp:
             star = cached_omega_star(cls, m, caps).value
-            star_known[m] = star
         rows.append(
             PerMRow(m=m, num_vertices=g.num_vertices, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
         )
-    cd = clique_dimension(cls, m_max_clique, caps, known=omega_known)
-    cd_star = fractional_clique_dimension(cls, m_max_lp, caps, known=star_known)
+    cd = clique_dimension(cls, m_max_clique, caps)
+    cd_star = fractional_clique_dimension(cls, m_max_lp, caps)
     return DimensionReport(cls=cls, vc=vc, ld=ld, cd=cd, cd_star=cd_star, rows=tuple(rows))
 
 

@@ -125,27 +125,36 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
     vertices: list[Dataset] = []
     realizers: list[int] = []
     prefix: list[tuple] = []
-
-    def walk(start: int, remaining: int, alive: int) -> None:
-        if remaining == 0:
-            if len(vertices) >= caps.max_vertices:
-                caps.check_vertices(len(vertices) + 1, m)
-            vertices.append(Dataset(prefix))
-            realizers.append(alive)
-            return
-        for k in range(start, len(pairs)):
+    # explicit DFS stack, so no m is too deep for it: one [next pair index,
+    # rows consistent with the prefix] frame per prefix length below m
+    stack = [[0, (1 << len(cls.hypotheses)) - 1]]
+    while stack:
+        frame = stack[-1]
+        k, alive = frame
+        nxt = 0
+        while k < len(pairs):
             # skip (x,1) when (x,0) is already in the prefix: pairs are
             # point-major so the conflicting pair is exactly k-1
-            if prefix and pairs[k][0] == prefix[-1][0] and pairs[k][1] != prefix[-1][1]:
-                continue
-            nxt = alive & pair_masks[k]
-            if not nxt:
-                continue
-            prefix.append(pairs[k])
-            walk(k, remaining - 1, nxt)
-            prefix.pop()
-
-    walk(0, m, (1 << len(cls.hypotheses)) - 1)
+            if not (prefix and pairs[k][0] == prefix[-1][0] and pairs[k][1] != prefix[-1][1]):
+                nxt = alive & pair_masks[k]
+                if nxt:
+                    break
+            k += 1
+        if not nxt:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        frame[0] = k + 1
+        prefix.append(pairs[k])
+        if len(prefix) < m:
+            stack.append([k, nxt])
+            continue
+        if len(vertices) >= caps.max_vertices:
+            caps.check_vertices(len(vertices) + 1, m)
+        vertices.append(Dataset(prefix))
+        realizers.append(nxt)
+        prefix.pop()
     return ContradictionGraph(cls, m, tuple(vertices), tuple(realizers))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import InvalidParamsError, InvariantError
+from .errors import InvalidParamsError
 
 
 @dataclass(frozen=True)
@@ -32,40 +32,30 @@ class MistakeNode:
 MistakeTree = Union[MistakeLeaf, MistakeNode]
 
 
+def _leaf_depths(tree: MistakeTree):
+    """The depth of every leaf, 0-child first, walked with an explicit stack
+    so that no tree is too deep for it."""
+    stack = [(tree, 0)]
+    while stack:
+        t, d = stack.pop()
+        if isinstance(t, MistakeLeaf):
+            yield d
+        else:
+            stack.append((t.one, d + 1))
+            stack.append((t.zero, d + 1))
+
+
 def min_depth(tree: MistakeTree) -> int:
-    if isinstance(tree, MistakeLeaf):
-        return 0
-    return 1 + min(min_depth(tree.zero), min_depth(tree.one))
+    return min(_leaf_depths(tree))
 
 
 def max_depth(tree: MistakeTree) -> int:
-    if isinstance(tree, MistakeLeaf):
-        return 0
-    return 1 + max(max_depth(tree.zero), max_depth(tree.one))
+    return max(_leaf_depths(tree))
 
 
 def is_complete(tree: MistakeTree, depth: int) -> bool:
     """All leaves at exactly `depth`."""
-    if depth == 0:
-        return isinstance(tree, MistakeLeaf)
-    if isinstance(tree, MistakeLeaf):
-        return False
-    return is_complete(tree.zero, depth - 1) and is_complete(tree.one, depth - 1)
-
-
-def truncate(tree: MistakeTree, depth: int) -> MistakeTree:
-    """Cut the tree to a complete tree of the given depth (must not exceed
-    the minimum leaf depth).  Nodes at the cut become payload-free leaves;
-    original leaf payloads survive only when the cut coincides with them."""
-    if depth > min_depth(tree):
-        raise InvalidParamsError(
-            f"cannot truncate to depth {depth}: a leaf sits at depth {min_depth(tree)}"
-        )
-    if depth == 0:
-        return tree if isinstance(tree, MistakeLeaf) else MistakeLeaf()
-    if not isinstance(tree, MistakeNode):
-        raise InvariantError(f"expected an internal node above depth {depth}")
-    return MistakeNode(tree.point, truncate(tree.zero, depth - 1), truncate(tree.one, depth - 1))
+    return all(d == depth for d in _leaf_depths(tree))
 
 
 def branches(tree: MistakeTree) -> list:
@@ -108,29 +98,31 @@ def serialize_tree(tree: MistakeTree) -> str:
 
 
 def parse_tree(text: str) -> MistakeTree:
+    """Inverse of `serialize_tree`.  Nodes are assembled bottom-up on an
+    explicit stack, so the nesting depth is not limited by recursion."""
     tokens = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             tokens.append(line)
-    pos = 0
-
-    def walk() -> MistakeTree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InvalidParamsError("truncated tree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "l":
-            return MistakeLeaf()
+    # open nodes: [point, finished children so far]
+    pending: list = []
+    for pos, tok in enumerate(tokens):
         if tok.startswith("n "):
-            point = int(tok.split()[1])
-            zero = walk()
-            one = walk()
-            return MistakeNode(point, zero, one)
-        raise InvalidParamsError(f"bad tree line: {tok!r}")
-
-    tree = walk()
-    if pos != len(tokens):
-        raise InvalidParamsError("trailing tree text after the root's subtree")
-    return tree
+            pending.append([int(tok.split()[1]), []])
+            continue
+        if tok != "l":
+            raise InvalidParamsError(f"bad tree line: {tok!r}")
+        done: MistakeTree = MistakeLeaf()
+        while pending:
+            point, children = pending[-1]
+            children.append(done)
+            if len(children) < 2:
+                break
+            pending.pop()
+            done = MistakeNode(point, children[0], children[1])
+        else:
+            if pos != len(tokens) - 1:
+                raise InvalidParamsError("trailing tree text after the root's subtree")
+            return done
+    raise InvalidParamsError("truncated tree text")

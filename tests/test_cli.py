@@ -1,5 +1,6 @@
 """End-to-end command-line checks: formats, round-trips, exit codes."""
 
+import hashlib
 import io
 
 import pytest
@@ -357,6 +358,47 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "boost", path, "--gamma", "1/0", "--trials", "10")
     assert code == 2
     assert err.startswith("error:")
+
+    # deep input: a tree file nested 3000 deep is an input error, not a crash
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("points 1\nhypotheses 2\n0\n1\n")
+    deep = tmp_path / "deep.tree"
+    deep.write_text("n 0\n" * 3000 + "l\n" * 3001)
+    code, _, err = run(capsys, "clique-from-tree", str(tiny), "--tree", str(deep))
+    assert code == 2
+    assert err == "error: tree is not complete at depth m=3000\n"
+
+    # deep input: G_1100 of a one-point class has its two constant datasets
+    code, out, err = run(capsys, "omega", str(tiny), "--m", "1100")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "omega=2"
+
+
+# sha256 of the stdout of each command at its default horizons: `cd`,
+# `cd-star` and `curves` over the 20 corpus classes in corpus order, and
+# `verify-dichotomy`, as produced before cd and cd* shared one sweep
+CORPUS_OUTPUTS_SHA256 = {
+    "cd": "bc8777ce278dbe6ba2b241e8ea23a630a14be56a33f433da11624bc173236c76",
+    "cd-star": "45fb10e70531af9c79a30b4991660c2d9593a447da52259bb43914698c3dbacc",
+    "curves": "83d44b0c83e324495b8775e74656f5517badf81287fd5d9a10bc550992f749c1",
+    "verify-dichotomy": "f78f0f1cd28c178170aa329e380ada4f6a8687b885f8b7499a917a29ce9398fa",
+}
+
+
+def test_corpus_dimension_outputs_are_frozen(capsys, monkeypatch):
+    from cliquedim import format_class_text
+
+    got = {}
+    for command in ("cd", "cd-star", "curves"):
+        digest = hashlib.sha256()
+        for _, cls in corpus():
+            monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+            assert main([command, "-"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        got[command] = digest.hexdigest()
+    assert main(["verify-dichotomy"]) == 0
+    got["verify-dichotomy"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == CORPUS_OUTPUTS_SHA256
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedim import (
     ConceptClass,
@@ -17,6 +18,7 @@ from cliquedim import (
     generate,
     littlestone_dimension,
     littlestone_witness,
+    omega_star,
     tech_cd_cutoff,
     vc_dimension,
 )
@@ -210,16 +212,38 @@ def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
     assert built == []
 
 
+@st.composite
+def classes_with_two_rows(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=2, max_size=1 << n))
+    return ConceptClass(n, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes_with_two_rows())
+def test_omega_star_is_at_least_two_with_two_rows(cls):
+    # two rows differ at some x, so m copies of (x,0) and m copies of (x,1)
+    # are adjacent: omega*_m = 1 happens only for |H| = 1, where the sweep
+    # runs no m at all
+    for m in (1, 2, 3):
+        assert omega_star(build_graph(cls, m)).value >= 2
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_report_dimensions_equal_the_standalone_sweeps(name):
+    from cliquedim import clear_caches
+
+    cls = dict(corpus())[name]
+    clear_caches()
+    rep = dimension_report(cls)
+    clear_caches()
+    assert rep.cd == clique_dimension(cls, 4)
+    assert rep.cd_star == fractional_clique_dimension(cls, 3)
+
+
 def test_dimension_value_rendering():
     assert str(DimensionValue(3, EXACT)) == "=3 exact"
     assert str(DimensionValue(2, LOWER_BOUND)) == ">=2 lower-bound-at-m-max"
-
-
-def test_known_decisions_are_honored():
-    cls = generate("paper_example_sec6")
-    # inject a wrong decision at m=3 and confirm the search trusts it
-    got = clique_dimension(cls, 4, known={3: False})
-    assert (got.value, got.exactness) == (2, EXACT)
 
 
 # ─── reports and inequalities ──────────────────────────────────────────────

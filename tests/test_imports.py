@@ -5,7 +5,9 @@ Every name a module imports must be used in that module, and no module may
 import another module's private (underscore) names.  `__init__.py` only
 re-exports, so its imports are exempt from the unused check.  No module may
 use an `assert` statement: `python -O` strips them, so a check that guards a
-result must raise instead.
+result must raise instead.  Nor may it raise `AssertionError`: an internal
+check raises `InvariantError`, which the CLI reports as `internal error:`
+with exit code 1 instead of a traceback.
 """
 
 import ast
@@ -38,9 +40,22 @@ def import_findings(path: Path) -> list:
     return findings
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def assert_findings(path: Path) -> list:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [f"{path.name}:{node.lineno} assert statement" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            findings.append(f"{path.name}:{node.lineno} assert statement")
+        elif _raises_assertion_error(node):
+            findings.append(f"{path.name}:{node.lineno} raise AssertionError")
+    return findings
 
 
 def test_no_unused_or_private_imports():
@@ -77,3 +92,19 @@ def test_assert_lint_reports_asserts(tmp_path):
         "    return 'assert x'\n"
     )
     assert sorted(assert_findings(bad)) == ["mod.py:2 assert statement", "mod.py:4 assert statement"]
+
+
+def test_assert_lint_reports_raised_assertion_errors(tmp_path):
+    bad = tmp_path / "mod.py"
+    bad.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AssertionError(f'bad {x}')\n"
+        "    if x is None:\n"
+        "        raise AssertionError\n"
+        "    raise ValueError('AssertionError')\n"
+    )
+    assert sorted(assert_findings(bad)) == [
+        "mod.py:3 raise AssertionError",
+        "mod.py:5 raise AssertionError",
+    ]
