@@ -16,8 +16,17 @@ learner's regret at most sqrt(2 T ln m).  Consequences verified here:
   * all-rounds-gamma-good forces the majority vote to be consistent
     (gamma*T strictly beats the regret bound);
   * the majority of T i.i.d. mu~ draws is consistent with any fixed
-    realizable m-dataset with probability >= (epsilon-2gamma)^T
-    >= m^(-alpha), alpha = (2/gamma^2) ln(1/(epsilon-2gamma)).
+    realizable m-dataset with probability >= (epsilon-2gamma)^T.  With
+    alpha = (2/gamma^2) ln(1/(epsilon-2gamma)), T >= 2 ln m / gamma^2 gives
+    (epsilon-2gamma)^T <= m^(-alpha) <= (epsilon-2gamma)^(T-2), so the
+    m^(-alpha) rate the verifier checks can exceed the proven floor by up to
+    (epsilon-2gamma)^(-2).  At m = 1 (T = 1) it checks the floor
+    epsilon-2gamma itself.
+
+Draws from mu~ are exact: `random.random()` returns j/2^53 for an integer
+j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw bisects
+integer thresholds built once per call (values off that grid, as a
+`random.Random` subclass may return, are compared with the Fractions).
 
 Natural logarithms throughout.  Weight arithmetic is floating point with
 per-round renormalization; a rational shadow mode replays the game with the
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -51,6 +61,7 @@ from .fractional import coloring_to_distribution
 from .graph import Caps, DEFAULT_CAPS
 
 LN4_HI = 2 * LN2_HI  # 1.386296 > ln 4
+_SCALE = 1 << 53  # random.random() returns multiples of 2^-53
 
 
 # ─── the boosted sampling distribution ───────────────────────────────────
@@ -69,6 +80,8 @@ class MuTilde:
 
 
 def mu_tilde(cls: ConceptClass, m0: int, caps: Caps = DEFAULT_CAPS) -> MuTilde:
+    if m0 < 1:
+        raise InvalidParamsError(f"m0 must be >= 1, got {m0}")
     cert = cached_omega_star(cls, m0, caps)
     if cert.value == 1 << m0:
         raise NoSeparationError(
@@ -150,19 +163,34 @@ def boost_config(
 
 
 def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
-    """`count` i.i.d. draws from mu~ by inverting the cumulative weights."""
+    """`count` i.i.d. draws from mu~ by inverting the cumulative weights:
+    a draw u picks the first pattern k with u < cum_k (the last one if none).
+
+    `random.random()` returns j / 2^53 for an integer j, and for integer j
+    u >= cum_k exactly when j >= ceil(cum_k * 2^53).  So each draw bisects
+    integer thresholds, held as floats (every integer up to 2^53 is one).
+    A value whose u * 2^53 is not an integer, as a `random.Random`
+    subclass may return, is compared with the exact cumulative Fractions.
+    """
     cum = []
     acc = Fraction(0)
     for p in mu.probs:
         acc += p
         cum.append(acc)
+    last = len(cum) - 1
+    thresholds = [float(-(-c.numerator * _SCALE // c.denominator)) for c in cum[:last]]
+    patterns = mu.patterns
     draws = []
     for _ in range(count):
         u = rng.random()
-        k = 0
-        while k < len(cum) - 1 and u >= cum[k]:
-            k += 1
-        draws.append(mu.patterns[k])
+        # exact: scaling a float by a power of two (an overflow gives inf)
+        if isinstance(u, float) and (j := u * _SCALE).is_integer():
+            k = bisect_right(thresholds, j)
+        else:
+            k = 0
+            while k < last and u >= cum[k]:
+                k += 1
+        draws.append(patterns[k])
     return draws
 
 
@@ -239,19 +267,29 @@ class ExpertGameTranscript:
 
 
 def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) -> np.ndarray:
+    """(T, m) array: 1.0 where instance t agrees with example j.  Draws
+    repeat few patterns, so each distinct instance gets one row and the
+    array is one gather of those rows."""
     m = len(dataset)
     if m < 1:
         raise InvalidParamsError("expert game needs a nonempty dataset")
     top = max(ex.point for ex in dataset)
-    arr = np.zeros((len(instances), m), dtype=np.float64)
+    row_of: dict = {}
+    index = []
     for t, h in enumerate(instances):
-        if len(h) <= top:
-            raise LengthMismatchError(
-                f"instance {t} has length {len(h)}, dataset uses point {top}"
-            )
+        r = row_of.get(h)
+        if r is None:
+            if len(h) <= top:
+                raise LengthMismatchError(
+                    f"instance {t} has length {len(h)}, dataset uses point {top}"
+                )
+            r = row_of[h] = len(row_of)
+        index.append(r)
+    rows = np.zeros((len(row_of), m), dtype=np.float64)
+    for h, r in row_of.items():
         for j, ex in enumerate(dataset):
-            arr[t, j] = 1.0 if h[ex.point] == ex.label else 0.0
-    return arr
+            rows[r, j] = 1.0 if h[ex.point] == ex.label else 0.0
+    return rows[np.array(index, dtype=np.intp)]
 
 
 def run_expert_game(
@@ -361,24 +399,24 @@ def forced_gamma_good_check(
     t_rounds = config.T
     eta = config.eta
     gamma_f = float(config.gamma)
+    factor = np.exp(-eta * agree)  # the per-round update, one row per pattern
     w = np.full((transcripts, m), 1.0 / m)
     correct = np.zeros((transcripts, m))
     for _ in range(t_rounds):
         # mass the pattern agrees with, per transcript x pattern
         mass = w @ agree.T  # (B, P)
         good = mass >= 0.5 + gamma_f - 1e-12  # loss 1-mass <= 1/2-gamma
-        if not good.any(axis=1).all():
+        seen = np.cumsum(good, axis=1)  # good patterns up to each index
+        counts = seen[:, -1]
+        if not counts.all():  # some transcript has no good pattern
             raise InvariantError("no gamma-good labeling available")
         r = rng.random(transcripts)
-        # uniform choice among good patterns per row
-        counts = good.sum(axis=1)
+        # uniform choice among good patterns per row: the ranks-th good
+        # pattern (from 0) is the first index where more than `ranks` are seen
         ranks = np.floor(r * counts).astype(np.int64)
-        order = np.cumsum(good, axis=1) - 1  # rank of each good entry
-        pick = (order == ranks[:, None]) & good
-        chosen = pick.argmax(axis=1)
-        loss = agree[chosen]  # (B, m)
-        correct += loss
-        w = w * np.exp(-eta * loss)
+        chosen = (seen > ranks[:, None]).argmax(axis=1)
+        correct += agree[chosen]
+        w = w * factor[chosen]
         w /= w.sum(axis=1, keepdims=True)
     violations = int((correct <= t_rounds / 2).any(axis=1).sum())
     return violations, transcripts
@@ -442,8 +480,12 @@ def verify_sspfcd_bound(
     realizable m-dataset S (all of them when at most `enumerate_cap`,
     otherwise a seeded sample).  Per-trial RNG is seeded master XOR trial
     index, so trials are independent and order-free.  A row FAILs only when
-    its one-sided 99% upper confidence limit sits below the bound.
+    its one-sided 99% upper confidence limit sits below the bound.  The
+    bound is m^-alpha, or the proven floor epsilon - 2 gamma when T = 1
+    (m = 1), where m^-alpha = 1 could never be met.
     """
+    if trials < 0:
+        raise InvalidParamsError(f"trials must be >= 0, got {trials}")
     g = cached_graph(cls, config.m, caps)
     if g.num_vertices <= enumerate_cap:
         chosen = list(range(g.num_vertices))
@@ -456,18 +498,20 @@ def verify_sspfcd_bound(
     probs = np.array([float(p) for p in config.mu.probs])
     probs /= probs.sum()
     pat_matrix = np.array(config.mu.patterns, dtype=np.int64)  # (P, n)
-    n = cls.universe_size
     t_rounds = config.T
 
     # majority labeling per trial
-    majs = np.zeros((trials, n), dtype=np.int8)
+    counts = np.empty((trials, len(probs)), dtype=np.int64)
     for i in range(trials):
-        gen = np.random.default_rng(master_seed ^ i)
-        counts = gen.multinomial(t_rounds, probs)
-        ones = counts @ pat_matrix  # per-point count of label-1 votes
-        majs[i] = (2 * ones > t_rounds).astype(np.int8)
+        counts[i] = np.random.default_rng(master_seed ^ i).multinomial(t_rounds, probs)
+    ones = counts @ pat_matrix  # per-point count of label-1 votes
+    majs = (2 * ones > t_rounds).astype(np.int8)
 
-    log_bound = -config.alpha * math.log(config.m) if config.m > 1 else 0.0
+    if t_rounds == 1:
+        # one round: the proven floor (epsilon - 2 gamma)^T itself
+        log_bound = math.log(float(config.epsilon - 2 * config.gamma))
+    else:
+        log_bound = -config.alpha * math.log(config.m)
     rows = []
     for v in chosen:
         ds = g.vertices[v]

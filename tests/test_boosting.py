@@ -1,11 +1,13 @@
 """Hedge game, boosted sampling, and the consistency-rate verifier."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedim import (
     Dataset,
@@ -19,6 +21,7 @@ from cliquedim import (
     forced_gamma_good_check,
     generate,
     majority_vote,
+    mask_to_pattern,
     mu_tilde,
     run_expert_game,
     sample_boosted,
@@ -26,6 +29,8 @@ from cliquedim import (
     verify_sspfcd_bound,
 )
 from cliquedim.boosting import (
+    MuTilde,
+    _example_losses,
     _floor_bracketed,
     clopper_pearson,
     format_boost_report,
@@ -69,6 +74,93 @@ def test_draw_patterns_is_seeded_and_supported():
     assert len(a) == 50
 
 
+def reference_draw_patterns(mu, count, rng):
+    """The linear scan `draw_patterns` replaced: each draw is compared with
+    the exact cumulative Fractions in order."""
+    cum = []
+    acc = F(0)
+    for p in mu.probs:
+        acc += p
+        cum.append(acc)
+    draws = []
+    for _ in range(count):
+        u = rng.random()
+        k = 0
+        while k < len(cum) - 1 and u >= cum[k]:
+            k += 1
+        draws.append(mu.patterns[k])
+    return draws
+
+
+def distribution(weights) -> MuTilde:
+    """A MuTilde over distinct patterns with probabilities proportional to
+    the rational `weights`; only `patterns` and `probs` matter to draws."""
+    total = sum(weights, F(0))
+    width = max(1, (len(weights) - 1).bit_length())
+    return MuTilde(
+        m0=1, omega_star=F(1), epsilon=F(0),
+        patterns=tuple(mask_to_pattern(i, width) for i in range(len(weights))),
+        probs=tuple(F(w) / total for w in weights),
+    )
+
+
+class Scripted(random.Random):
+    """A generator that returns the given values in order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+weight_vectors = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=1, max_denominator=10**6)),
+    min_size=1, max_size=8,
+).filter(lambda ws: sum(ws) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_vectors, st.integers(min_value=0, max_value=2**64))
+def test_draw_patterns_equals_the_fraction_scan(weights, seed):
+    mu = distribution(weights)
+    assert draw_patterns(mu, 200, random.Random(seed)) == reference_draw_patterns(
+        mu, 200, random.Random(seed)
+    )
+    # draws on the 2^-53 grid at, just below and just above every threshold
+    grid = []
+    acc = F(0)
+    for p in mu.probs:
+        acc += p
+        j = -(-acc.numerator * 2**53 // acc.denominator)
+        grid += [i / 2**53 for i in (j - 1, j, j + 1) if 0 <= i < 2**53]
+    assert draw_patterns(mu, len(grid), Scripted(grid)) == reference_draw_patterns(
+        mu, len(grid), Scripted(grid)
+    )
+
+
+def test_draw_patterns_is_exact_off_the_2_53_grid():
+    # values a subclass may return that random.random() never does: floats
+    # finer than 2^-53 next to the cumulative weights 1/3, 1/2 and 5/6, and
+    # exact Fractions equal to them
+    mu = distribution([F(1, 3), F(1, 6), F(0), F(1, 3), F(1, 6)])
+    values = []
+    for c in (1 / 3, 1 / 2, 5 / 6):
+        values += [c, math.nextafter(c, 0), math.nextafter(c, 1), c / 7, c / 2**60]
+    values += [F(1, 3), F(1, 2), F(5, 6), F(1, 3) - F(1, 10**30), 0.0]
+    assert any(isinstance(u, float) and not (u * 2**53).is_integer() for u in values)
+    got = draw_patterns(mu, len(values), Scripted(values))
+    assert got == reference_draw_patterns(mu, len(values), Scripted(values))
+    assert got[-5:] == [mu.patterns[1], mu.patterns[3], mu.patterns[4], mu.patterns[0], mu.patterns[0]]
+
+    class Cubed(random.Random):
+        def random(self):
+            return super().random() ** 3
+
+    assert draw_patterns(mu, 500, Cubed(11)) == reference_draw_patterns(mu, 500, Cubed(11))
+
+
 # ─── configuration ─────────────────────────────────────────────────────────
 
 
@@ -95,6 +187,8 @@ def test_boost_config_rejects_bad_gamma():
         boost_config(ANCHOR, m0=2, m=3, gamma=F(0))
     with pytest.raises(InvalidParamsError):
         boost_config(ANCHOR, m0=2, m=0)
+    with pytest.raises(InvalidParamsError, match="^m0 must be >= 1, got 0$"):
+        boost_config(ANCHOR, m0=0, m=3)
 
 
 def test_sample_boosted_is_deterministic():
@@ -186,6 +280,42 @@ def test_expert_game_rejects_short_instance():
         run_expert_game(Dataset([(2, 1)]), [(0, 1)])
 
 
+def reference_example_losses(dataset, instances):
+    """The per-instance loop `_example_losses` replaced."""
+    m = len(dataset)
+    if m < 1:
+        raise InvalidParamsError("expert game needs a nonempty dataset")
+    top = max(ex.point for ex in dataset)
+    arr = np.zeros((len(instances), m), dtype=np.float64)
+    for t, h in enumerate(instances):
+        if len(h) <= top:
+            raise LengthMismatchError(
+                f"instance {t} has length {len(h)}, dataset uses point {top}"
+            )
+        for j, ex in enumerate(dataset):
+            arr[t, j] = 1.0 if h[ex.point] == ex.label else 0.0
+    return arr
+
+
+def test_example_losses_equal_the_per_instance_loop():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        truth = [rng.randrange(2) for _ in range(n)]
+        ds = Dataset([(p, truth[p]) for p in (rng.randrange(n) for _ in range(rng.randrange(1, 5)))])
+        instances = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(rng.randrange(0, 30))]
+        got = _example_losses(ds, instances)
+        want = reference_example_losses(ds, instances)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    # the first short instance is named, after good and repeated ones
+    ds = Dataset([(0, 1), (2, 0)])
+    instances = [(0, 1, 1), (0, 1, 1), (1, 1), (1, 0, 0), (1,)]
+    for losses in (_example_losses, reference_example_losses):
+        with pytest.raises(LengthMismatchError, match=r"^instance 2 has length 2, dataset uses point 2$"):
+            losses(ds, instances)
+
+
 def test_expert_game_label_distribution_sums_to_one():
     ds = Dataset([(0, 1), (0, 1), (1, 0)])
     tr = run_expert_game(ds, [(1, 1), (0, 0)])
@@ -222,6 +352,54 @@ def test_forced_check_is_deterministic():
     assert forced_gamma_good_check(ds, 2, cfg, 32, seed=9) == forced_gamma_good_check(
         ds, 2, cfg, 32, seed=9
     )
+
+
+def reference_forced_violations(dataset, universe, config, transcripts, seed):
+    """The per-round loop `forced_gamma_good_check` replaced."""
+    m = len(dataset)
+    rng = np.random.default_rng(seed)
+    pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]
+    agree = reference_example_losses(dataset, pats)
+    gamma_f = float(config.gamma)
+    w = np.full((transcripts, m), 1.0 / m)
+    correct = np.zeros((transcripts, m))
+    for _ in range(config.T):
+        mass = w @ agree.T
+        good = mass >= 0.5 + gamma_f - 1e-12
+        assert good.any(axis=1).all()
+        r = rng.random(transcripts)
+        counts = good.sum(axis=1)
+        ranks = np.floor(r * counts).astype(np.int64)
+        order = np.cumsum(good, axis=1) - 1
+        pick = (order == ranks[:, None]) & good
+        chosen = pick.argmax(axis=1)
+        loss = agree[chosen]
+        correct += loss
+        w = w * np.exp(-config.eta * loss)
+        w /= w.sum(axis=1, keepdims=True)
+    return int((correct <= config.T / 2).any(axis=1).sum()), transcripts
+
+
+def test_forced_check_equals_the_per_round_loop():
+    # at the configured T no run violates; nine rounds with a margin of
+    # -3/8 .. 1/16 let majorities fail, so the counts depend on every pick
+    anchor = boost_config(ANCHOR, m0=2, m=3)
+    sec6 = boost_config(generate("paper_example_sec6"), m0=4, m=2)
+    cases = [
+        (anchor, Dataset([(0, 0), (0, 0), (1, 0)]), 2),
+        (anchor, Dataset([(0, 1), (1, 1), (1, 1)]), 2),
+        (sec6, Dataset([(1, 0), (3, 1)]), 4),
+    ]
+    violations = []
+    for cfg, ds, universe in cases:
+        for gamma in (F(-3, 8), F(-1, 8), F(1, 32), F(1, 16)):
+            for rounds, seeds in ((cfg.T, (0,)), (9, (0, 7))):
+                run = dataclasses.replace(cfg, gamma=gamma, T=rounds)
+                for seed in seeds:
+                    got = forced_gamma_good_check(ds, universe, run, 40, seed)
+                    assert got == reference_forced_violations(ds, universe, run, 40, seed)
+                    violations.append(got[0])
+    assert any(0 < v < 40 for v in violations)
 
 
 # ─── the consistency-rate verifier ─────────────────────────────────────────
@@ -264,6 +442,33 @@ def test_verify_report_sampling_path():
     )
     assert rep.sampled
     assert len(rep.rows) == 5
+
+
+def reference_majorities(config, trials, master_seed, n):
+    """The per-trial majority loop `verify_sspfcd_bound` replaced."""
+    probs = np.array([float(p) for p in config.mu.probs])
+    probs /= probs.sum()
+    pat_matrix = np.array(config.mu.patterns, dtype=np.int64)
+    majs = np.zeros((trials, n), dtype=np.int8)
+    for i in range(trials):
+        counts = np.random.default_rng(master_seed ^ i).multinomial(config.T, probs)
+        majs[i] = (2 * (counts @ pat_matrix) > config.T).astype(np.int8)
+    return majs
+
+
+def test_verify_report_equals_the_per_trial_loop():
+    for cls, m0, m in ((ANCHOR, 2, 3), (generate("thresholds", universe=3), 3, 2)):
+        cfg = boost_config(cls, m0, m)
+        for seed in (0, 13):
+            rep = verify_sspfcd_bound(cls, cfg, trials=300, master_seed=seed)
+            majs = reference_majorities(cfg, 300, seed, cls.universe_size)
+            want = []
+            for row in rep.rows:
+                pts = [ex.point for ex in row.dataset]
+                labs = np.array([ex.label for ex in row.dataset], dtype=np.int8)
+                want.append(int((majs[:, pts] == labs).all(axis=1).sum()))
+            assert [row.successes for row in rep.rows] == want
+            assert len(set(want)) > 1
 
 
 def test_format_boost_report_shape():

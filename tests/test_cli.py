@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from cliquedim import generate, parse_class_text, parse_certificate
+from cliquedim import generate, parse_class_text, parse_certificate, smallest_separating_m0
 from cliquedim.cli import corpus, main
 from cliquedim.trees import parse_tree
 
@@ -359,6 +359,13 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert err.startswith("error:")
 
+    # input error: a negative trial count and an anchor length below 1 name
+    # their flag
+    code, _, err = run(capsys, "boost", path, "--trials", "-1")
+    assert (code, err) == (2, "error: trials must be >= 0, got -1\n")
+    code, _, err = run(capsys, "boost", path, "--m0", "0")
+    assert (code, err) == (2, "error: m0 must be >= 1, got 0\n")
+
     # deep input: a tree file nested 3000 deep is an input error, not a crash
     tiny = tmp_path / "tiny.txt"
     tiny.write_text("points 1\nhypotheses 2\n0\n1\n")
@@ -399,6 +406,48 @@ def test_corpus_dimension_outputs_are_frozen(capsys, monkeypatch):
     assert main(["verify-dichotomy"]) == 0
     got["verify-dichotomy"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == CORPUS_OUTPUTS_SHA256
+
+
+# sha256 of `boost - --seed S --trials 2000 --shadow` stdout, as produced by
+# the per-draw Fraction scan and the per-trial Monte Carlo loop
+BOOST_SHADOW_SHA256 = {
+    ("disjoint_pairs", 2, 0): "9acede360e8fcfcfe5e43d98a0509a02a44f9149d3cfcddc4a10728bf94b4d3a",
+    ("disjoint_pairs", 2, 5): "c385a726101765ce18126d99c99fddcb78151e6523b34c350db0da99b2da1b9e",
+    ("paper_example_sec6", 4, 0): "06c2ca040b483720b16ccb396d5a8aedf51b225f4aeb62f0f22957f78de38a38",
+    ("paper_example_sec6", 4, 5): "80c964ea0d87bcdb554efaa3f4758dd31715e7addbe21537bbafcd5e5173dfef",
+}
+
+
+def test_boost_shadow_output_is_frozen(capsys, monkeypatch):
+    from cliquedim import format_class_text
+
+    got = {}
+    for family, universe, seed in BOOST_SHADOW_SHA256:
+        text = format_class_text(generate(family, universe=universe))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "boost", "-", "--seed", str(seed), "--trials", "2000", "--shadow")
+        assert code == 0
+        got[family, universe, seed] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == BOOST_SHADOW_SHA256
+
+
+def test_boost_m1_checks_the_proven_floor(capsys, monkeypatch):
+    # one round: the bound is epsilon - 2 gamma, not m^-alpha = 1
+    from cliquedim import boost_config, format_class_text
+
+    for family, universe, floor in (
+        ("disjoint_pairs", 2, "0.125"),
+        ("thresholds", 3, "0.0625"),
+        ("paper_example_sec6", 4, "0.03125"),
+    ):
+        cls = generate(family, universe=universe)
+        cfg = boost_config(cls, smallest_separating_m0(cls), 1)
+        assert str(float(cfg.epsilon - 2 * cfg.gamma)) == floor
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+        code, out, _ = run(capsys, "boost", "-", "--m", "1", "--trials", "500")
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert rows and all(r.endswith(f"bound={floor} PASS") for r in rows)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
