@@ -28,6 +28,22 @@ j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw bisects
 integer thresholds built once per call (values off that grid, as a
 `random.Random` subclass may return, are compared with the Fractions).
 
+The forced gamma-good check makes the same picks as a round-by-round loop
+of `rng.random(B)` calls.  Its uniforms come in blocks, and row i of a
+C-order `rng.random((k, B))` is the i-th successive `rng.random(B)`.  A run
+with c good patterns and uniform r takes the floor(r c)-th good one (from
+0), the first index whose prefix count s exceeds floor(r c); for an integer
+s, s > floor(x) exactly when s > x, so it compares s > r c and takes no
+floor.  The prefix counts come from a float matmul with an upper-triangular
+ones matrix, exact on integers this small.
+
+The Monte Carlo verifier gives trial i the stream of
+`np.random.default_rng(master_seed ^ i)` without building that generator:
+numpy's SeedSequence hash and PCG64 seeding run for a chunk of trials at
+once, in uint32 arrays and then 128-bit integers, and one reused PCG64 takes
+each trial's state.  The first and last state of every chunk are checked
+against numpy's own seeding, and a mismatch raises InvariantError.
+
 Natural logarithms throughout.  Weight arithmetic is floating point with
 per-round renormalization; a rational shadow mode replays the game with the
 exact rational value of the float update factor and certifies the regret
@@ -62,6 +78,17 @@ from .graph import Caps, DEFAULT_CAPS
 
 LN4_HI = 2 * LN2_HI  # 1.386296 > ln 4
 _SCALE = 1 << 53  # random.random() returns multiples of 2^-53
+# Small blocks and chunks keep peak memory at the round-by-round loops' level.
+_DRAW_BLOCK = 1 << 11  # doubles per block of forced-round draws
+_SEED_CHUNK = 256  # Monte Carlo trials seeded per vectorised pass
+
+# numpy's SeedSequence hash (bit_generator.pyx) and the PCG64 LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 
 # ─── the boosted sampling distribution ───────────────────────────────────
@@ -314,11 +341,13 @@ def run_expert_game(
     if eta is None:
         eta = math.sqrt(2 * math.log(max(m, 1)) / t_rounds) if m > 1 else 0.0
     losses = _example_losses(dataset, instances)
-    cum = np.zeros((t_rounds + 1, m))
-    np.cumsum(losses, axis=0, out=cum[1:])
-    z = -eta * cum
+    # one (T+1, m) array: cumulative loss before each round, then -eta times
+    # it, shifted, then its exp (in place, the same values as fresh arrays)
+    z = np.zeros((t_rounds + 1, m))
+    np.cumsum(losses, axis=0, out=z[1:])
+    z *= -eta
     z -= z.max(axis=1, keepdims=True)
-    weights = np.exp(z)
+    weights = np.exp(z, out=z)
     weights /= weights.sum(axis=1, keepdims=True)
     learner = (weights[:-1] * losses).sum(axis=1)
     total = losses.sum(axis=0)
@@ -391,33 +420,51 @@ def forced_gamma_good_check(
     (violations, transcripts): a violation is a run whose majority vote is
     inconsistent with the dataset even though every round was gamma-good —
     the implication the theory says cannot fail.
+
+    Each block of rounds takes its uniforms from one `rng.random((k, B))`
+    call, and every round writes into buffers allocated once.
     """
+    if transcripts < 0:
+        raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     m = len(dataset)
     rng = np.random.default_rng(seed)
     pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]
-    agree = _example_losses(dataset, pats)  # (2^n, m): 1 where pattern agrees
+    agree = _example_losses(dataset, pats)  # (P, m): 1 where pattern agrees
+    n_pats = len(pats)
     t_rounds = config.T
-    eta = config.eta
-    gamma_f = float(config.gamma)
-    factor = np.exp(-eta * agree)  # the per-round update, one row per pattern
+    threshold = np.float64(0.5 + float(config.gamma) - 1e-12)  # loss 1-mass <= 1/2-gamma
+    factor = np.exp(-config.eta * agree)  # the per-round update, one row per pattern
+    upper = np.triu(np.ones((n_pats, n_pats)))  # good @ upper: prefix counts
     w = np.full((transcripts, m), 1.0 / m)
+    total = np.empty((transcripts, 1))
+    mass = np.empty((transcripts, n_pats))  # then 1.0 where the pattern is good
+    seen = np.empty((transcripts, n_pats))
+    above = np.empty((transcripts, n_pats), dtype=bool)
+    pick = np.empty(transcripts, dtype=np.intp)
+    least = np.full(transcripts, np.inf)  # fewest good patterns seen per run
     correct = np.zeros((transcripts, m))
-    for _ in range(t_rounds):
-        # mass the pattern agrees with, per transcript x pattern
-        mass = w @ agree.T  # (B, P)
-        good = mass >= 0.5 + gamma_f - 1e-12  # loss 1-mass <= 1/2-gamma
-        seen = np.cumsum(good, axis=1)  # good patterns up to each index
-        counts = seen[:, -1]
-        if not counts.all():  # some transcript has no good pattern
+    per_block = max(1, _DRAW_BLOCK // max(transcripts, 1))
+    for start in range(0, t_rounds, per_block):
+        for r in rng.random((min(per_block, t_rounds - start), transcripts)):
+            # mass the pattern agrees with, per transcript x pattern
+            np.matmul(w, agree.T, out=mass)
+            np.greater_equal(mass, threshold, out=mass)
+            np.matmul(mass, upper, out=seen)  # good patterns up to each index
+            count = seen[:, -1]
+            np.minimum(least, count, out=least)
+            # uniform choice among good patterns per row: the floor(r c)-th
+            # good pattern (from 0) is the first index where more are seen
+            np.multiply(r, count, out=r)
+            np.greater(seen, r[:, None], out=above)
+            above.argmax(axis=1, out=pick)
+            np.add(correct, agree.take(pick, axis=0), out=correct)
+            np.multiply(w, factor.take(pick, axis=0), out=w)
+            np.add.reduce(w, 1, None, total, True)  # w.sum(axis=1, keepdims=True)
+            np.divide(w, total, out=w)
+        if not least.all():  # some transcript had no good pattern
             raise InvariantError("no gamma-good labeling available")
-        r = rng.random(transcripts)
-        # uniform choice among good patterns per row: the ranks-th good
-        # pattern (from 0) is the first index where more than `ranks` are seen
-        ranks = np.floor(r * counts).astype(np.int64)
-        chosen = (seen > ranks[:, None]).argmax(axis=1)
-        correct += agree[chosen]
-        w = w * factor[chosen]
-        w /= w.sum(axis=1, keepdims=True)
     violations = int((correct <= t_rounds / 2).any(axis=1).sum())
     return violations, transcripts
 
@@ -467,6 +514,77 @@ def _bound_str(log_bound: float) -> str:
     return f"{math.exp(log_bound):.6g}"
 
 
+def _hash_consts(const: int, mult: int):
+    """(xor, multiply) constants of successive SeedSequence hashmix calls."""
+    while True:
+        following = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(following)
+        const = following
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor_c, mul_c = next(consts)
+    value = (value ^ xor_c) * mul_c  # uint32 arrays wrap mod 2^32, as in C
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """PCG64's set-seed step on generate_state(4, uint64): inc is the
+    sequence shifted left with its low bit set, and the state takes one LCG
+    step from 0, adds the seed and takes one more."""
+    inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    return {"state": state, "inc": inc}
+
+
+def _pcg64_states(master_seed: int, start: int, stop: int):
+    """The state dicts ({"state", "inc"}) of np.random.PCG64(master_seed ^ i)
+    for the trials i in [start, stop), stop <= 2^32, without constructing a
+    PCG64 per trial.
+
+    SeedSequence hashes the seed's 32-bit words into a 4-word pool and
+    generate_state(4, uint64) hashes the pool into four 64-bit words.  The
+    hash constants do not depend on the data, so every trial runs the same
+    steps, here on one uint32 array per word.  Only word 0 differs between
+    trials.  The first and last state are checked against numpy's own
+    seeding; the others are built one at a time as they are consumed.
+    """
+    words = [master_seed & _MASK32]  # little-endian 32-bit words, at least one
+    rest = master_seed >> 32
+    while rest:
+        words.append(rest & _MASK32)
+        rest >>= 32
+    count = stop - start
+    entropy = [np.arange(start, stop, dtype=np.uint32) ^ np.uint32(words[0])]
+    entropy += [np.full(count, w, dtype=np.uint32) for w in words[1:]]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    # a seed of fewer than 4 words is hashed as if zero-padded to 4
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [_hashmix(entropy[k] if k < len(entropy) else zero, consts) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    halves = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
+    words64 = np.stack(
+        [halves[k] | (halves[k + 1] << np.uint64(32)) for k in range(0, 8, 2)], axis=1
+    )
+    for i in (start, stop - 1):
+        numpy_state = np.random.PCG64(master_seed ^ i).state["state"]
+        if _pcg64_state(*words64[i - start].tolist()) != numpy_state:
+            raise InvariantError(f"vectorised PCG64 seeding disagrees with numpy at trial {i}")
+    return (_pcg64_state(*row.tolist()) for row in words64)
+
+
 def verify_sspfcd_bound(
     cls: ConceptClass,
     config: BoostConfig,
@@ -486,6 +604,8 @@ def verify_sspfcd_bound(
     """
     if trials < 0:
         raise InvalidParamsError(f"trials must be >= 0, got {trials}")
+    if master_seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {master_seed}")
     g = cached_graph(cls, config.m, caps)
     if g.num_vertices <= enumerate_cap:
         chosen = list(range(g.num_vertices))
@@ -500,12 +620,20 @@ def verify_sspfcd_bound(
     pat_matrix = np.array(config.mu.patterns, dtype=np.int64)  # (P, n)
     t_rounds = config.T
 
-    # majority labeling per trial
+    # majority labeling per trial; trial i draws what
+    # np.random.default_rng(master_seed ^ i) would, from one reseeded generator
     counts = np.empty((trials, len(probs)), dtype=np.int64)
-    for i in range(trials):
-        counts[i] = np.random.default_rng(master_seed ^ i).multinomial(t_rounds, probs)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    setting = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, trials, _SEED_CHUNK):
+        stop = min(trials, start + _SEED_CHUNK)
+        for row, state in zip(counts[start:stop], _pcg64_states(master_seed, start, stop)):
+            setting["state"] = state
+            bitgen.state = setting
+            row[...] = gen.multinomial(t_rounds, probs)
     ones = counts @ pat_matrix  # per-point count of label-1 votes
-    majs = (2 * ones > t_rounds).astype(np.int8)
+    majs = (ones > t_rounds // 2).view(np.int8)  # 2 ones > T, on integers
 
     if t_rounds == 1:
         # one round: the proven floor (epsilon - 2 gamma)^T itself

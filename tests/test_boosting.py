@@ -2,17 +2,22 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliquedim import (
     Dataset,
     EvenLengthError,
     InvalidParamsError,
+    InvariantError,
     LengthMismatchError,
     NoSeparationError,
     NotRealizableDistributionError,
@@ -29,9 +34,12 @@ from cliquedim import (
     verify_sspfcd_bound,
 )
 from cliquedim.boosting import (
+    _DRAW_BLOCK,
+    _SEED_CHUNK,
     MuTilde,
     _example_losses,
     _floor_bracketed,
+    _pcg64_states,
     clopper_pearson,
     format_boost_report,
     numeric_lemma_checks,
@@ -402,6 +410,45 @@ def test_forced_check_equals_the_per_round_loop():
     assert any(0 < v < 40 for v in violations)
 
 
+@st.composite
+def forced_runs(draw):
+    """A dataset on |X| <= 4 labeled by one full labeling, so a gamma-good
+    pattern always exists, with a margin and a short odd round count."""
+    universe = draw(st.integers(min_value=1, max_value=4))
+    labeling = draw(st.integers(min_value=0, max_value=(1 << universe) - 1))
+    points = draw(st.lists(st.integers(min_value=0, max_value=universe - 1), min_size=1, max_size=5))
+    dataset = Dataset([(x, labeling >> x & 1) for x in points])
+    gamma = draw(st.sampled_from((F(-3, 8), F(-1, 8), F(1, 32), F(1, 16))))
+    rounds = draw(st.integers(min_value=0, max_value=20)) * 2 + 1
+    return dataset, universe, gamma, rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forced_runs(),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**64),
+)
+# 300 transcripts draw _DRAW_BLOCK // 300 rounds per block: cross a block
+@example((Dataset([(0, 1), (1, 0), (1, 0)]), 2, F(-1, 8), 2 * (_DRAW_BLOCK // 300) + 1), 300, 3)
+def test_forced_check_equals_the_loop_on_random_datasets(run, transcripts, seed):
+    dataset, universe, gamma, rounds = run
+    cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=gamma, T=rounds)
+    got = forced_gamma_good_check(dataset, universe, cfg, transcripts, seed)
+    assert got == reference_forced_violations(dataset, universe, cfg, transcripts, seed)
+
+
+def test_boosting_rejects_negative_counts_and_seeds():
+    cfg = boost_config(ANCHOR, m0=2, m=3)
+    ds = Dataset([(0, 1), (1, 1), (1, 1)])
+    with pytest.raises(InvalidParamsError, match="transcripts must be >= 0, got -1"):
+        forced_gamma_good_check(ds, 2, cfg, transcripts=-1, seed=0)
+    with pytest.raises(InvalidParamsError, match="seed must be >= 0, got -1"):
+        forced_gamma_good_check(ds, 2, cfg, transcripts=4, seed=-1)
+    with pytest.raises(InvalidParamsError, match="seed must be >= 0, got -1"):
+        verify_sspfcd_bound(ANCHOR, cfg, trials=4, master_seed=-1)
+
+
 # ─── the consistency-rate verifier ─────────────────────────────────────────
 
 
@@ -459,7 +506,7 @@ def reference_majorities(config, trials, master_seed, n):
 def test_verify_report_equals_the_per_trial_loop():
     for cls, m0, m in ((ANCHOR, 2, 3), (generate("thresholds", universe=3), 3, 2)):
         cfg = boost_config(cls, m0, m)
-        for seed in (0, 13):
+        for seed in (0, 13, 2**62, 2**130):
             rep = verify_sspfcd_bound(cls, cfg, trials=300, master_seed=seed)
             majs = reference_majorities(cfg, 300, seed, cls.universe_size)
             want = []
@@ -469,6 +516,44 @@ def test_verify_report_equals_the_per_trial_loop():
                 want.append(int((majs[:, pts] == labs).all(axis=1).sum()))
             assert [row.successes for row in rep.rows] == want
             assert len(set(want)) > 1
+
+
+def test_seeding_equals_numpy_pcg64_across_chunks():
+    # seeds of one to five 32-bit words; the pool holds four
+    trials = _SEED_CHUNK + 3
+    for master_seed in (0, 5, 2**32 - 1, 2**32, 2**62, 2**130):
+        states = []
+        for start in range(0, trials, _SEED_CHUNK):
+            states += _pcg64_states(master_seed, start, min(trials, start + _SEED_CHUNK))
+        assert states == [
+            np.random.PCG64(master_seed ^ i).state["state"] for i in range(trials)
+        ]
+
+
+OPTIMIZED_SEEDING_PROBE = """
+import cliquedim.boosting as boosting
+from cliquedim import InvariantError, boost_config, generate, verify_sspfcd_bound
+
+assert False, "asserts must be stripped in this process"
+boosting._MULT_B ^= 1 << 7
+cls = generate("disjoint_pairs", universe=2)
+try:
+    verify_sspfcd_bound(cls, boost_config(cls, 2, 3), trials=10)
+except InvariantError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_seeding_check_survives_python_O():
+    # a corrupted hash constant must be refused even with asserts compiled out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SEEDING_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: vectorised PCG64 seeding disagrees with numpy")
 
 
 def test_format_boost_report_shape():

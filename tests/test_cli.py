@@ -365,6 +365,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert (code, err) == (2, "error: trials must be >= 0, got -1\n")
     code, _, err = run(capsys, "boost", path, "--m0", "0")
     assert (code, err) == (2, "error: m0 must be >= 1, got 0\n")
+    code, _, err = run(capsys, "boost", path, "--seed", "-1", "--trials", "10")
+    assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
 
     # deep input: a tree file nested 3000 deep is an input error, not a crash
     tiny = tmp_path / "tiny.txt"
