@@ -13,6 +13,15 @@ row count changes the work and never the members returned.  A node budget
 caps the search; exhaustion raises ResourceLimitError carrying the best
 clique found, which remains a certified lower bound.
 
+The search stops as soon as the incumbent reaches the ceiling
+min(2^m, |H|), since no clique of G_m is larger.  2^m: a dataset of m
+examples agrees with a uniformly random labeling of the universe with
+probability at least 2^-m, and two adjacent datasets never agree with the
+same labeling, so a clique's members are disjoint events.  |H|: every
+vertex has a realizing row and adjacent vertices share none.  Stopping there
+cuts only the proof that nothing larger exists, so the members returned are
+the same.
+
 `find_balanced_point` runs the elimination loop that powers the conversion
 of large cliques into shattered mistake trees: repeatedly delete a labeled
 example that under 1/(2m)-fraction of the other members contradict, until
@@ -92,19 +101,27 @@ def _row_covers(realizers) -> list:
     return list(covers.values())
 
 
-def _search(adj, realizers, node_budget: int, target=None):
+def clique_ceiling(g: ContradictionGraph) -> int:
+    """min(2^m, |H|), which no clique of G_m exceeds (module docstring)."""
+    return min(1 << g.m, len(g.cls.hypotheses))
+
+
+def _search(adj, realizers, node_budget: int, target=None, ceiling=None):
     """Core branch-and-bound.  Returns (best_members, nodes_used).
 
     `realizers[v]` is the mask of rows consistent with vertex v.  With
     `target` set, stops as soon as a clique of that size is found and
-    prunes branches that cannot reach it.  Raises ResourceLimitError carrying
-    the incumbent when the budget runs out before the answer is certain.
+    prunes branches that cannot reach it.  `ceiling`, when given, must bound
+    the clique number; the search stops once the incumbent reaches it.
+    Raises ResourceLimitError carrying the incumbent when the budget runs
+    out before the answer is certain.
     """
     n = len(adj)
+    stop = min(k for k in (target, ceiling, n) if k is not None)
     order = _clique_order(adj)
     best = _greedy_clique(adj, order)
     nodes = 0
-    if target is not None and len(best) >= target:
+    if len(best) >= stop:
         return best, nodes
     # popcount(OR of realizers over p) is the number of rows covering p
     covers = _row_covers(realizers)
@@ -144,7 +161,7 @@ def _search(adj, realizers, node_budget: int, target=None):
             r.append(v)
             if len(r) > len(best):
                 best = list(r)
-                if target is not None and len(best) >= target:
+                if len(best) >= stop:
                     r.pop()
                     return True
             nxt = local & adj[v]
@@ -162,7 +179,7 @@ def _search(adj, realizers, node_budget: int, target=None):
 
 def max_clique(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> Clique:
     """Exact maximum clique (deterministic membership)."""
-    best, _ = _search(g.adj, g.realizers, caps.node_budget)
+    best, _ = _search(g.adj, g.realizers, caps.node_budget, ceiling=clique_ceiling(g))
     return Clique(tuple(sorted(best)))
 
 
@@ -171,7 +188,7 @@ def has_clique_of_size(g: ContradictionGraph, k: int, caps: Caps = DEFAULT_CAPS)
     tri-state 'unknown'); a normal return is a certain yes/no."""
     if k <= 0:
         return True
-    if k > g.num_vertices:
+    if k > min(g.num_vertices, clique_ceiling(g)):
         return False
     best, _ = _search(g.adj, g.realizers, caps.node_budget, target=k)
     return len(best) >= k

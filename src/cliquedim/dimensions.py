@@ -12,12 +12,19 @@ cd / cd* report the largest passing m up to m_max together with an exactness
 flag.  Exactness uses three analytic facts so the infinite sup can be pinned
 by finitely many searches:
 
-  (1) row bound: for each row h of H the datasets h labels correctly form
-      an independent set V_h, and these |H| sets cover every vertex.  A
-      clique takes at most one vertex from each, so omega_m <= |H|, and
-      weight 1 on each is a fractional coloring, so omega*_m <= |H|; hence
-      every m > floor(log2 |H|) separates automatically.  The rows are
-      distinct, so |H| <= 2^|X| and this subsumes the bound m <= |X|;
+  (1) ceiling: omega_m <= omega*_m <= min(2^m, |H|).  For each row h of
+      H the datasets h labels correctly form an independent set V_h, and
+      these |H| sets cover every vertex.  A clique takes at most one vertex
+      from each, and weight 1 on each is a fractional coloring, so
+      omega*_m <= |H|; hence every m > floor(log2 |H|) separates
+      automatically.  The rows are distinct, so |H| <= 2^|X| and this
+      subsumes the bound m <= |X|.  Weight 2^(m-|X|) on each of the 2^|X|
+      labelings of the universe is a fractional coloring too (a dataset of
+      m examples agrees with at least 2^(|X|-m) of them), so
+      omega*_m <= 2^m.  A complete shattered tree of depth m maps to a
+      2^m-clique, so ld >= m gives omega_m = omega*_m = 2^m with no graph
+      or LP, and a maximum clique that reaches the ceiling settles
+      omega*_m as well;
   (2) growth cutoff for cd: once m_c satisfies (2m_c+1)^ld < 2^(m_c) and
       m_c >= ld/ln2 (checked with the rational bound 693147/10^6 < ln 2),
       every m >= m_c has (2m+1)^ld < 2^m, and omega_m <= (2m+1)^ld always;
@@ -46,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .cliques import has_clique_of_size, max_clique
+from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_clique
 from .concepts import ConceptClass
 from .errors import InvariantError, ResourceLimitError
 from .fractional import omega_star
@@ -256,8 +263,11 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
     An m passes by, in order: the mistake-tree fast path (ld >= m certifies
-    a 2^m-clique), the row bound omega_m <= |H| (no graph is built), then
-    targeted branch-and-bound.  Facts (1) and (2) end the sweep.
+    a 2^m-clique), the row bound omega_m <= |H| (no graph is built), a
+    cached omega*_m < 2^m (which fails m), then targeted branch-and-bound.
+    When the branch-and-bound runs out of nodes, omega*_m < 2^m still fails
+    m exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
+    sweep.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -266,9 +276,17 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
-        return ld >= m or (
-            m <= top and has_clique_of_size(cached_graph(cls, m, caps), 1 << m, caps)
-        )
+        if ld >= m:
+            return True
+        cert = _certs.get((cls, m))
+        if m > top or (cert is not None and cert.value < 1 << m):
+            return False
+        try:
+            return has_clique_of_size(cached_graph(cls, m, caps), 1 << m, caps)
+        except ResourceLimitError as exc:
+            if exc.dimension != "node-budget" or cached_omega_star(cls, m, caps).value == 1 << m:
+                raise
+            return False  # omega_m <= omega*_m < 2^m
 
     return _sweep(m_max, min(top, tech_cd_cutoff(ld) - 1), passes)
 
@@ -278,19 +296,21 @@ def fractional_clique_dimension(
 ) -> DimensionValue:
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
-    No LP runs for an m with 2^m > |H|, which cannot pass.  Extension LPs
-    past m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
-    vertices; otherwise the flag degrades.
+    No LP runs for an m with ld >= m, which passes, or with 2^m > |H|,
+    which cannot pass (fact (1)).  Extension LPs past m_max run only while
+    the graphs stay under EXTENSION_VERTEX_CAP vertices; otherwise the flag
+    degrades.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     extension_caps = replace(caps, max_vertices=min(caps.max_vertices, EXTENSION_VERTEX_CAP))
+    ld = littlestone_dimension(cls)
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
         use = caps if m <= m_max else extension_caps
-        return m <= top and cached_omega_star(cls, m, use).value == 1 << m
+        return ld >= m or (m <= top and cached_omega_star(cls, m, use).value == 1 << m)
 
     return _sweep(m_max, top, passes)
 
@@ -318,6 +338,20 @@ class DimensionReport:
     rows: tuple  # tuple[PerMRow, ...]
 
 
+def _omega_star_at_ceiling(g, clique) -> Fraction:
+    """omega*_m of a G_m whose maximum clique reaches clique_ceiling(g):
+    the clique is a fractional clique of its size, and the uniform coloring
+    (2^m) or the row coloring (|H|) a fractional coloring of the same
+    total.  The clique and the row coloring's cover are checked again."""
+    try:
+        validate_clique(g, clique.members)
+    except (IndexError, ValueError) as exc:
+        raise InvariantError(f"ceiling clique at m={g.m} is not a clique: {exc}") from exc
+    if clique.size == len(g.cls.hypotheses) and not all(g.realizers):
+        raise InvariantError(f"a vertex of G_{g.m} has no realizing row")
+    return Fraction(clique.size)
+
+
 def dimension_report(
     cls: ConceptClass,
     m_max_clique: int = 4,
@@ -325,7 +359,9 @@ def dimension_report(
     caps: Caps = DEFAULT_CAPS,
 ) -> DimensionReport:
     """Per-m table plus the four dimensions.  omega is exact unless the
-    node budget ran out (then the best clique found is reported, flagged)."""
+    node budget ran out (then the best clique found is reported, flagged).
+    An exact omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact
+    (1)), so that row solves no LP."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
@@ -334,16 +370,21 @@ def dimension_report(
         g = cached_graph(cls, m, caps)
         omega = None
         omega_exact = None
+        clique = None
         if m <= m_max_clique:
             try:
-                omega = max_clique(g, caps).size
+                clique = max_clique(g, caps)
+                omega = clique.size
                 omega_exact = True
             except ResourceLimitError as exc:
                 omega = len(exc.best) if exc.best else 0
                 omega_exact = False
         star = None
         if m <= m_max_lp:
-            star = cached_omega_star(cls, m, caps).value
+            if clique is not None and clique.size == clique_ceiling(g):
+                star = _omega_star_at_ceiling(g, clique)
+            else:
+                star = cached_omega_star(cls, m, caps).value
         rows.append(
             PerMRow(m=m, num_vertices=g.num_vertices, omega=omega,
                     omega_exact=omega_exact, omega_star=star)

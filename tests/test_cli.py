@@ -240,12 +240,18 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
     # the cd* extension past m_max reuses graphs the report already built,
     # under its own smaller vertex cap, instead of building them again
     import cliquedim.dimensions as dims
+    import cliquedim.simplex as simplex
     from cliquedim import clear_caches, format_class_text
 
-    build = dims.build_graph
+    build, solve = dims.build_graph, simplex.solve_packing_lp
+    lps = {}
     for name, cls in corpus():
         built = []
         monkeypatch.setattr(dims, "build_graph", lambda cls, m, caps: built.append(m) or build(cls, m, caps))
+        monkeypatch.setattr(
+            simplex, "solve_packing_lp",
+            lambda *a, name=name: lps.setdefault(name, []).append(a) or solve(*a),
+        )
         monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
         clear_caches()
         code, out, _ = run(capsys, "curves", "-")
@@ -257,6 +263,9 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
         cd, cd_star = CORPUS_CD_LINES[name]
         assert out.splitlines()[-2:] == [f"# cd={cd} exact", f"# cd_star={cd_star} exact"], name
     clear_caches()
+    # ld >= m or a maximum clique at min(2^m, |H|) settles omega*_m; only
+    # omega*_3 = 8 of paper_example_sec6 (ld = 2, cd* = 3) needs an LP
+    assert {name: len(a) for name, a in lps.items()} == {"paper_example_sec6": 1}
 
 
 def test_curves_builds_the_ld_table_once(capsys, monkeypatch):
@@ -408,6 +417,34 @@ def test_corpus_dimension_outputs_are_frozen(capsys, monkeypatch):
     assert main(["verify-dichotomy"]) == 0
     got["verify-dichotomy"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == CORPUS_OUTPUTS_SHA256
+
+
+# sha256 of `omega - --m M --verbose` stdout over the 20 corpus classes in
+# corpus order, then random(6,8,2) and random(6,12,1): the clique members the
+# search returns, as produced by the search without the min(2^m, |H|) stop
+OMEGA_VERBOSE_SHA256 = {
+    1: "951cf98784203a4740ca8ad72e09917bb9720e573febe9d4cd31ff3beb8cf6f8",
+    2: "80b13ab1eef74b23b20d62ea44dc56ef0e42929f5baa1c485de0d4c905df7d5a",
+    3: "7f58de7da5c6b527a99dc4c6da64b1a36414558a793698a4e5d68d94da5fe87d",
+}
+
+
+def test_omega_verbose_members_are_frozen(capsys, monkeypatch):
+    from cliquedim import format_class_text
+
+    classes = [cls for _, cls in corpus()] + [
+        generate("random", universe=6, count=8, seed=2),
+        generate("random", universe=6, count=12, seed=1),
+    ]
+    got = {}
+    for m in OMEGA_VERBOSE_SHA256:
+        digest = hashlib.sha256()
+        for cls in classes:
+            monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+            assert main(["omega", "-", "--m", str(m), "--verbose"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        got[m] = digest.hexdigest()
+    assert got == OMEGA_VERBOSE_SHA256
 
 
 # sha256 of `boost - --seed S --trials 2000 --shadow` stdout, as produced by

@@ -23,7 +23,7 @@ from cliquedim import (
     tree_from_clique,
     validate_clique,
 )
-from cliquedim.cliques import _search
+from cliquedim.cliques import _search, clique_ceiling
 from cliquedim.graph import is_edge
 from cliquedim.trees import MistakeLeaf, MistakeNode, branches, is_complete, min_depth
 
@@ -200,6 +200,9 @@ def test_row_bound_keeps_the_members_of_the_coloring_search(g):
     assert max_clique(g).members == tuple(sorted(best))
     got, got_nodes = _search(g.adj, g.realizers, budget)
     assert got == best and got_nodes <= nodes  # the bound only prunes
+    # the ceiling only stops the proof that nothing larger exists
+    got, got_nodes = _search(g.adj, g.realizers, budget, ceiling=clique_ceiling(g))
+    assert got == best and got_nodes <= nodes
     for k in range(1, len(best) + 2):
         expected, _ = reference_search(g.adj, budget, target=k)
         assert _search(g.adj, g.realizers, budget, target=k)[0] == expected
@@ -213,6 +216,28 @@ def test_row_bound_settles_g4_of_random_6_12_1():
     g = build_graph(cls, 4)
     clique = max_clique(g, Caps(node_budget=10**4))
     assert validate_clique(g, clique.members).size == 12 == len(cls.hypotheses)
+
+
+def test_ceiling_ends_the_search_at_the_greedy_start():
+    # greedy finds 8 = 2^3 members on G_3 of random(6,12,1), so no node is
+    # expanded; without the ceiling, proving there is no 9-clique took 9320
+    cls = generate("random", universe=6, count=12, seed=1)
+    g = build_graph(cls, 3)
+    assert clique_ceiling(g) == 8
+    clique = max_clique(g, Caps(node_budget=1))
+    assert validate_clique(g, clique.members).size == 8
+
+
+def test_no_search_above_the_ceiling(monkeypatch):
+    import cliquedim.cliques as cliques
+
+    graphs = [
+        build_graph(generate("paper_example_sec6"), 2),  # ceiling 2^2
+        build_graph(generate("thresholds", universe=5), 3),  # ceiling |H| = 6
+    ]
+    monkeypatch.setattr(cliques, "_search", lambda *a, **k: pytest.fail("searched"))
+    for g in graphs:
+        assert not has_clique_of_size(g, clique_ceiling(g) + 1)
 
 
 def test_realizers_are_the_consistent_rows():

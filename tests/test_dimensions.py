@@ -23,6 +23,7 @@ from cliquedim import (
     vc_dimension,
 )
 from cliquedim.cli import corpus
+from cliquedim.cliques import clique_ceiling
 from cliquedim.dimensions import EXACT, LOWER_BOUND, DimensionValue
 from cliquedim.trees import branches, is_complete, min_depth
 
@@ -212,6 +213,55 @@ def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
     assert built == []
 
 
+def test_clique_dimension_refutes_a_budget_hit_with_omega_star():
+    # ld = 3 and |H| = 16 = 2^4, so m = 4 needs a proof that G_4 has no
+    # 16-clique, which runs past 10^4 nodes; omega*_4 = 47/3 < 16 settles it
+    from cliquedim import Caps, ResourceLimitError, cached_omega_star, clear_caches
+    from cliquedim.cliques import has_clique_of_size
+
+    cls = generate("random", universe=6, count=16, seed=1)
+    caps = Caps(node_budget=10**4)
+    clear_caches()
+    got = clique_dimension(cls, 3, caps)
+    assert (got.value, got.exactness) == (3, EXACT)
+    assert cached_omega_star(cls, 4, caps).value == Fraction(47, 3)
+    with pytest.raises(ResourceLimitError):
+        has_clique_of_size(build_graph(cls, 4), 16, caps)
+    clear_caches()
+
+
+def test_cached_omega_star_below_two_pow_m_fails_m_without_search(monkeypatch):
+    # random(5,8,2): ld = 2 < 3 = floor(log2 8), and omega*_3 = 7 < 8
+    import cliquedim.dimensions as dims
+    from cliquedim import cached_omega_star, clear_caches
+
+    cls = generate("random", universe=5, count=8, seed=2)
+    clear_caches()
+    assert (littlestone_dimension(cls), cached_omega_star(cls, 3, dims.DEFAULT_CAPS).value) == (2, 7)
+    monkeypatch.setattr(dims, "has_clique_of_size", lambda *a: pytest.fail("searched"))
+    got = clique_dimension(cls, 4)
+    clear_caches()
+    assert (got.value, got.exactness) == (2, EXACT)
+
+
+def test_fractional_clique_dimension_needs_no_lp_when_ld_reaches_log2_rows(monkeypatch):
+    # thresholds(5): ld = 2 = floor(log2 6), so m <= 2 pass by the mistake
+    # tree and m >= 3 fail by the row bound
+    import cliquedim.dimensions as dims
+    import cliquedim.simplex as simplex
+    from cliquedim import clear_caches
+
+    solves, built = [], []
+    solve = simplex.solve_packing_lp
+    monkeypatch.setattr(simplex, "solve_packing_lp", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(dims, "build_graph", lambda *a: built.append(a[1]))
+    clear_caches()
+    got = fractional_clique_dimension(generate("thresholds", universe=5), 3)
+    clear_caches()
+    assert (got.value, got.exactness) == (2, EXACT)
+    assert (solves, built) == ([], [])
+
+
 @st.composite
 def classes_with_two_rows(draw):
     n = draw(st.integers(1, 4))
@@ -239,6 +289,9 @@ def test_report_dimensions_equal_the_standalone_sweeps(name):
     clear_caches()
     assert rep.cd == clique_dimension(cls, 4)
     assert rep.cd_star == fractional_clique_dimension(cls, 3)
+    # rows settled by the ceiling agree with the LP
+    for row in rep.rows[:3]:
+        assert row.omega_star == omega_star(build_graph(cls, row.m)).value
 
 
 def test_dimension_value_rendering():
@@ -274,6 +327,26 @@ def test_report_survives_node_budget_exhaustion():
     for row in rep.rows:
         if row.omega is not None and not row.omega_exact:
             assert row.omega >= 1  # best-found clique is still reported
+    clear_caches()
+
+
+def test_report_revalidates_the_ceiling_certificate(monkeypatch):
+    # omega*_m taken from a clique at the ceiling rests on the clique and,
+    # at |H|, on every vertex having a realizing row; both are checked
+    import cliquedim.dimensions as dims
+    from cliquedim import Clique, InvariantError, cached_graph, clear_caches
+
+    cls = generate("thresholds", universe=5)  # omega_3 = 6 = |H| < 8
+    clear_caches()
+    g = cached_graph(cls, 3, dims.DEFAULT_CAPS)
+    realizers = g.realizers
+    g.realizers = (0,) + realizers[1:]
+    with pytest.raises(InvariantError, match="no realizing row"):
+        dimension_report(cls)
+    g.realizers = realizers
+    monkeypatch.setattr(dims, "max_clique", lambda g, caps: Clique(tuple(range(clique_ceiling(g)))))
+    with pytest.raises(InvariantError, match="not a clique"):
+        dimension_report(cls)
     clear_caches()
 
 
