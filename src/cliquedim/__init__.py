@@ -79,7 +79,7 @@ from .cliques import (
     tree_from_clique,
     validate_clique,
 )
-from .simplex import simplex_max, solve_packing_lp
+from .simplex import solve_packing_lp
 from .fractional import (
     DualityCertificate,
     FractionalClique,

@@ -322,12 +322,14 @@ def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) ->
 def run_expert_game(
     dataset: Dataset,
     instances: Sequence[HypothesisPattern],
-    eta: Optional[float] = None,
     shadow: bool = False,
 ) -> ExpertGameTranscript:
     """Hedge over the dataset's examples against the given instance sequence.
 
-    Weights have the closed form w_t ~ exp(-eta * cumulative loss before t),
+    With m examples and T rounds the learning rate is eta = sqrt(2 ln m / T)
+    (0 when m = 1), bit for bit `boost_config`'s eta for a dataset of its
+    target length and its round count.  Weights have the closed form
+    w_t ~ exp(-eta * cumulative loss before t),
     computed as a renormalized softmax per round.  `shadow` replays the run
     in exact rationals (update factor = the exact value of float exp(-eta))
     and certifies regret <= sqrt(2 T ln m) with conservative rational
@@ -338,8 +340,7 @@ def run_expert_game(
     if t_rounds < 1:
         raise InvalidParamsError("expert game needs at least one round")
     m = len(dataset)
-    if eta is None:
-        eta = math.sqrt(2 * math.log(max(m, 1)) / t_rounds) if m > 1 else 0.0
+    eta = math.sqrt(2 * math.log(m) / t_rounds) if m > 1 else 0.0
     losses = _example_losses(dataset, instances)
     # one (T+1, m) array: cumulative loss before each round, then -eta times
     # it, shifted, then its exp (in place, the same values as fresh arrays)
@@ -585,34 +586,37 @@ def _pcg64_states(master_seed: int, start: int, stop: int):
     return (_pcg64_state(*row.tolist()) for row in words64)
 
 
+# verify_sspfcd_bound checks every m-dataset of G_m up to ENUMERATE_CAP of
+# them, and a seeded sample of SAMPLE_SIZE past that
+ENUMERATE_CAP = 10**4
+SAMPLE_SIZE = 100
+
+
 def verify_sspfcd_bound(
     cls: ConceptClass,
     config: BoostConfig,
     trials: int = 10**5,
     master_seed: int = 0,
     caps: Caps = DEFAULT_CAPS,
-    enumerate_cap: int = 10**4,
-    sample_size: int = 100,
 ) -> BoostVerifyReport:
     """Check Pr[boosted majority consistent with S] >= m^-alpha for every
-    realizable m-dataset S (all of them when at most `enumerate_cap`,
-    otherwise a seeded sample).  Per-trial RNG is seeded master XOR trial
-    index, so trials are independent and order-free.  A row FAILs only when
-    its one-sided 99% upper confidence limit sits below the bound.  The
-    bound is m^-alpha, or the proven floor epsilon - 2 gamma when T = 1
-    (m = 1), where m^-alpha = 1 could never be met.
+    realizable m-dataset S (see ENUMERATE_CAP).  Per-trial RNG is seeded
+    master XOR trial index, so trials are independent and order-free.  A
+    row FAILs only when its one-sided 99% upper confidence limit sits below
+    the bound.  The bound is m^-alpha, or the proven floor epsilon - 2 gamma
+    when T = 1 (m = 1), where m^-alpha = 1 could never be met.
     """
     if trials < 0:
         raise InvalidParamsError(f"trials must be >= 0, got {trials}")
     if master_seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {master_seed}")
     g = cached_graph(cls, config.m, caps)
-    if g.num_vertices <= enumerate_cap:
+    if g.num_vertices <= ENUMERATE_CAP:
         chosen = list(range(g.num_vertices))
         sampled = False
     else:
         rng = random.Random(master_seed)
-        chosen = sorted(rng.sample(range(g.num_vertices), sample_size))
+        chosen = sorted(rng.sample(range(g.num_vertices), SAMPLE_SIZE))
         sampled = True
 
     probs = np.array([float(p) for p in config.mu.probs])
@@ -687,22 +691,20 @@ def format_boost_report(report: BoostVerifyReport) -> str:
 # ─── realizable-distribution quantile check ──────────────────────────────
 
 
+THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
 def small_pop_err_check(
-    cls: ConceptClass,
-    m: int,
-    dist: dict,
-    thetas: Sequence[Fraction] = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)),
-    caps: Caps = DEFAULT_CAPS,
-    cert=None,
+    cls: ConceptClass, m: int, dist: dict, caps: Caps = DEFAULT_CAPS
 ) -> list:
     """For a realizable label distribution D and the normalized optimal
     coloring mu* of G_m, check exactly that
 
         Pr_{h~mu*}[loss_D(h) <= theta] >= 1/omega*_m - (1-theta)^m
 
-    for each theta.  Returns [(theta, probability, bound, passed)].
-    `cert` may carry a precomputed G_m duality certificate to avoid
-    re-solving the LP in sweeps over many distributions.
+    for each theta in THETAS.  Returns [(theta, probability, bound, passed)].
+    The certificate comes from `cached_omega_star`, so sweeps over many
+    distributions solve the LP once.
     """
     total = sum(dist.values(), Fraction(0))
     if total != 1:
@@ -718,8 +720,7 @@ def small_pop_err_check(
         raise NotRealizableDistributionError(
             "no hypothesis has zero loss on the distribution"
         )
-    if cert is None:
-        cert = cached_omega_star(cls, m, caps)
+    cert = cached_omega_star(cls, m, caps)
     mu = coloring_to_distribution(cert.coloring)
     losses = {}
     for h, w in mu.items():
@@ -728,8 +729,7 @@ def small_pop_err_check(
         )
         losses[h] = Fraction(loss)
     out = []
-    for theta in thetas:
-        theta = Fraction(theta)
+    for theta in THETAS:
         prob = sum((w for h, w in mu.items() if losses[h] <= theta), Fraction(0))
         bound = Fraction(1) / cert.value - (1 - theta) ** m
         out.append((theta, prob, bound, prob >= bound))

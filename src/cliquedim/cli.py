@@ -14,6 +14,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .boosting import (
     boost_config,
@@ -57,7 +58,7 @@ from .fractional import (
     validate_cover,
     validate_packing,
 )
-from .graph import Caps, export_edge_list, independent_sets, wl_fingerprint
+from .graph import DEFAULT_CAPS, Caps, export_edge_list, independent_sets, wl_fingerprint
 from .trees import is_complete, max_depth, parse_tree, serialize_tree
 
 
@@ -246,12 +247,7 @@ def _cmd_boost(args):
     if args.shadow:
         g = cached_graph(cls, config.m, caps)
         rng = random.Random(args.seed)
-        tr = run_expert_game(
-            g.vertices[0],
-            draw_patterns(config.mu, config.T, rng),
-            eta=config.eta,
-            shadow=True,
-        )
+        tr = run_expert_game(g.vertices[0], draw_patterns(config.mu, config.T, rng), shadow=True)
         text += (
             f"shadow S={g.vertices[0].render()} regret={float(tr.shadow_regret):.6f} "
             f"bound={tr.regret_bound:.6f} certified={tr.shadow_certified}\n"
@@ -288,14 +284,12 @@ def _cmd_verify_lemmas(args):
                 )
             )
         for m in range(1, 3):
-            g = cached_graph(cls, m, caps)
-            cert = cached_omega_star(cls, m, caps)
-            for v in g.vertices:
+            for v in cached_graph(cls, m, caps).vertices:
                 dist = {}
                 for ex in v:
                     key = (ex.point, ex.label)
                     dist[key] = dist.get(key, Fraction(0)) + Fraction(1, m)
-                rows = small_pop_err_check(cls, m, dist, caps=caps, cert=cert)
+                rows = small_pop_err_check(cls, m, dist, caps)
                 bad = [r for r in rows if not r[3]]
                 checks.append(
                     (
@@ -394,20 +388,30 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it, and
+    building it (about 3 ms) costs as much as a small command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed, echoed in output")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--verbose", action="store_true")
-    common.add_argument("--vertex-cap", type=int, default=10**6)
-    common.add_argument("--pattern-cap", type=int, default=20)
-    common.add_argument("--node-budget", type=int, default=10**8)
+
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("--verbose", action="store_true")
+
+    # the resource caps, on every command that builds a graph
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--vertex-cap", type=int, default=DEFAULT_CAPS.max_vertices)
+    caps.add_argument("--pattern-cap", type=int, default=DEFAULT_CAPS.max_pattern_universe)
+    caps.add_argument("--node-budget", type=int, default=DEFAULT_CAPS.node_budget)
 
     cls_arg = argparse.ArgumentParser(add_help=False)
     cls_arg.add_argument(
         "cls", nargs="?", default="-", metavar="CLASS",
         help="class text file ('-' or omitted: stdin)",
     )
+    on_graph = [common, caps, cls_arg]
+    on_graph_verbose = [common, verbose, caps, cls_arg]
 
     p = argparse.ArgumentParser(prog="cliquedim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -417,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--universe", type=int, default=2)
     sp.add_argument("--count", type=int, default=4, help="rows for the random family")
 
-    sp = sub.add_parser("graph", parents=[common, cls_arg], help="emit the contradiction graph edge list")
+    sp = sub.add_parser("graph", parents=on_graph_verbose, help="emit the contradiction graph edge list")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--sets", action="store_true", help="also list consistency-set sizes")
     sp.add_argument(
@@ -426,41 +430,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--fingerprint", action="store_true", help="append an isomorphism fingerprint")
 
-    sp = sub.add_parser("omega", parents=[common, cls_arg], help="exact clique number of G_m")
+    sp = sub.add_parser("omega", parents=on_graph_verbose, help="exact clique number of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("omega-star", parents=[common, cls_arg], help="exact fractional clique number of G_m")
+    sp = sub.add_parser("omega-star", parents=on_graph_verbose, help="exact fractional clique number of G_m")
     sp.add_argument("--m", type=int, required=True)
 
     sub.add_parser("vc", parents=[common, cls_arg], help="VC dimension")
-    sub.add_parser("ld", parents=[common, cls_arg], help="mistake-bound (Littlestone) dimension")
+    sub.add_parser("ld", parents=[common, verbose, cls_arg], help="mistake-bound (Littlestone) dimension")
 
-    sp = sub.add_parser("cd", parents=[common, cls_arg], help="clique dimension with exactness flag")
+    sp = sub.add_parser("cd", parents=on_graph, help="clique dimension with exactness flag")
     sp.add_argument("--m-max", type=int, default=4)
 
-    sp = sub.add_parser("cd-star", parents=[common, cls_arg], help="fractional clique dimension with exactness flag")
+    sp = sub.add_parser("cd-star", parents=on_graph, help="fractional clique dimension with exactness flag")
     sp.add_argument("--m-max", type=int, default=3)
 
-    sp = sub.add_parser("balanced", parents=[common, cls_arg], help="balanced point of the maximum clique of G_m")
+    sp = sub.add_parser("balanced", parents=on_graph, help="balanced point of the maximum clique of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("tree-from-clique", parents=[common, cls_arg], help="mistake tree extracted from the maximum clique of G_m")
+    sp = sub.add_parser("tree-from-clique", parents=on_graph, help="mistake tree extracted from the maximum clique of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("clique-from-tree", parents=[common, cls_arg], help="clique of G_depth from a complete shattered tree")
+    sp = sub.add_parser("clique-from-tree", parents=on_graph, help="clique of G_depth from a complete shattered tree")
     sp.add_argument("--tree", required=True, help="mistake-tree text file")
 
-    sp = sub.add_parser("boost", parents=[common, cls_arg], help="boosting pipeline consistency verification")
+    sp = sub.add_parser("boost", parents=on_graph, help="boosting pipeline consistency verification")
     sp.add_argument("--m0", type=int, default=None, help="anchor length (default: smallest separating)")
     sp.add_argument("--m", type=int, default=3, help="target dataset length")
     sp.add_argument("--gamma", default=None, help="margin as num/den (default epsilon/4)")
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--shadow", action="store_true", help="append one rational-shadow transcript check")
 
-    sub.add_parser("verify-lemmas", parents=[common], help="inequality/duality/quantile/numeric checks over the corpus")
-    sub.add_parser("verify-dichotomy", parents=[common], help="desk-scale dichotomy scans over the corpus")
+    sub.add_parser("verify-lemmas", parents=[common, caps], help="inequality/duality/quantile/numeric checks over the corpus")
+    sub.add_parser("verify-dichotomy", parents=[common, caps], help="desk-scale dichotomy scans over the corpus")
 
-    sp = sub.add_parser("curves", parents=[common, cls_arg], help="per-m omega/omega*/2^m table as CSV")
+    sp = sub.add_parser("curves", parents=on_graph, help="per-m omega/omega*/2^m table as CSV")
     sp.add_argument("--m-max", type=int, default=None, help="horizon for both engines (default 4 clique / 3 LP)")
 
     return p

@@ -106,15 +106,17 @@ def clique_ceiling(g: ContradictionGraph) -> int:
     return min(1 << g.m, len(g.cls.hypotheses))
 
 
-def _search(adj, realizers, node_budget: int, target=None, ceiling=None):
+def _search(adj, realizers, node_budget: int, target=None, ceiling=None, candidates=None):
     """Core branch-and-bound.  Returns (best_members, nodes_used).
 
     `realizers[v]` is the mask of rows consistent with vertex v.  With
     `target` set, stops as soon as a clique of that size is found and
     prunes branches that cannot reach it.  `ceiling`, when given, must bound
     the clique number; the search stops once the incumbent reaches it.
-    Raises ResourceLimitError carrying the incumbent when the budget runs
-    out before the answer is certain.
+    `candidates`, when given, is a vertex mask that must hold every clique
+    the search has to find; the branching starts from it.  Raises
+    ResourceLimitError carrying the incumbent when the budget runs out
+    before the answer is certain.
     """
     n = len(adj)
     stop = min(k for k in (target, ceiling, n) if k is not None)
@@ -172,8 +174,9 @@ def _search(adj, realizers, node_budget: int, target=None, ceiling=None):
             local &= ~(1 << v)
         return False
 
-    if n:
-        expand([], (1 << n) - 1)
+    start = (1 << n) - 1 if candidates is None else candidates
+    if start:
+        expand([], start)
     return best, nodes
 
 
@@ -185,12 +188,21 @@ def max_clique(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> Clique:
 
 def has_clique_of_size(g: ContradictionGraph, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Decision variant with early exit.  Budget exhaustion raises (the
-    tri-state 'unknown'); a normal return is a certain yes/no."""
+    tri-state 'unknown'); a normal return is a certain yes/no.
+
+    The members of a k-clique have pairwise disjoint, nonempty sets of
+    realizing rows, so each has at most |H| - k + 1 of them; the search
+    branches only on such vertices."""
     if k <= 0:
         return True
     if k > min(g.num_vertices, clique_ceiling(g)):
         return False
-    best, _ = _search(g.adj, g.realizers, caps.node_budget, target=k)
+    room = len(g.cls.hypotheses) - k + 1
+    candidates = 0
+    for v, rows in enumerate(g.realizers):
+        if rows.bit_count() <= room:
+            candidates |= 1 << v
+    best, _ = _search(g.adj, g.realizers, caps.node_budget, target=k, candidates=candidates)
     return len(best) >= k
 
 

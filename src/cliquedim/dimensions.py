@@ -164,17 +164,12 @@ def littlestone_dimension(cls: ConceptClass) -> int:
     return _cached_ld_table(cls)(cls.hypotheses)
 
 
-def littlestone_witness(cls: ConceptClass, depth: Optional[int] = None) -> MistakeTree:
-    """A complete shattered mistake tree of the requested depth (default: the
-    full dimension).  At every internal node both restrictions are nonempty
-    and can still support depth-1 below, so each branch stays realizable."""
+def littlestone_witness(cls: ConceptClass) -> MistakeTree:
+    """A complete shattered mistake tree of depth ld.  At every internal node
+    both restrictions are nonempty and can still support depth-1 below, so
+    each branch stays realizable."""
     ld = _cached_ld_table(cls)
     n = cls.universe_size
-    full = ld(cls.hypotheses)
-    if depth is None:
-        depth = full
-    if depth > full:
-        raise ValueError(f"requested depth {depth} exceeds the dimension {full}")
 
     def build(rows: tuple, d: int) -> MistakeTree:
         if d == 0:
@@ -184,7 +179,7 @@ def littlestone_witness(cls: ConceptClass, depth: Optional[int] = None) -> Mista
                 return MistakeNode(x, build(zeros, d - 1), build(ones, d - 1))
         raise InvariantError("no splitting point although depth budget remains")
 
-    return build(cls.hypotheses, depth)
+    return build(cls.hypotheses, ld(cls.hypotheses))
 
 
 def tech_cd_cutoff(d: int) -> int:

@@ -14,10 +14,10 @@ search applies the same bound to every candidate set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
-from .errors import InvariantError, NotIndependentError, ResourceLimitError
+from .errors import InvalidParamsError, InvariantError, NotIndependentError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class Caps:
     max_vertices: int = 10**6
     max_pattern_universe: int = 20  # 2^|X| pattern enumerations beyond this refuse
     node_budget: int = 10**8  # branch-and-bound expansion budget
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise InvalidParamsError(f"{field.name} must be >= 0, got {value}")
 
     def check_vertices(self, count: int, m: int) -> None:
         if count > self.max_vertices:
@@ -234,11 +240,14 @@ def witness_hypothesis(g: ContradictionGraph, vertex_mask: int) -> HypothesisPat
     return mask_to_pattern(ones, g.cls.universe_size)
 
 
-def wl_fingerprint(g: ContradictionGraph, rounds: int = 3) -> str:
+WL_ROUNDS = 3
+
+
+def wl_fingerprint(g: ContradictionGraph) -> str:
     """Deterministic isomorphism-invariant fingerprint (color refinement).
 
     Starts from degrees and refines each vertex color by the sorted multiset
-    of neighbor colors for a fixed number of rounds, then hashes the sorted
+    of neighbor colors for WL_ROUNDS rounds, then hashes the sorted
     final color multiset together with the vertex and edge counts.  Equal
     fingerprints do not prove isomorphism; distinct ones refute it.
     """
@@ -246,7 +255,7 @@ def wl_fingerprint(g: ContradictionGraph, rounds: int = 3) -> str:
 
     n = g.num_vertices
     colors = [g.adj[i].bit_count() for i in range(n)]
-    for _ in range(rounds):
+    for _ in range(WL_ROUNDS):
         signatures = []
         for i in range(n):
             nb = []

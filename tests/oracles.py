@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with different algorithms than the
 package: maximal-clique enumeration instead of branch-and-bound, literal
-subset search, basic-feasible-solution enumeration instead of simplex, and
-itertools-based dataset enumeration instead of the DFS the graph builder
-uses.  Slow is fine; these run on tiny instances only.
+subset search, basic-feasible-solution enumeration and a textbook Fraction
+tableau instead of the integer-preserving simplex, and itertools-based
+dataset enumeration instead of the DFS the graph builder uses.  Slow is
+fine; these run on tiny instances only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import itertools
 from fractions import Fraction
 
 from cliquedim import ConceptClass
-from cliquedim.simplex import solve_packing_lp
 
 
 def enumerate_realizable_multisets(cls: ConceptClass, m: int) -> list:
@@ -167,6 +167,49 @@ def bfs_packing_value(n_vars: int, row_masks: list) -> Fraction:
     return best
 
 
+def reference_simplex(n_vars: int, row_masks: list) -> tuple:
+    """Textbook Bland simplex on a Fraction tableau for the packing LP
+    max sum(x) s.t. sum_{j in mask} x_j <= 1 per mask, x >= 0: the pivot
+    rule the integer tableau must follow step for step.  Returns
+    (value, x, y); raises ValueError on an unbounded LP."""
+    m, n = len(row_masks), n_vars
+    width = n + m + 1
+    tab = []
+    for i, mask in enumerate(row_masks):
+        row = [Fraction((mask >> j) & 1) for j in range(n)] + [Fraction(0)] * m + [Fraction(1)]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    obj = [Fraction(1)] * n + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(width - 1) if obj[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise ValueError("LP is unbounded")
+        piv = [v / tab[leave][enter] for v in tab[leave]]
+        tab[leave] = piv
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [tab[i][j] - f * piv[j] for j in range(width)]
+        f = obj[enter]
+        obj = [obj[j] - f * piv[j] for j in range(width)]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return -obj[-1], x, [-obj[n + i] for i in range(m)]
+
+
 def sequence_vertices(cls: ConceptClass, m: int) -> list:
     """All realizable ORDERED length-m example sequences (repeats allowed).
     The quotient guard compares clique quantities on this construction with
@@ -189,5 +232,5 @@ def sequence_omega(cls: ConceptClass, m: int) -> int:
 def sequence_omega_star(cls: ConceptClass, m: int) -> Fraction:
     items = sequence_vertices(cls, m)
     masks = packing_constraints(cls, items)
-    value, _, _ = solve_packing_lp(len(items), masks)
+    value, _, _ = reference_simplex(len(items), masks)
     return value

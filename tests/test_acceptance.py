@@ -236,13 +236,11 @@ def test_c06_random_instance_oracle_equivalence():
 def test_c07_low_error_mass_bound_exact(corpus_runs):
     _, runs = corpus_runs
     checks = 0
-    for name, cls, m, g, _, cert in runs:
+    for name, cls, m, g, _, _ in runs:
         for ds in g.vertices:
             weights = Counter(ds.examples)
             dist = {ex: Fraction(k, m) for ex, k in weights.items()}
-            for theta, prob, bound, passed in small_pop_err_check(
-                cls, m, dist, cert=cert
-            ):
+            for theta, prob, bound, passed in small_pop_err_check(cls, m, dist):
                 assert passed, (
                     f"{name} m={m} dataset={ds.render()} theta={theta}: "
                     f"{prob} < {bound}"

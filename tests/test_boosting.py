@@ -482,11 +482,11 @@ def test_verify_report_is_reproducible():
     assert a.rows == b.rows
 
 
-def test_verify_report_sampling_path():
+def test_verify_report_sampling_path(monkeypatch):
+    monkeypatch.setattr("cliquedim.boosting.ENUMERATE_CAP", 4)
+    monkeypatch.setattr("cliquedim.boosting.SAMPLE_SIZE", 5)
     cfg = boost_config(ANCHOR, m0=2, m=3)
-    rep = verify_sspfcd_bound(
-        ANCHOR, cfg, trials=16, master_seed=0, enumerate_cap=4, sample_size=5
-    )
+    rep = verify_sspfcd_bound(ANCHOR, cfg, trials=16, master_seed=0)
     assert rep.sampled
     assert len(rep.rows) == 5
 

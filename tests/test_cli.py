@@ -340,6 +340,22 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    # usage error: a flag the subcommand does not take
+    path = write_class(tmp_path)
+    for argv in (
+        ["vc", path, "--node-budget", "5"],
+        ["curves", path, "--verbose"],
+        ["gen", "full", "--verbose"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+    # input error: a negative cap
+    code, _, err = run(capsys, "omega", path, "--m", "1", "--pattern-cap", "-1")
+    assert (code, err) == (2, "error: max_pattern_universe must be >= 0, got -1\n")
+
     # input error: malformed class text
     bad = tmp_path / "bad.txt"
     bad.write_text("points 2\nhypotheses 1\n0\n")
@@ -352,7 +368,6 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2
 
     # resource cap
-    path = write_class(tmp_path)
     code, _, err = run(capsys, "graph", path, "--m", "3", "--vertex-cap", "5")
     assert code == 3
     assert "resource limit" in err

@@ -215,18 +215,32 @@ def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
 
 def test_clique_dimension_refutes_a_budget_hit_with_omega_star():
     # ld = 3 and |H| = 16 = 2^4, so m = 4 needs a proof that G_4 has no
-    # 16-clique, which runs past 10^4 nodes; omega*_4 = 47/3 < 16 settles it
+    # 16-clique, which runs past 10^3 nodes; omega*_4 = 47/3 < 16 settles it
     from cliquedim import Caps, ResourceLimitError, cached_omega_star, clear_caches
     from cliquedim.cliques import has_clique_of_size
 
     cls = generate("random", universe=6, count=16, seed=1)
-    caps = Caps(node_budget=10**4)
+    caps = Caps(node_budget=10**3)
     clear_caches()
     got = clique_dimension(cls, 3, caps)
     assert (got.value, got.exactness) == (3, EXACT)
     assert cached_omega_star(cls, 4, caps).value == Fraction(47, 3)
     with pytest.raises(ResourceLimitError):
         has_clique_of_size(build_graph(cls, 4), 16, caps)
+    clear_caches()
+
+
+def test_clique_dimension_refutes_m4_by_search_under_default_caps(monkeypatch):
+    # random(6,16,1) at m = 4: only the 244 vertices with a single realizing
+    # row can be in a 16-clique, and the search proves there is none, no LP
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches
+
+    cls = generate("random", universe=6, count=16, seed=1)
+    clear_caches()
+    monkeypatch.setattr(dims, "omega_star", lambda *a: pytest.fail("solved an LP"))
+    got = clique_dimension(cls, 4)
+    assert (got.value, got.exactness) == (3, EXACT)
     clear_caches()
 
 

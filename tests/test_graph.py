@@ -6,6 +6,7 @@ import oracles
 from cliquedim import (
     Caps,
     ConceptClass,
+    InvalidParamsError,
     NotIndependentError,
     ResourceLimitError,
     build_graph,
@@ -114,6 +115,13 @@ def test_vertex_cap_enforced():
 def test_universe_cap_enforced():
     with pytest.raises(ResourceLimitError):
         Caps(max_pattern_universe=3).check_universe(4)
+
+
+@pytest.mark.parametrize("field", ["max_vertices", "max_pattern_universe", "node_budget"])
+def test_negative_caps_are_invalid_params(field):
+    assert getattr(Caps(**{field: 0}), field) == 0
+    with pytest.raises(InvalidParamsError, match=f"{field} must be >= 0"):
+        Caps(**{field: -1})
 
 
 # ─── consistency-set families ──────────────────────────────────────────────
