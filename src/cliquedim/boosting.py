@@ -185,8 +185,12 @@ def boost_config(
         t = math.ceil(2 * math.log(m) / float(gamma) ** 2)
         if t % 2 == 0:
             t += 1
-    eta = math.sqrt(2 * math.log(m) / t)
-    return BoostConfig(mu=mu, m=m, gamma=gamma, T=t, eta=eta)
+    return BoostConfig(mu=mu, m=m, gamma=gamma, T=t, eta=_hedge_rate(m, t))
+
+
+def _hedge_rate(m: int, t_rounds: int) -> float:
+    """Hedge's rate sqrt(2 ln m / T) for m experts and T rounds; 0 if m = 1."""
+    return math.sqrt(2 * math.log(m) / t_rounds) if m > 1 else 0.0
 
 
 def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
@@ -326,9 +330,9 @@ def run_expert_game(
 ) -> ExpertGameTranscript:
     """Hedge over the dataset's examples against the given instance sequence.
 
-    With m examples and T rounds the learning rate is eta = sqrt(2 ln m / T)
-    (0 when m = 1), bit for bit `boost_config`'s eta for a dataset of its
-    target length and its round count.  Weights have the closed form
+    With m examples and T rounds the learning rate is `_hedge_rate(m, T)`,
+    the same call as `boost_config`'s eta for a dataset of its target length
+    and its round count.  Weights have the closed form
     w_t ~ exp(-eta * cumulative loss before t),
     computed as a renormalized softmax per round.  `shadow` replays the run
     in exact rationals (update factor = the exact value of float exp(-eta))
@@ -340,7 +344,7 @@ def run_expert_game(
     if t_rounds < 1:
         raise InvalidParamsError("expert game needs at least one round")
     m = len(dataset)
-    eta = math.sqrt(2 * math.log(m) / t_rounds) if m > 1 else 0.0
+    eta = _hedge_rate(m, t_rounds)
     losses = _example_losses(dataset, instances)
     # one (T+1, m) array: cumulative loss before each round, then -eta times
     # it, shifted, then its exp (in place, the same values as fresh arrays)

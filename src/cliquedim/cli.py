@@ -3,9 +3,10 @@
 Every command reads a concept class from a positional path ('-' or omitted
 means stdin) except `gen`, which writes one.  Every output begins with a
 `# seed=<seed>` header line; all emitted formats treat '#' as a comment, so
-outputs round-trip through their parsers.  Exit codes: 0 all checks passed,
-1 a verification check or an internal invariant failed, 2 usage or input
-error, 3 a resource cap was hit (the message names the limiting dimension).
+class text, mistake trees and certificates round-trip through their
+parsers.  Exit codes: 0 all checks passed, 1 a verification check or an
+internal invariant failed, 2 usage or input error, 3 a resource cap was hit
+(the message names the limiting dimension).
 """
 
 from __future__ import annotations
@@ -159,13 +160,9 @@ def _cmd_ld(args):
     cls = _load_class(args.cls)
     if args.verbose:
         tree = littlestone_witness(cls)
-        d = max_depth(tree)
-        if d > 0:
-            # verbose output stays parseable as a mistake tree, value commented
-            return 0, _header(args) + f"\n# ld={d}\n" + serialize_tree(tree)
-    else:
-        d = littlestone_dimension(cls)
-    return 0, _header(args) + f"\nld={d}\n"
+        # verbose output stays parseable as a mistake tree, value commented
+        return 0, _header(args) + f"\n# ld={max_depth(tree)}\n" + serialize_tree(tree)
+    return 0, _header(args) + f"\nld={littlestone_dimension(cls)}\n"
 
 
 def _cmd_cd(args):

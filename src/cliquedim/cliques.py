@@ -90,26 +90,16 @@ def _greedy_clique(adj, order) -> list:
     return out
 
 
-def _row_covers(realizers) -> list:
-    """covers[k] = bitmask of the vertices that row k realizes."""
-    covers: dict = {}
-    for v, rows in enumerate(realizers):
-        while rows:
-            k = (rows & -rows).bit_length() - 1
-            rows &= rows - 1
-            covers[k] = covers.get(k, 0) | (1 << v)
-    return list(covers.values())
-
-
 def clique_ceiling(g: ContradictionGraph) -> int:
     """min(2^m, |H|), which no clique of G_m exceeds (module docstring)."""
     return min(1 << g.m, len(g.cls.hypotheses))
 
 
-def _search(adj, realizers, node_budget: int, target=None, ceiling=None, candidates=None):
+def _search(adj, covers, node_budget: int, target=None, ceiling=None, candidates=None):
     """Core branch-and-bound.  Returns (best_members, nodes_used).
 
-    `realizers[v]` is the mask of rows consistent with vertex v.  With
+    `covers` holds one vertex mask per row h of the class: V_h, the
+    vertices that h realizes.  A clique has at most one member in each.  With
     `target` set, stops as soon as a clique of that size is found and
     prunes branches that cannot reach it.  `ceiling`, when given, must bound
     the clique number; the search stops once the incumbent reaches it.
@@ -125,8 +115,6 @@ def _search(adj, realizers, node_budget: int, target=None, ceiling=None, candida
     nodes = 0
     if len(best) >= stop:
         return best, nodes
-    # popcount(OR of realizers over p) is the number of rows covering p
-    covers = _row_covers(realizers)
 
     def expand(r: list, p: int) -> bool:
         nonlocal best, nodes
@@ -182,7 +170,8 @@ def _search(adj, realizers, node_budget: int, target=None, ceiling=None, candida
 
 def max_clique(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> Clique:
     """Exact maximum clique (deterministic membership)."""
-    best, _ = _search(g.adj, g.realizers, caps.node_budget, ceiling=clique_ceiling(g))
+    covers = [g.consistent(rm) for rm in g.cls.row_masks]
+    best, _ = _search(g.adj, covers, caps.node_budget, ceiling=clique_ceiling(g))
     return Clique(tuple(sorted(best)))
 
 
@@ -202,7 +191,8 @@ def has_clique_of_size(g: ContradictionGraph, k: int, caps: Caps = DEFAULT_CAPS)
     for v, rows in enumerate(g.realizers):
         if rows.bit_count() <= room:
             candidates |= 1 << v
-    best, _ = _search(g.adj, g.realizers, caps.node_budget, target=k, candidates=candidates)
+    covers = [g.consistent(rm) for rm in g.cls.row_masks]
+    best, _ = _search(g.adj, covers, caps.node_budget, target=k, candidates=candidates)
     return len(best) >= k
 
 

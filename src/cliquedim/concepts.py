@@ -171,8 +171,7 @@ def mask_to_pattern(mask: int, universe_size: int) -> HypothesisPattern:
 
 def is_consistent(pattern: Sequence[int], dataset: Dataset) -> bool:
     """True iff the full labeling agrees with every example of the dataset."""
-    mask = pattern_to_mask(pattern)
-    return (dataset.ones_mask & ~mask) == 0 and (dataset.zeros_mask & mask) == 0
+    return _mask_consistent(pattern_to_mask(pattern), dataset)
 
 
 def _mask_consistent(row_mask: int, dataset: Dataset) -> bool:
@@ -353,30 +352,33 @@ def format_class_text(cls: ConceptClass) -> str:
 
 def _header_count(line: str) -> int:
     try:
-        return int(line.split()[1])
-    except (IndexError, ValueError):
+        _, count = line.split()
+        return int(count)
+    except ValueError:
         raise InvalidParamsError(f"bad header line: {line!r}") from None
 
 
 def parse_class_text(text: str) -> ConceptClass:
-    """Parse the format above.  Input rows may be in any order and may
-    contain duplicates; the constructor canonicalizes (duplicates collapse,
-    which is reported as an error since the declared count then disagrees)."""
+    """Parse the format above: each header once, as its keyword and one
+    integer.  Rows may come in any order; duplicates collapse, which is
+    reported as an error since the declared count then disagrees."""
     rows = []
-    n_points = None
-    n_hyp = None
+    headers: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("points"):
-            n_points = _header_count(line)
-        elif line.startswith("hypotheses"):
-            n_hyp = _header_count(line)
+        keyword = line.split()[0]
+        if keyword in ("points", "hypotheses"):
+            if keyword in headers:
+                raise InvalidParamsError(f"repeated {keyword!r} header")
+            headers[keyword] = _header_count(line)
         else:
             if not re.fullmatch(r"[01]+", line):
                 raise InvalidParamsError(f"bad hypothesis row: {line!r}")
             rows.append(tuple(int(c) for c in line))
+    n_points = headers.get("points")
+    n_hyp = headers.get("hypotheses")
     if n_points is None or n_hyp is None:
         raise InvalidParamsError("missing 'points <n>' or 'hypotheses <k>' header")
     if len(rows) != n_hyp:

@@ -165,12 +165,8 @@ def clique_to_distribution(fc: FractionalClique) -> dict:
 
 def consistency_probability(g: ContradictionGraph, dist: dict, pattern: HypothesisPattern) -> Fraction:
     """Pr_{S ~ dist}[pattern consistent with S] for a vertex distribution."""
-    hm = pattern_to_mask(pattern)
-    total = Fraction(0)
-    for v, p in dist.items():
-        if (g.ones[v] & ~hm) == 0 and (g.zeros[v] & hm) == 0:
-            total += p
-    return total
+    vm = g.consistent(pattern_to_mask(pattern))
+    return sum((p for v, p in dist.items() if (vm >> v) & 1), Fraction(0))
 
 
 # ─── certificate text format ─────────────────────────────────────────────

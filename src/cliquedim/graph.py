@@ -10,6 +10,11 @@ realizes it.  A clique uses at most one vertex from each, so omega_m <= |H|,
 and weight 1 on each is a fractional coloring, so omega*_m <= |H| too.
 `build_graph` keeps each vertex's realizing rows as `realizers`; the clique
 search applies the same bound to every candidate set.
+
+Both relations come from one example-incidence table: `holders[2p + l]` is
+the mask of the vertices that hold the example (p, l).  A vertex is
+adjacent to every holder of the opposite label of one of its examples, and
+V_h is every vertex except the holders of some (p, 1 - h(p)).
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ DEFAULT_CAPS = Caps()
 
 
 class ContradictionGraph:
-    """Vertices in canonical dataset order; adjacency via point-label masks.
-    `realizers[i]` has bit k set iff row k of the class is consistent with
-    vertex i."""
+    """Vertices in canonical dataset order.  `holders[2p + l]` masks the
+    vertices that hold the example (p, l); the edges `adj` and the sets V_h
+    of `consistent` both come from it.  `realizers[i]` has bit k set iff
+    row k of the class is consistent with vertex i."""
 
     def __init__(self, cls: ConceptClass, m: int, vertices: tuple, realizers: tuple):
         self.cls = cls
@@ -66,18 +72,27 @@ class ContradictionGraph:
         self.realizers = realizers
         self.ones = tuple(v.ones_mask for v in vertices)
         self.zeros = tuple(v.zeros_mask for v in vertices)
-        # adj[i] = bitmask over vertex indices adjacent to i
-        n = len(vertices)
-        adj = [0] * n
-        for i in range(n):
-            oi, zi = self.ones[i], self.zeros[i]
+        holders = [0] * (2 * cls.universe_size)
+        for i, v in enumerate(vertices):
+            for p, l in v.examples:
+                holders[2 * p + l] |= 1 << i
+        self.holders = tuple(holders)
+        # two datasets are adjacent iff one holds (p, l) and the other (p, 1 - l)
+        adj = []
+        for v in vertices:
             row = 0
-            for j in range(i + 1, n):
-                if (oi & self.zeros[j]) or (zi & self.ones[j]):
-                    row |= 1 << j
-                    adj[j] |= 1 << i
-            adj[i] |= row
+            for p, l in v.examples:
+                row |= holders[2 * p + 1 - l]
+            adj.append(row)
         self.adj = tuple(adj)
+
+    def consistent(self, hm: int) -> int:
+        """V_h as a vertex mask, for the labeling h with bit p of `hm` set
+        iff h(p) = 1: every vertex but the holders of some (p, 1 - h(p))."""
+        clash = 0
+        for p in range(self.cls.universe_size):
+            clash |= self.holders[2 * p + 1 - ((hm >> p) & 1)]
+        return ((1 << len(self.vertices)) - 1) & ~clash
 
     @property
     def num_vertices(self) -> int:
@@ -192,20 +207,16 @@ def independent_sets(
     V_h of its realizing row, so coverage holds even after pruning."""
     n = g.cls.universe_size
     caps.check_universe(n)
-    nv = g.num_vertices
     seen: dict[int, int] = {}  # vertex-mask -> witness pattern mask
     order: list[int] = []
     for hm in range(1 << n):
-        vm = 0
-        for v in range(nv):
-            if (g.ones[v] & ~hm) == 0 and (g.zeros[v] & hm) == 0:
-                vm |= 1 << v
+        vm = g.consistent(hm)
         if vm and vm not in seen:
             seen[vm] = hm
             order.append(vm)
     if maximal_only:
         order = [vm for vm in order if not any(o != vm and vm & ~o == 0 for o in order)]
-    full = (1 << nv) - 1
+    full = (1 << g.num_vertices) - 1
     covered = 0
     for vm in order:
         covered |= vm

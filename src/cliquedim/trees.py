@@ -59,21 +59,17 @@ def is_complete(tree: MistakeTree, depth: int) -> bool:
 
 
 def branches(tree: MistakeTree) -> list:
-    """All root-to-leaf paths as lists of (point, label) pairs, 0-edge first."""
+    """All root-to-leaf paths as lists of (point, label) pairs, 0-edge
+    first, walked with an explicit stack so that no tree is too deep."""
     out: list[list] = []
-
-    def walk(t: MistakeTree, path: list) -> None:
+    stack = [(tree, ())]
+    while stack:
+        t, path = stack.pop()
         if isinstance(t, MistakeLeaf):
             out.append(list(path))
-            return
-        path.append((t.point, 0))
-        walk(t.zero, path)
-        path.pop()
-        path.append((t.point, 1))
-        walk(t.one, path)
-        path.pop()
-
-    walk(tree, [])
+        else:
+            stack.append((t.one, path + ((t.point, 1),)))
+            stack.append((t.zero, path + ((t.point, 0),)))
     return out
 
 
@@ -82,18 +78,19 @@ def serialize_tree(tree: MistakeTree) -> str:
 
         n <point>   internal node
         l           leaf
+
+    Walked with an explicit stack, so that no tree is too deep for it.
     """
     lines: list[str] = []
-
-    def walk(t: MistakeTree) -> None:
+    stack = [tree]
+    while stack:
+        t = stack.pop()
         if isinstance(t, MistakeLeaf):
             lines.append("l")
         else:
             lines.append(f"n {t.point}")
-            walk(t.zero)
-            walk(t.one)
-
-    walk(tree)
+            stack.append(t.one)
+            stack.append(t.zero)
     return "\n".join(lines) + "\n"
 
 

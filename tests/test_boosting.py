@@ -178,7 +178,10 @@ def test_boost_config_anchor_frozen_values():
     assert cfg.gamma == F(1, 16)
     assert cfg.T == 563
     assert cfg.T % 2 == 1
-    assert cfg.eta == pytest.approx(math.sqrt(2 * math.log(3) / 563))
+    assert cfg.eta == math.sqrt(2 * math.log(3) / 563)
+    # the expert game over a dataset of the target length runs at the same rate
+    game = run_expert_game(Dataset([(0, 0), (1, 0), (0, 0)]), [(0, 0)] * cfg.T)
+    assert game.eta == cfg.eta
     assert cfg.alpha == pytest.approx(512 * math.log(8), rel=1e-12)
 
 

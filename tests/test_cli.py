@@ -2,10 +2,21 @@
 
 import hashlib
 import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliquedim import generate, parse_class_text, parse_certificate, smallest_separating_m0
+from cliquedim import (
+    ConceptClass,
+    clear_caches,
+    format_class_text,
+    generate,
+    parse_class_text,
+    parse_certificate,
+    smallest_separating_m0,
+)
 from cliquedim.cli import corpus, main
 from cliquedim.trees import parse_tree
 
@@ -363,6 +374,17 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert err.startswith("error:")
 
+    # input error: a header is its keyword and one integer, given once
+    for text in (
+        "points 2\nhypothesesX 1\n01\n",
+        "points 2 7\nhypotheses 1\n01\n",
+        "points 3\npoints 2\nhypotheses 1\n01\n",
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "vc", str(bad))
+        assert code == 2, text
+        assert err.startswith("error:"), text
+
     # missing file
     code, _, err = run(capsys, "vc", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -405,6 +427,73 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "omega", str(tiny), "--m", "1100")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "omega=2"
+
+
+# the length flag of each fuzzed command; those with one also take the caps
+FUZZ_LENGTH_FLAG = {
+    "graph": "--m",
+    "omega": "--m",
+    "omega-star": "--m",
+    "balanced": "--m",
+    "tree-from-clique": "--m",
+    "cd": "--m-max",
+    "cd-star": "--m-max",
+    "curves": "--m-max",
+    "ld": None,
+    "vc": None,
+}
+FUZZ_VERBOSE = {"graph", "omega", "omega-star", "ld"}
+
+
+@st.composite
+def corrupted_class_texts(draw):
+    """The text of a small class with one line dropped, duplicated or
+    garbled, or one header count replaced; or kept whole, so that the
+    commands also run to exit 0."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), max_size=6))
+    lines = format_class_text(ConceptClass(n, rows)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("keep", "drop", "duplicate", "garble", "count")))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "garble":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from("01 #x-")) + lines[i][j + 1:]
+    elif kind == "count":
+        k = draw(st.integers(0, 1))
+        lines[k] = f"{lines[k].split()[0]} {draw(st.integers(-1, 8))}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=corrupted_class_texts(),
+    command=st.sampled_from(sorted(FUZZ_LENGTH_FLAG)),
+    m=st.integers(-1, 3),
+    verbose=st.booleans(),
+)
+def test_exit_code_contract_holds_on_corrupted_class_text(text, command, m, verbose):
+    argv = [command, "-"]
+    if FUZZ_LENGTH_FLAG[command]:
+        argv += [FUZZ_LENGTH_FLAG[command], str(m), "--vertex-cap", "300", "--node-budget", "2000"]
+    verbose = verbose and command in FUZZ_VERBOSE
+    if verbose:
+        argv.append("--verbose")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        clear_caches()
+    assert code in (0, 2, 3), (argv, text, err.getvalue())
+    if code == 0 and (command == "tree-from-clique" or (command == "ld" and verbose)):
+        parse_tree(out.getvalue())
+    if code == 0 and command == "omega-star" and verbose:
+        cert = parse_certificate(out.getvalue())
+        assert cert.value == cert.clique.size == cert.coloring.colors
 
 
 # sha256 of the stdout of each command at its default horizons: `cd`,

@@ -25,7 +25,15 @@ from cliquedim import (
 )
 from cliquedim.cliques import _search, clique_ceiling
 from cliquedim.graph import is_edge
-from cliquedim.trees import MistakeLeaf, MistakeNode, branches, is_complete, min_depth
+from cliquedim.trees import (
+    MistakeLeaf,
+    MistakeNode,
+    branches,
+    is_complete,
+    min_depth,
+    parse_tree,
+    serialize_tree,
+)
 
 
 def oracle_omega(g):
@@ -198,14 +206,15 @@ def test_row_bound_keeps_the_members_of_the_coloring_search(g):
     budget = 10**6
     best, nodes = reference_search(g.adj, budget)
     assert max_clique(g).members == tuple(sorted(best))
-    got, got_nodes = _search(g.adj, g.realizers, budget)
+    covers = [g.consistent(rm) for rm in g.cls.row_masks]
+    got, got_nodes = _search(g.adj, covers, budget)
     assert got == best and got_nodes <= nodes  # the bound only prunes
     # the ceiling only stops the proof that nothing larger exists
-    got, got_nodes = _search(g.adj, g.realizers, budget, ceiling=clique_ceiling(g))
+    got, got_nodes = _search(g.adj, covers, budget, ceiling=clique_ceiling(g))
     assert got == best and got_nodes <= nodes
     for k in range(1, len(best) + 2):
         expected, _ = reference_search(g.adj, budget, target=k)
-        assert _search(g.adj, g.realizers, budget, target=k)[0] == expected
+        assert _search(g.adj, covers, budget, target=k)[0] == expected
         assert has_clique_of_size(g, k) == (len(expected) >= k)
 
 
@@ -357,6 +366,20 @@ def test_tree_from_red_clique_is_complete_and_deep_enough():
     assert (2 * g.m + 1) ** t >= clique.size
     for path in branches(tree):
         assert len(path) == t
+
+
+def test_tree_walks_keep_their_order_at_any_depth():
+    leaf = MistakeLeaf()
+    tree = MistakeNode(0, MistakeNode(1, leaf, leaf), leaf)
+    assert serialize_tree(tree) == "n 0\nn 1\nl\nl\nl\n"
+    assert branches(tree) == [[(0, 0), (1, 0)], [(0, 0), (1, 1)], [(0, 1)]]
+    # a 3000-deep spine is past the default recursion limit
+    text = "n 0\n" * 3000 + "l\n" * 3001
+    deep = parse_tree(text)
+    assert serialize_tree(deep) == text
+    paths = branches(deep)
+    assert len(paths) == 3001
+    assert paths[0] == [(0, 0)] * 3000 and paths[-1] == [(0, 1)]
 
 
 def test_tree_from_clique_leaves_carry_members():

@@ -1,6 +1,7 @@
 """Contradiction-graph construction checked against independent enumeration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cliquedim import (
@@ -18,6 +19,7 @@ from cliquedim import (
     witness_hypothesis,
     wl_fingerprint,
 )
+from cliquedim.concepts import mask_to_pattern
 from cliquedim.graph import is_edge
 
 
@@ -176,6 +178,75 @@ def test_witness_patterns_are_consistent_with_members():
         for i in range(g.num_vertices):
             if (vm >> i) & 1:
                 assert is_consistent(pat, g.vertices[i])
+
+
+# ─── the incidence table against the pairwise definitions ────────────────
+
+
+def reference_adjacency(g):
+    """Edges by testing every pair of vertices for a contradicting point."""
+    n = g.num_vertices
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (g.ones[i] & g.zeros[j]) or (g.zeros[i] & g.ones[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def reference_consistent(g, hm):
+    """V_h by testing every vertex against the labeling."""
+    vm = 0
+    for v in range(g.num_vertices):
+        if (g.ones[v] & ~hm) == 0 and (g.zeros[v] & hm) == 0:
+            vm |= 1 << v
+    return vm
+
+
+def reference_row_covers(realizers):
+    """covers[k] = the vertices whose realizer mask has row k."""
+    covers = {}
+    for v, rows in enumerate(realizers):
+        while rows:
+            k = (rows & -rows).bit_length() - 1
+            rows &= rows - 1
+            covers[k] = covers.get(k, 0) | (1 << v)
+    return list(covers.values())
+
+
+def reference_independent_sets(g, maximal_only):
+    n = g.cls.universe_size
+    seen = {}
+    order = []
+    for hm in range(1 << n):
+        vm = reference_consistent(g, hm)
+        if vm and vm not in seen:
+            seen[vm] = hm
+            order.append(vm)
+    if maximal_only:
+        order = [vm for vm in order if not any(o != vm and vm & ~o == 0 for o in order)]
+    return tuple(mask_to_pattern(seen[vm], n) for vm in order), tuple(order)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12))
+    return build_graph(ConceptClass(n, rows), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_incidence_table_matches_the_pairwise_definitions(g):
+    assert g.adj == reference_adjacency(g)
+    for hm in range(1 << g.cls.universe_size):
+        assert g.consistent(hm) == reference_consistent(g, hm)
+    covers = [g.consistent(rm) for rm in g.cls.row_masks]
+    assert sorted(covers) == sorted(reference_row_covers(g.realizers))
+    for maximal_only in (False, True):
+        fam = independent_sets(g, maximal_only=maximal_only)
+        assert (fam.patterns, fam.masks) == reference_independent_sets(g, maximal_only)
 
 
 def test_witness_hypothesis_rejects_dependent_sets():
