@@ -61,7 +61,6 @@ from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
 from .errors import (
@@ -477,12 +476,120 @@ def forced_gamma_good_check(
 # ─── the Monte Carlo consistency verifier ────────────────────────────────
 
 
+_HALF_LN_2PI = 0.5 * math.log(2 * math.pi)
+_BETA_TOL = 1e-13  # relative accuracy of a beta quantile
+_BETA_STEPS = 100  # cap on a quantile's Newton and bisection steps
+_CF_TERMS = 10**5  # continued-fraction terms; about sqrt(max(a, b)) are used
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+
+
+def _stirling_error(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2), from lgamma where
+    both terms are small and from the asymptotic series (error < 1e-13)
+    from 15 up."""
+    if z < 15:
+        return math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LN_2PI)
+    zz = 1 / (z * z)
+    return (1 / 12 - zz * (1 / 360 - zz * (1 / 1260 - zz / 1680))) / z
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) (Numerical Recipes, section 6.4) by
+    Lentz's method; it converges fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1 / d if abs(d) > _TINY else 1 / _TINY
+    h = d
+    for m in range(1, _CF_TERMS):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1 + num * d
+            d = 1 / d if abs(d) > _TINY else 1 / _TINY
+            c = 1 + num / c
+            if abs(c) < _TINY:
+                c = _TINY
+            h *= d * c
+        if abs(d * c - 1) < 1e-15:
+            return h
+    raise InvariantError(f"incomplete beta fraction did not converge at a={a} b={b} x={x}")
+
+
+def _beta_inc(a: float, b: float, x: float) -> tuple:
+    """I_x(a, b) and the Beta(a, b) density at x, for 0 < x < 1.
+
+    The prefactor x^a (1-x)^b / B(a, b) is taken about the mean: with
+    d = (a+b) x - a, so that (a+b) x = a (1 + d/a) and (a+b)(1-x) = b (1 - d/b),
+    it is sqrt(ab / (2 pi (a+b))) exp(a ln(1 + d/a) + b ln(1 - d/b)) times the
+    Stirling errors e^{s(a+b) - s(a) - s(b)}, and no large lgamma values
+    cancel.  The fraction runs on the side where it converges, with
+    I_x(a, b) = 1 - I_{1-x}(b, a) on the other."""
+    d = (a + b) * x - a
+    up, down = d / a, -d / b
+    if up <= -1 or down <= -1:  # x within rounding of 0 or 1
+        front = 0.0
+    else:
+        front = math.exp(
+            a * math.log1p(up) + b * math.log1p(down)
+            + 0.5 * math.log(a * b / (a + b)) - _HALF_LN_2PI
+            + _stirling_error(a + b) - _stirling_error(a) - _stirling_error(b)
+        )
+    density = front / (x * (1 - x))
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_cf(a, b, x) / a, density
+    return 1 - front * _beta_cf(b, a, 1 - x) / b, density
+
+
+def _beta_ppf(p: float, a: int, b: int) -> float:
+    """The x with I_x(a, b) = p, for 0 < p < 1 and integers a, b >= 1.
+
+    I_x(a, 1) = x^a and I_x(1, b) = 1 - (1-x)^b invert in closed form.
+    Otherwise Newton steps start from Abramowitz & Stegun 26.5.22 (with the
+    normal deviate of 26.2.23) and stay inside a bracket of the root that
+    every evaluation shrinks; a step that would leave it bisects it.  The
+    result is within a relative 1e-13 of the root of the computed I_x.
+    """
+    if b == 1:
+        return p ** (1 / a)
+    if a == 1:
+        return -math.expm1(math.log1p(-p) / b)
+    t = math.sqrt(-2 * math.log(min(p, 1 - p)))
+    y = t - (2.30753 + 0.27061 * t) / (1 + (0.99229 + 0.04481 * t) * t)
+    if p > 0.5:
+        y = -y
+    lam = (y * y - 3) / 6
+    h = 2 / (1 / (2 * a - 1) + 1 / (2 * b - 1))
+    w = y * math.sqrt(h + lam) / h - (1 / (2 * b - 1) - 1 / (2 * a - 1)) * (lam + 5 / 6 - 2 / (3 * h))
+    x = a / (a + b * math.exp(2 * w))
+    if not 0 < x < 1:
+        x = 0.5
+    lo, hi = 0.0, 1.0
+    for _ in range(_BETA_STEPS):
+        value, density = _beta_inc(a, b, x)
+        if value < p:
+            lo = x
+        elif value > p:
+            hi = x
+        else:
+            return x
+        if hi - lo <= _BETA_TOL * x:
+            return x
+        nxt = x - (value - p) / density if density else lo
+        if abs(nxt - x) <= _BETA_TOL * x:
+            return nxt
+        x = nxt if lo < nxt < hi else (lo + hi) / 2
+    return x
+
+
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple:
     """Two-sided Clopper-Pearson interval at the given confidence (equal
-    tails).  The acceptance test is one-sided: only the upper limit decides."""
+    tails): the tail quantiles of Beta(k, n-k+1) and Beta(k+1, n-k).  The
+    acceptance test is one-sided: only the upper limit decides."""
+    if not 0 < confidence < 1:
+        raise InvalidParamsError(f"confidence must be in (0, 1), got {confidence}")
     tail = (1 - confidence) / 2
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(tail, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1 - tail, k + 1, n - k))
+    lo = 0.0 if k == 0 else _beta_ppf(tail, k, n - k + 1)
+    hi = 1.0 if k == n else _beta_ppf(1 - tail, k + 1, n - k)
     return lo, hi
 
 
@@ -649,13 +756,16 @@ def verify_sspfcd_bound(
     else:
         log_bound = -config.alpha * math.log(config.m)
     rows = []
+    intervals = {}  # success count -> its interval; rows often share a count
     for v in chosen:
         ds = g.vertices[v]
         pts = np.array([ex.point for ex in ds])
         labs = np.array([ex.label for ex in ds], dtype=np.int8)
         ok = (majs[:, pts] == labs).all(axis=1)
         k = int(ok.sum())
-        lo, hi = clopper_pearson(k, trials)
+        if k not in intervals:
+            intervals[k] = clopper_pearson(k, trials)
+        lo, hi = intervals[k]
         if trials == 0:
             status = "SKIP"
         elif math.log(hi) < log_bound:

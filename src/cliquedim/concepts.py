@@ -361,7 +361,9 @@ def _header_count(line: str) -> int:
 def parse_class_text(text: str) -> ConceptClass:
     """Parse the format above: each header once, as its keyword and one
     integer.  Rows may come in any order; duplicates collapse, which is
-    reported as an error since the declared count then disagrees."""
+    reported as an error since the declared count then disagrees.  With
+    `points 0` the only row is the empty one, whose line is blank, so
+    `hypotheses 1` and no row lines read as that row."""
     rows = []
     headers: dict = {}
     for raw in text.splitlines():
@@ -381,6 +383,8 @@ def parse_class_text(text: str) -> ConceptClass:
     n_hyp = headers.get("hypotheses")
     if n_points is None or n_hyp is None:
         raise InvalidParamsError("missing 'points <n>' or 'hypotheses <k>' header")
+    if n_points == 0 and n_hyp == 1 and not rows:
+        rows = [()]  # the one empty hypothesis writes an empty row line
     if len(rows) != n_hyp:
         raise InvalidParamsError(f"declared {n_hyp} hypotheses, found {len(rows)} rows")
     cls = ConceptClass(n_points, rows)

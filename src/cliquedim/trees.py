@@ -11,6 +11,7 @@ the tree was extracted from a clique); the payload is ignored by format I/O.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -95,8 +96,9 @@ def serialize_tree(tree: MistakeTree) -> str:
 
 
 def parse_tree(text: str) -> MistakeTree:
-    """Inverse of `serialize_tree`.  Nodes are assembled bottom-up on an
-    explicit stack, so the nesting depth is not limited by recursion."""
+    """Inverse of `serialize_tree`; a node's point is a nonnegative decimal
+    integer.  Nodes are assembled bottom-up on an explicit stack, so the
+    nesting depth is not limited by recursion."""
     tokens = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -105,8 +107,9 @@ def parse_tree(text: str) -> MistakeTree:
     # open nodes: [point, finished children so far]
     pending: list = []
     for pos, tok in enumerate(tokens):
-        if tok.startswith("n "):
-            pending.append([int(tok.split()[1]), []])
+        node = re.fullmatch(r"n\s+([0-9]+)", tok)
+        if node:
+            pending.append([int(node.group(1)), []])
             continue
         if tok != "l":
             raise InvalidParamsError(f"bad tree line: {tok!r}")

@@ -464,6 +464,30 @@ def test_clopper_pearson_brackets_the_truth():
     assert tight_lo > lo and tight_hi < hi
 
 
+def test_clopper_pearson_matches_scipy():
+    """scipy's beta quantiles referee the stdlib inverse: relative error at
+    most 1e-9 and the same six decimals the boost report prints."""
+    beta = pytest.importorskip("scipy.stats").beta
+    rng = random.Random(11)
+    for n in (1, 2, 5, 37, 1000, 20000, 10**5):
+        ks = {0, 1, n // 2, n - 1, n} | {rng.randint(0, n) for _ in range(4)}
+        for k in sorted(ks):
+            for confidence in (0.5, 0.95, 0.99, 0.999):
+                tail = (1 - confidence) / 2
+                want = (
+                    0.0 if k == 0 else float(beta.ppf(tail, k, n - k + 1)),
+                    1.0 if k == n else float(beta.ppf(1 - tail, k + 1, n - k)),
+                )
+                for got, ref in zip(clopper_pearson(k, n, confidence), want):
+                    case = (k, n, confidence, got, ref)
+                    assert abs(got - ref) <= 1e-9 * ref, case
+                    assert f"{got:.6f}" == f"{ref:.6f}", case
+    assert clopper_pearson(0, 0) == (0.0, 1.0)
+    for confidence in (0.0, 1.0):
+        with pytest.raises(InvalidParamsError, match="confidence must be in"):
+            clopper_pearson(5, 10, confidence)
+
+
 def test_verify_report_anchor_small_run():
     cfg = boost_config(ANCHOR, m0=2, m=3)
     rep = verify_sspfcd_bound(ANCHOR, cfg, trials=400, master_seed=0)

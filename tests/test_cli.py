@@ -13,12 +13,14 @@ from cliquedim import (
     clear_caches,
     format_class_text,
     generate,
+    littlestone_witness,
     parse_class_text,
     parse_certificate,
+    serialize_tree,
     smallest_separating_m0,
 )
 from cliquedim.cli import corpus, main
-from cliquedim.trees import parse_tree
+from cliquedim.trees import max_depth, parse_tree
 
 
 def run(capsys, *argv):
@@ -494,6 +496,49 @@ def test_exit_code_contract_holds_on_corrupted_class_text(text, command, m, verb
     if code == 0 and command == "omega-star" and verbose:
         cert = parse_certificate(out.getvalue())
         assert cert.value == cert.clique.size == cert.coloring.colors
+
+
+@st.composite
+def classes_with_corrupted_trees(draw):
+    """A small nonempty class and the text of its shattered tree (the
+    `ld --verbose` witness) with one line dropped, duplicated, garbled or
+    given another point; or kept whole, so that the command also runs to
+    exit 0."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=6))
+    cls = ConceptClass(n, rows)
+    lines = serialize_tree(littlestone_witness(cls)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("keep", "drop", "duplicate", "garble", "point")))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "garble":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.sampled_from("01 #xln-")) + lines[i][j + 1:]
+    elif kind == "point":
+        lines[i] = f"n {draw(st.integers(-1, n + 1))}"
+    return cls, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=classes_with_corrupted_trees())
+def test_exit_code_contract_holds_on_corrupted_tree_text(tmp_path_factory, case):
+    cls, text = case
+    tree = tmp_path_factory.mktemp("tree") / "tree.txt"
+    tree.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with mock.patch("sys.stdin", io.StringIO(format_class_text(cls))), redirect_stdout(out), redirect_stderr(err):
+            code = main(["clique-from-tree", "-", "--tree", str(tree)])
+    finally:
+        clear_caches()
+    assert code in (0, 1, 2), (text, err.getvalue())
+    if code == 0:
+        assert out.getvalue().splitlines()[1] == f"size={1 << max_depth(parse_tree(text))}"
+    else:
+        assert err.getvalue().startswith(("error: ", "internal error: ")), err.getvalue()
 
 
 # sha256 of the stdout of each command at its default horizons: `cd`,

@@ -9,6 +9,7 @@ from cliquedim import (
     Clique,
     ConceptClass,
     DegenerateCliqueError,
+    InvalidParamsError,
     NotCompleteError,
     NotShatteredError,
     ResourceLimitError,
@@ -380,6 +381,13 @@ def test_tree_walks_keep_their_order_at_any_depth():
     paths = branches(deep)
     assert len(paths) == 3001
     assert paths[0] == [(0, 0)] * 3000 and paths[-1] == [(0, 1)]
+
+
+def test_parse_tree_takes_only_nonnegative_decimal_points():
+    assert parse_tree("n  7 # note\nl\nl\n") == MistakeNode(7, MistakeLeaf(), MistakeLeaf())
+    for line in ("n -1", "n x", "n 1 2", "n"):
+        with pytest.raises(InvalidParamsError, match="bad tree line"):
+            parse_tree(f"{line}\nl\nl\n")
 
 
 def test_tree_from_clique_leaves_carry_members():

@@ -249,3 +249,22 @@ def test_class_text_rejects_bad_width():
 def test_class_text_rejects_missing_header():
     with pytest.raises(InvalidParamsError):
         parse_class_text("01\n10\n")
+
+
+@st.composite
+def small_classes(draw):
+    n = draw(st.integers(0, 4))
+    return ConceptClass(n, draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), max_size=8)))
+
+
+@given(small_classes())
+def test_class_text_round_trips_random_classes(cls):
+    assert parse_class_text(format_class_text(cls)) == cls
+
+
+def test_zero_point_class_reads_only_its_one_empty_row():
+    assert parse_class_text("points 0\nhypotheses 1\n\n") == ConceptClass(0, [()])
+    assert parse_class_text("points 0\nhypotheses 0\n") == ConceptClass(0, [])
+    for count in (2, 3):
+        with pytest.raises(InvalidParamsError, match=f"declared {count} hypotheses, found 0 rows"):
+            parse_class_text(f"points 0\nhypotheses {count}\n")

@@ -7,10 +7,13 @@ re-exports, so its imports are exempt from the unused check.  No module may
 use an `assert` statement: `python -O` strips them, so a check that guards a
 result must raise instead.  Nor may it raise `AssertionError`: an internal
 check raises `InvariantError`, which the CLI reports as `internal error:`
-with exit code 1 instead of a traceback.
+with exit code 1 instead of a traceback.  The only third-party package a
+module may import is numpy: scipy alone once took most of `import cliquedim`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cliquedim"
@@ -38,6 +41,19 @@ def import_findings(path: Path) -> list:
         if name not in used:
             findings.append(f"{path.name}:{line} unused import {name}")
     return findings
+
+
+def third_party_imports(path: Path) -> set:
+    """Top-level names of the absolute imports that are neither the
+    standard library nor this package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+    return names - sys.stdlib_module_names - {"cliquedim"}
 
 
 def _raises_assertion_error(node) -> bool:
@@ -75,6 +91,32 @@ def test_lint_reports_both_kinds(tmp_path):
         "mod.py:2 private import _graph",
         "mod.py:1 unused import isqrt",
     ]
+
+
+def test_numpy_is_the_only_third_party_import():
+    found = set().union(*(third_party_imports(path) for path in SRC.glob("*.py")))
+    assert found == {"numpy"}
+
+
+def test_third_party_lint_sees_every_import_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os.path, numpy as np\n"
+        "from scipy.stats import beta\n"
+        "from . import graph\n"
+        "from .errors import InvariantError\n"
+        "def f():\n"
+        "    import sympy.core\n"
+    )
+    assert third_party_imports(mod) == {"numpy", "scipy", "sympy"}
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, cliquedim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_no_assert_statements():
