@@ -28,14 +28,15 @@ j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw bisects
 integer thresholds built once per call (values off that grid, as a
 `random.Random` subclass may return, are compared with the Fractions).
 
-The forced gamma-good check makes the same picks as a round-by-round loop
-of `rng.random(B)` calls.  Its uniforms come in blocks, and row i of a
-C-order `rng.random((k, B))` is the i-th successive `rng.random(B)`.  A run
-with c good patterns and uniform r takes the floor(r c)-th good one (from
-0), the first index whose prefix count s exceeds floor(r c); for an integer
-s, s > floor(x) exactly when s > x, so it compares s > r c and takes no
-floor.  The prefix counts come from a float matmul with an upper-triangular
-ones matrix, exact on integers this small.
+The forced gamma-good check settles a run once every gamma-good pattern
+at its weights is consistent with the whole dataset.  Such a pick agrees
+with every example, so it multiplies every expert's weight by the same
+exp(-eta); after renormalization the weights, and with them the good set,
+are unchanged in exact arithmetic.  By induction every later pick is
+consistent too, and each remaining round adds 1 to every example's count,
+so the run's final counts are its counts so far plus the rounds left.  A
+settled run never runs out of good patterns: its good set was checked
+nonempty when it settled and does not change.
 
 The Monte Carlo verifier gives trial i the stream of
 `np.random.default_rng(master_seed ^ i)` without building that generator:
@@ -155,10 +156,12 @@ class BoostConfig:
 
     @property
     def alpha(self) -> float:
-        """Exponent of the m^-alpha consistency bound."""
-        return (2 / float(self.gamma) ** 2) * math.log(
-            1 / float(self.epsilon - 2 * self.gamma)
-        )
+        """Exponent of the m^-alpha consistency bound; inf when gamma^2
+        underflows to 0.0, which `boost_config` allows only at m = 1."""
+        square = float(self.gamma) ** 2
+        if not square:
+            return math.inf
+        return (2 / square) * math.log(1 / float(self.epsilon - 2 * self.gamma))
 
 
 def boost_config(
@@ -181,7 +184,16 @@ def boost_config(
     if m == 1:
         t = 1
     else:
-        t = math.ceil(2 * math.log(m) / float(gamma) ** 2)
+        square = float(gamma) ** 2  # 0.0 once gamma^2 underflows
+        rounds = 2 * math.log(m) / square if square else math.inf
+        # the verifier's multinomial draws count the T rounds in an int64
+        if not rounds < 2.0**63:
+            # no value in the message: str() of a gamma this small may
+            # exceed Python's limit on integer digits
+            raise InvalidParamsError(
+                "gamma is too small: T = ceil(2 ln m / gamma^2) must be below 2^63 rounds"
+            )
+        t = math.ceil(rounds)
         if t % 2 == 0:
             t += 1
     return BoostConfig(mu=mu, m=m, gamma=gamma, T=t, eta=_hedge_rate(m, t))
@@ -426,7 +438,20 @@ def forced_gamma_good_check(
     the implication the theory says cannot fail.
 
     Each block of rounds takes its uniforms from one `rng.random((k, B))`
-    call, and every round writes into buffers allocated once.
+    call; row i of that C-order array is the i-th successive
+    `rng.random(B)`, so the picks are those of a round-by-round loop.  A run
+    with c good patterns and uniform r takes the floor(r c)-th good one
+    (from 0): the first index whose prefix count s exceeds floor(r c), and
+    for an integer s, s > floor(x) exactly when s > x.  The prefix counts
+    come from a float matmul with an upper-triangular ones matrix, exact on
+    integers this small.
+
+    After each block, a run whose last good set holds only consistent
+    labelings is settled (see the module docstring): it leaves the loop,
+    and its final counts are its counts so far plus the rounds left.  Later
+    blocks are still drawn for all B runs and keep the live runs' columns,
+    so every live run sees the uniforms, and makes the picks, it would have
+    without settling.  Drawing stops once no run is live.
     """
     if transcripts < 0:
         raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
@@ -436,6 +461,7 @@ def forced_gamma_good_check(
     rng = np.random.default_rng(seed)
     pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]
     agree = _example_losses(dataset, pats)  # (P, m): 1 where pattern agrees
+    inconsistent = (agree < 1).any(axis=1).astype(np.float64)
     n_pats = len(pats)
     t_rounds = config.T
     threshold = np.float64(0.5 + float(config.gamma) - 1e-12)  # loss 1-mass <= 1/2-gamma
@@ -449,9 +475,12 @@ def forced_gamma_good_check(
     pick = np.empty(transcripts, dtype=np.intp)
     least = np.full(transcripts, np.inf)  # fewest good patterns seen per run
     correct = np.zeros((transcripts, m))
+    live = np.arange(transcripts)  # each live run's column in a draw block
+    violations = 0
     per_block = max(1, _DRAW_BLOCK // max(transcripts, 1))
     for start in range(0, t_rounds, per_block):
-        for r in rng.random((min(per_block, t_rounds - start), transcripts)):
+        block = rng.random((min(per_block, t_rounds - start), transcripts))[:, live]
+        for r in block:
             # mass the pattern agrees with, per transcript x pattern
             np.matmul(w, agree.T, out=mass)
             np.greater_equal(mass, threshold, out=mass)
@@ -469,7 +498,19 @@ def forced_gamma_good_check(
             np.divide(w, total, out=w)
         if not least.all():  # some transcript had no good pattern
             raise InvariantError("no gamma-good labeling available")
-    violations = int((correct <= t_rounds / 2).any(axis=1).sum())
+        # a run whose last good set holds only consistent labelings is settled:
+        # every later round adds 1 to each of its examples' counts
+        settled = mass @ inconsistent == 0
+        if settled.any():
+            left = t_rounds - start - len(block)
+            violations += int((correct[settled] + left <= t_rounds / 2).any(axis=1).sum())
+            keep = ~settled
+            live, w, least, correct = live[keep], w[keep], least[keep], correct[keep]
+            n = len(live)  # the first n rows of each buffer serve the live runs
+            if not n:
+                break
+            total, mass, seen, above, pick = total[:n], mass[:n], seen[:n], above[:n], pick[:n]
+    violations += int((correct <= t_rounds / 2).any(axis=1).sum())
     return violations, transcripts
 
 

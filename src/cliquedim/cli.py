@@ -212,6 +212,8 @@ def _cmd_clique_from_tree(args):
         tree = parse_tree(fh.read())
     depth = max_depth(tree)
     # the tree's depth picks m, so reject a malformed tree before building G_m
+    if depth < 1:
+        raise InvalidParamsError("tree has depth 0: it must query at least one point")
     if not is_complete(tree, depth):
         raise NotCompleteError(f"tree is not complete at depth m={depth}")
     g = cached_graph(cls, depth, caps)

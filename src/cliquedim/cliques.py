@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from .concepts import Dataset
 from .errors import (
+    ContradictoryDatasetError,
     DegenerateCliqueError,
     InvariantError,
     NotCompleteError,
@@ -368,7 +369,7 @@ def clique_from_tree(g: ContradictionGraph, tree: MistakeTree) -> Clique:
     for path in branches(tree):
         try:
             ds = Dataset(path)
-        except Exception as exc:
+        except ContradictoryDatasetError as exc:
             raise NotShatteredError(
                 f"branch {path} repeats a point with both labels"
             ) from exc

@@ -22,6 +22,7 @@ from cliquedim import (
     NoSeparationError,
     NotRealizableDistributionError,
     boost_config,
+    build_graph,
     draw_patterns,
     forced_gamma_good_check,
     generate,
@@ -189,6 +190,9 @@ def test_boost_config_m1_degenerates_cleanly():
     cfg = boost_config(ANCHOR, m0=2, m=1)
     assert cfg.T == 1
     assert cfg.eta == 0.0
+    # one round needs no gamma^2; one that underflows leaves alpha unbounded
+    cfg = boost_config(ANCHOR, m0=2, m=1, gamma=F(1, 10**162))
+    assert (cfg.T, cfg.alpha) == (1, math.inf)
 
 
 def test_boost_config_rejects_bad_gamma():
@@ -200,6 +204,10 @@ def test_boost_config_rejects_bad_gamma():
         boost_config(ANCHOR, m0=2, m=0)
     with pytest.raises(InvalidParamsError, match="^m0 must be >= 1, got 0$"):
         boost_config(ANCHOR, m0=0, m=3)
+    # T = ceil(2 ln 3 / gamma^2) must be below 2^63: about 2.2e20 is not
+    with pytest.raises(InvalidParamsError, match="^gamma is too small"):
+        boost_config(ANCHOR, m0=2, m=3, gamma=F(1, 10**10))
+    assert boost_config(ANCHOR, m0=2, m=3, gamma=F(1, 10**9)).T == 2197224577336219393
 
 
 def test_sample_boosted_is_deterministic():
@@ -439,6 +447,42 @@ def test_forced_check_equals_the_loop_on_random_datasets(run, transcripts, seed)
     cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=gamma, T=rounds)
     got = forced_gamma_good_check(dataset, universe, cfg, transcripts, seed)
     assert got == reference_forced_violations(dataset, universe, cfg, transcripts, seed)
+
+
+def test_settled_runs_equal_the_loop_at_the_configured_rounds():
+    # 250 runs take blocks of 8 rounds: at seed 1 every run on a constant-label
+    # vertex settles after the first block, and on the others after blocks 2-5
+    cfg = boost_config(ANCHOR, m0=2, m=3)
+    g = build_graph(ANCHOR, 3)
+    assert cfg.T == 563 and g.num_vertices == 8
+    for ds in g.vertices:
+        got = forced_gamma_good_check(ds, 2, cfg, 250, seed=1)
+        assert got == reference_forced_violations(ds, 2, cfg, 250, seed=1) == (0, 250)
+
+
+def test_unsettled_runs_equal_the_loop():
+    # on this vertex the good set always holds inconsistent labelings, so none
+    # of the 100 runs settles in the 16 blocks
+    cfg = dataclasses.replace(boost_config(generate("paper_example_sec6"), m0=4, m=4), T=301)
+    ds = Dataset([(0, 1), (1, 0), (2, 1), (3, 0)])
+    got = forced_gamma_good_check(ds, 4, cfg, 100, seed=1)
+    assert got == reference_forced_violations(ds, 4, cfg, 100, seed=1)
+
+
+def test_runs_settling_partway_equal_the_loop():
+    # 300 runs take blocks of 6 rounds: 18 runs settle after round 24 and 101
+    # after round 30, 181 are still live at round 31, and 156 runs violate
+    cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=F(1, 32), T=31)
+    ds = Dataset([(1, 0), (2, 1), (2, 1), (2, 1)])
+    got = forced_gamma_good_check(ds, 4, cfg, 300, seed=78)
+    assert got == reference_forced_violations(ds, 4, cfg, 300, seed=78) == (156, 300)
+
+
+def test_forced_check_raises_when_no_labeling_is_gamma_good():
+    # gamma = 3/4 asks for mass >= 5/4, which no labeling has
+    cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=F(3, 4))
+    with pytest.raises(InvariantError, match="^no gamma-good labeling available$"):
+        forced_gamma_good_check(Dataset([(0, 0), (1, 0)]), 2, cfg, 4, seed=0)
 
 
 def test_boosting_rejects_negative_counts_and_seeds():

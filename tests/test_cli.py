@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliquedim import (
     ConceptClass,
@@ -416,6 +416,21 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "boost", path, "--seed", "-1", "--trials", "10")
     assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
 
+    # input error: a margin so small that T is no finite 64-bit count (1e-400
+    # squares to 0.0, 1e-160 gives an infinite quotient, and 1e-5000 has more
+    # digits than str() of an int may print)
+    for gamma in ("1e-400", "1e-160", "1e-5000"):
+        code, _, err = run(capsys, "boost", path, "--gamma", gamma, "--trials", "10")
+        assert (code, err) == (
+            2, "error: gamma is too small: T = ceil(2 ln m / gamma^2) must be below 2^63 rounds\n"
+        ), gamma
+
+    # input error: the one-leaf tree has depth 0, and no G_0 exists
+    leaf = tmp_path / "leaf.tree"
+    leaf.write_text("l\n")
+    code, _, err = run(capsys, "clique-from-tree", path, "--tree", str(leaf))
+    assert (code, err) == (2, "error: tree has depth 0: it must query at least one point\n")
+
     # deep input: a tree file nested 3000 deep is an input error, not a crash
     tiny = tmp_path / "tiny.txt"
     tiny.write_text("points 1\nhypotheses 2\n0\n1\n")
@@ -539,6 +554,54 @@ def test_exit_code_contract_holds_on_corrupted_tree_text(tmp_path_factory, case)
         assert out.getvalue().splitlines()[1] == f"size={1 << max_depth(parse_tree(text))}"
     else:
         assert err.getvalue().startswith(("error: ", "internal error: ")), err.getvalue()
+
+
+# `boost --gamma` texts by kind; --shadow replays T rounds in exact
+# rationals, so it rides only along margins with a small T or none at all
+BOOST_GAMMAS = {
+    "default": st.just(None),
+    "malformed": st.text(alphabet="0123456789/.-+e x", max_size=6),
+    "zero": st.sampled_from(("0", "-0", "0/7", "0.0")),
+    # epsilon <= 7/16 on both classes; 1/8 is epsilon/2 of disjoint_pairs(2) at m0 = 2
+    "wide": st.sampled_from(("1/8", "1/4", "1/2", "3", "-1/16")),
+    "tiny": st.integers(1, 500).map(lambda k: f"1e-{k}"),
+}
+
+
+@st.composite
+def boost_flags(draw):
+    kind = draw(st.sampled_from(sorted(BOOST_GAMMAS)))
+    gamma = draw(BOOST_GAMMAS[kind])
+    argv = ["--m", str(draw(st.integers(-1, 5))), "--trials", str(draw(st.integers(-1, 50)))]
+    m0 = draw(st.one_of(st.none(), st.integers(-1, 4)))
+    if m0 is not None:
+        argv.append(f"--m0={m0}")
+    if gamma is not None:
+        argv.append(f"--gamma={gamma}")
+    if kind in ("default", "zero", "wide") and draw(st.booleans()):
+        argv.append("--shadow")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from((("disjoint_pairs", 2), ("thresholds", 3))), flags=boost_flags())
+# T = 1 takes any gamma, and the header's alpha must survive gamma^2 = 0.0
+@example(family=("disjoint_pairs", 2), flags=["--m", "1", "--trials", "0", "--gamma=1e-162"])
+def test_exit_code_contract_holds_on_fuzzed_boost_flags(family, flags):
+    argv = ["boost", "-"] + flags
+    out, err = io.StringIO(), io.StringIO()
+    text = format_class_text(generate(family[0], universe=family[1]))
+    try:
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        clear_caches()
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 1:
+        assert any(l.startswith("S=") and l.endswith(" FAIL") for l in out.getvalue().splitlines()), (
+            argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 # sha256 of the stdout of each command at its default horizons: `cd`,

@@ -433,8 +433,15 @@ def test_clique_from_tree_rejects_repeated_point():
         MistakeNode(0, MistakeLeaf(), MistakeLeaf()),
         MistakeNode(1, MistakeLeaf(), MistakeLeaf()),
     )
-    with pytest.raises(NotShatteredError):
+    with pytest.raises(NotShatteredError, match=r"^branch \[\(0, 0\), \(0, 1\)\] repeats a point"):
         clique_from_tree(g, tree)
+
+
+def test_clique_from_tree_names_a_negative_point():
+    # a negative point is its own error, not a repeat
+    g = build_graph(generate("disjoint_pairs", universe=2), 1)
+    with pytest.raises(InvalidParamsError, match="^negative point index -1$"):
+        clique_from_tree(g, MistakeNode(-1, MistakeLeaf(), MistakeLeaf()))
 
 
 def test_clique_from_tree_rejects_unrealizable_branch():
