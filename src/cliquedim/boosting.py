@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,9 +178,11 @@ def boost_config(
     if gamma is None:
         gamma = mu.epsilon / 4
     gamma = Fraction(gamma)
+    shown = _printed(gamma)
     if not 0 < gamma < mu.epsilon / 2:
         raise InvalidParamsError(
-            f"gamma must lie in (0, epsilon/2) = (0, {mu.epsilon / 2}); got {gamma}"
+            f"gamma must lie in (0, epsilon/2) = (0, {mu.epsilon / 2}); "
+            f"got {shown or 'a value too long to print'}"
         )
     if m == 1:
         t = 1
@@ -196,7 +199,22 @@ def boost_config(
         t = math.ceil(rounds)
         if t % 2 == 0:
             t += 1
+    if shown is None:
+        # the report prints gamma
+        raise InvalidParamsError(
+            f"gamma must lie in (0, epsilon/2) = (0, {mu.epsilon / 2}) with a numerator "
+            f"and denominator of at most {sys.get_int_max_str_digits()} digits"
+        )
     return BoostConfig(mu=mu, m=m, gamma=gamma, T=t, eta=_hedge_rate(m, t))
+
+
+def _printed(value: Fraction) -> Optional[str]:
+    """str(value), or None where it would exceed Python's limit on the
+    digits of an integer."""
+    try:
+        return str(value)
+    except ValueError:
+        return None
 
 
 def _hedge_rate(m: int, t_rounds: int) -> float:

@@ -13,12 +13,15 @@ constraints.  The dual optimum is a fractional coloring by the same sets;
 finite LP strong duality makes the two optima coincide exactly, so every
 solve can hand back a matched clique/coloring certificate pair.
 
-All arithmetic is Fractions; certificates are revalidated against the full
-maximal family before being returned.
+All values are exact rationals.  Certificates are revalidated against the
+full maximal family before being returned, with each side's weights scaled
+once to integers over the lcm of their denominators, so every constraint
+sum is an exact integer sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +36,8 @@ def frac_str(f: Fraction) -> str:
 
 def parse_frac(text: str) -> Fraction:
     num, den = text.split("/")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den))
 
 
@@ -73,38 +78,51 @@ def _check_packing(g: ContradictionGraph, fc: FractionalClique, family) -> None:
             raise ValueError(f"weight on unknown vertex {v}")
         if w < 0:
             raise ValueError(f"negative weight on vertex {v}")
-    if sum(fc.weights.values(), Fraction(0)) != fc.size:
+    scale, scaled = _common_denominator(fc.weights)
+    size_num, size_den = fc.size.as_integer_ratio()
+    if sum(scaled.values()) * size_den != size_num * scale:
         raise ValueError("declared size differs from the weight total")
     fam = family()
     for pattern, mask in zip(fam.patterns, fam.masks):
-        total = sum(w for v, w in fc.weights.items() if (mask >> v) & 1)
-        if total > 1:
+        total = sum(w for v, w in scaled.items() if (mask >> v) & 1)
+        if total > scale:
             raise ValueError(
-                f"packing constraint violated on V_h for h={pattern}: {total} > 1"
+                f"packing constraint violated on V_h for h={pattern}: "
+                f"{Fraction(total, scale)} > 1"
             )
 
 
 def validate_cover(g: ContradictionGraph, col: FractionalColoring) -> None:
     """Every vertex must be covered with total weight >= 1 by the consistent
-    patterns; exact arithmetic."""
-    masks = []
+    full 0/1 labelings; exact arithmetic."""
     for pattern, w in col.weights.items():
         if w < 0:
             raise ValueError(f"negative weight on pattern {pattern}")
         if len(pattern) != g.cls.universe_size:
             raise ValueError(f"pattern {pattern} has wrong length")
-        masks.append((pattern_to_mask(pattern), w))
-    if sum(col.weights.values(), Fraction(0)) != col.colors:
+        if any(b not in (0, 1) for b in pattern):
+            raise ValueError(f"pattern {pattern} has an entry other than 0 or 1")
+    scale, scaled = _common_denominator(col.weights)
+    colors_num, colors_den = col.colors.as_integer_ratio()
+    if sum(scaled.values()) * colors_den != colors_num * scale:
         raise ValueError("declared color total differs from the weight total")
+    masks = [(pattern_to_mask(pattern), w) for pattern, w in scaled.items()]
     for v in range(g.num_vertices):
-        total = sum(
-            w for hm, w in masks if (g.ones[v] & ~hm) == 0 and (g.zeros[v] & hm) == 0
-        )
-        if total < 1:
+        ones, zeros = g.ones[v], g.zeros[v]
+        total = sum(w for hm, w in masks if (ones & ~hm) == 0 and (zeros & hm) == 0)
+        if total < scale:
             raise ValueError(
                 f"cover constraint violated at vertex {v} "
-                f"({g.vertices[v].render()}): {total} < 1"
+                f"({g.vertices[v].render()}): {Fraction(total, scale)} < 1"
             )
+
+
+def _common_denominator(weights: dict) -> tuple:
+    """(L, {key: w * L}) with L the lcm of the weights' denominators, so
+    the weight sums are exact integer sums over the one denominator L."""
+    ratios = {k: w.as_integer_ratio() for k, w in weights.items()}
+    scale = math.lcm(*(den for _, den in ratios.values()))
+    return scale, {k: num * (scale // den) for k, (num, den) in ratios.items()}
 
 
 def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCertificate:
@@ -202,20 +220,24 @@ def parse_certificate(text: str) -> DualityCertificate:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("value "):
-            value = parse_frac(line.split()[1])
-        elif line == "primal":
-            section = "primal"
-        elif line == "dual":
-            section = "dual"
-        elif section == "primal":
-            vs, ws = line.split()
-            primal[int(vs)] = parse_frac(ws)
-        elif section == "dual":
-            hs, ws = line.split()
-            dual[tuple(int(c) for c in hs)] = parse_frac(ws)
-        else:
+        if line in ("primal", "dual"):
+            section = line
+            continue
+        if not (line.startswith("value ") or section):
             raise ValueError(f"unexpected certificate line: {line!r}")
+        try:
+            if line.startswith("value "):
+                value = parse_frac(line.split()[1])
+            elif section == "primal":
+                vs, ws = line.split()
+                primal[int(vs)] = parse_frac(ws)
+            else:
+                hs, ws = line.split()
+                if set(hs) - {"0", "1"}:
+                    raise ValueError(f"pattern {hs!r} is not a string of 0s and 1s")
+                dual[tuple(int(c) for c in hs)] = parse_frac(ws)
+        except ValueError as exc:
+            raise ValueError(f"bad certificate line {line!r}: {exc}") from None
     if value is None:
         raise ValueError("certificate missing value line")
     return DualityCertificate(

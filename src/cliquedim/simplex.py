@@ -18,6 +18,14 @@ ratio test compares b_i / a_i by cross-multiplying, which picks the same row
 under the same tie-break.  The pivot sequence, the final basis and hence the
 returned (value, x, y) are exactly those of the rational tableau.
 
+The whole tableau, objective row last, is one numpy array, and a pivot is
+one vectorised update.  While every entry M satisfies |M| < 2^31 the array
+is int64: then |T[i]*p - T[i][e]*T[r]| <= 2 * (2^31 - 1)^2 < 2^63, so no
+intermediate overflows.  An explicit check before each pivot switches the
+array to dtype=object (Python integers) once an entry reaches 2^31, and the
+same expression keeps running.  Either way every entry is the same integer,
+so the dtype changes no pivot.
+
 The result is checked explicitly before it is returned (x, y >= 0 and
 sum(x) == value == sum(y)), with InvariantError on failure, so the checks
 also run under `python -O`.  The packing LPs this package builds are always
@@ -29,38 +37,59 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InfeasibleModelError, InvariantError
 
+# Entries below this bound in absolute value keep a pivot's products and
+# differences inside int64 (see the module docstring).
+INT64_ENTRY_LIMIT = 1 << 31
 
-def _bland(n, rows):
-    """Integer Bland simplex on max sum(x) s.t. rows.x <= 1, x >= 0, with
-    `rows` 0/1 lists of length n.  Returns (value, x, y) as Fractions."""
-    m = len(rows)
-    width = n + m + 1
-    tab = []
-    for i in range(m):
-        row = list(rows[i]) + [0] * m + [1]
-        row[n + i] = 1
-        tab.append(row)
-    obj = [1] * n + [0] * (m + 1)
-    basis = [n + i for i in range(m)]
+
+def _tableau(n, row_masks):
+    """[A | I | 1] over the objective row [1 ... 1 | 0 ... 0 | 0], as int64."""
+    m = len(row_masks)
+    tab = np.zeros((m + 1, n + m + 1), dtype=np.int64)
+    full, nbytes = (1 << n) - 1, (n + 7) // 8
+    raw = b"".join((mask & full).to_bytes(nbytes, "little") for mask in row_masks)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
+    tab[:m, :n] = np.unpackbits(bits, axis=1, count=n, bitorder="little")
+    tab[np.arange(m), n + np.arange(m)] = 1
+    tab[:m, -1] = 1
+    tab[m, :n] = 1
+    return tab
+
+
+def _widened(tab):
+    """`tab` itself, or a dtype=object copy once an entry of the int64 array
+    reaches INT64_ENTRY_LIMIT in absolute value."""
+    if tab.dtype != object and (tab.max() >= INT64_ENTRY_LIMIT or tab.min() <= -INT64_ENTRY_LIMIT):
+        return tab.astype(object)
+    return tab
+
+
+def _bland(n, row_masks):
+    """Integer Bland simplex on max sum(x) s.t. rows.x <= 1, x >= 0.
+    Returns (den, value, x, y) as Python integers over the common
+    denominator den > 0."""
+    m = len(row_masks)
+    tab = _tableau(n, row_masks)
+    obj = tab[m]
+    basis = list(range(n, n + m))
     den = 1
 
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
+        positive = np.flatnonzero(obj[:-1] > 0)
+        if not positive.size:
             break
+        enter = int(positive[0])
         # min b_i / a_i over a_i > 0, compared as b_i * a_best < b_best * a_i
+        col, rhs_col = tab[:m, enter].tolist(), tab[:m, -1].tolist()
         leave = -1
         best_b = best_a = 0
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(col):
             if a > 0:
-                bi = tab[i][-1]
+                bi = rhs_col[i]
                 if leave < 0:
                     better = True
                 else:
@@ -70,35 +99,32 @@ def _bland(n, rows):
                     leave, best_b, best_a = i, bi, a
         if leave < 0:
             raise InfeasibleModelError("LP is unbounded")
-        piv = tab[leave]
-        p = piv[enter]
-        for i in range(m):
-            if i != leave:
-                tab[i] = _eliminate(tab[i], piv, p, den, enter)
-        obj = _eliminate(obj, piv, p, den, enter)
+        tab = _widened(tab)
+        obj = tab[m]
+        piv = tab[leave].copy()
+        p = best_a
+        factors = tab[:, enter].copy()
+        tab *= p
+        tab -= np.outer(factors, piv)
+        tab //= den
+        tab[leave] = piv
         den = p
         basis[leave] = enter
 
-    x = [Fraction(0)] * n
+    rhs_col = tab[:m, -1].tolist()
+    x = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][-1], den)
-    y = [Fraction(-obj[n + i], den) for i in range(m)]
-    return Fraction(-obj[-1], den), x, y
+            x[basis[i]] = rhs_col[i]
+    y = [-v for v in obj[n:n + m].tolist()]
+    return den, -int(obj[-1]), x, y
 
 
-def _eliminate(row, piv, p, den, enter):
-    """One fraction-free row update: (row*p - row[enter]*piv) // den."""
-    f = row[enter]
-    if f:
-        return [(a * p - f * q) // den for a, q in zip(row, piv)]
-    if p == den:
-        return row
-    return [a * p // den for a in row]
-
-
-def _check_optimal(value, x, y) -> None:
-    """Nonnegativity, primal objective and strong duality, exactly."""
+def _check_optimal(den, value, x, y) -> None:
+    """Nonnegativity, primal objective and strong duality, exactly, on the
+    integer numerators over the common denominator den."""
+    if den <= 0:
+        raise InvariantError("simplex tableau denominator is not positive")
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         raise InvariantError("simplex returned a negative primal or dual entry")
     if sum(x) != value:
@@ -110,9 +136,13 @@ def _check_optimal(value, x, y) -> None:
 def solve_packing_lp(n_vars: int, row_masks):
     """max sum(x) s.t. sum_{j in mask} x_j <= 1 per mask, x >= 0.
 
-    Returns (value, primal, dual) with dual parallel to row_masks.
+    Returns (value, primal, dual) as Fractions, with dual parallel to
+    row_masks.
     """
-    rows = [[(mask >> j) & 1 for j in range(n_vars)] for mask in row_masks]
-    value, x, y = _bland(n_vars, rows)
-    _check_optimal(value, x, y)
-    return value, x, y
+    den, value, x, y = _bland(n_vars, row_masks)
+    _check_optimal(den, value, x, y)
+    return (
+        Fraction(value, den),
+        [Fraction(v, den) for v in x],
+        [Fraction(v, den) for v in y],
+    )

@@ -210,6 +210,24 @@ def test_boost_config_rejects_bad_gamma():
     assert boost_config(ANCHOR, m0=2, m=3, gamma=F(1, 10**9)).T == 2197224577336219393
 
 
+def test_boost_config_refuses_gamma_too_long_to_print():
+    # the report prints gamma with str(), which Python refuses past its
+    # limit on integer digits; the range error names the range instead
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidParamsError) as exc:
+        boost_config(ANCHOR, m0=2, m=3, gamma=F(9 * 10**digits))
+    assert str(exc.value) == "gamma must lie in (0, epsilon/2) = (0, 1/8); got a value too long to print"
+    for m in (1, 3):
+        with pytest.raises(InvalidParamsError) as exc:
+            boost_config(ANCHOR, m0=2, m=m, gamma=F(1, 100) + F(1, 10**digits))
+        assert str(exc.value) == (
+            f"gamma must lie in (0, epsilon/2) = (0, 1/8) with a numerator "
+            f"and denominator of at most {digits} digits"
+        )
+    # one digit fewer still prints
+    assert boost_config(ANCHOR, m0=2, m=3, gamma=F(1, 100) + F(1, 10 ** (digits - 1))).T == 21973
+
+
 def test_sample_boosted_is_deterministic():
     cfg = boost_config(ANCHOR, m0=2, m=3)
     assert sample_boosted(cfg, seed=5) == sample_boosted(cfg, seed=5)

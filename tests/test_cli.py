@@ -425,6 +425,13 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
             2, "error: gamma is too small: T = ceil(2 ln m / gamma^2) must be below 2^63 rounds\n"
         ), gamma
 
+    # input error: a margin too long for str() to print is refused before
+    # any draw, by its range alone
+    code, _, err = run(capsys, "boost", path, "--gamma", "9e9999", "--trials", "10")
+    assert (code, err) == (
+        2, "error: gamma must lie in (0, epsilon/2) = (0, 1/32); got a value too long to print\n"
+    )
+
     # input error: the one-leaf tree has depth 0, and no G_0 exists
     leaf = tmp_path / "leaf.tree"
     leaf.write_text("l\n")

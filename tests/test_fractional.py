@@ -128,6 +128,44 @@ def test_validate_cover_rejects_uncovered_vertex():
         validate_cover(g, bad)
 
 
+def test_validate_cover_rejects_entries_other_than_0_or_1():
+    # pattern_to_mask((2, 0)) is 2, the mask of (0, 1): without the entry
+    # check this total-2 "coloring" of G_1 of thresholds(2) passed
+    g = build_graph(generate("thresholds", universe=2), 1)
+    bad = FractionalColoring(weights={(2, 0): F(1), (1, 0): F(1)}, colors=F(2))
+    with pytest.raises(ValueError, match=r"^pattern \(2, 0\) has an entry other than 0 or 1$"):
+        validate_cover(g, bad)
+
+
+def test_certificate_errors_show_the_exact_shortfall():
+    g = build_graph(generate("full", universe=2), 1)
+    half = FractionalColoring(weights={(0, 0): F(1, 2), (1, 1): F(1, 3)}, colors=F(5, 6))
+    with pytest.raises(ValueError, match=r"^cover constraint violated at vertex 0 \(.*\): 1/2 < 1$"):
+        validate_cover(g, half)
+    over = FractionalClique(weights={0: F(2, 3), 2: F(2, 3)}, size=F(4, 3))
+    with pytest.raises(ValueError, match=r"^packing constraint violated on V_h for h=.*: 4/3 > 1$"):
+        validate_packing(g, over)
+    with pytest.raises(ValueError, match="^declared size differs"):
+        validate_packing(g, FractionalClique(weights={0: F(1, 3)}, size=F(1, 2)))
+    with pytest.raises(ValueError, match="^declared color total differs"):
+        validate_cover(g, FractionalColoring(weights={(0, 0): F(1, 3)}, colors=F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("value 1/0\n", "value 1/0"),
+        ("value 1/1\nprimal\n0 1/0\n", "0 1/0"),
+        ("value 1/1\ndual\n01 1/0\n", "01 1/0"),
+        ("value 1/1\ndual\n12 1/1\n", "12 1/1"),
+        ("value 1/1\nprimal\n0 1/2 3\n", "0 1/2 3"),
+    ],
+)
+def test_parse_certificate_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"^bad certificate line {line!r}: "):
+        parse_certificate(text)
+
+
 def test_anchor_certificate_structure():
     g = build_graph(generate("disjoint_pairs", universe=2), 2)
     cert = omega_star(g)

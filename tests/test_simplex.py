@@ -5,14 +5,18 @@ import hashlib
 import io
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cliquedim import format_class_text
+import cliquedim.simplex as simplex
+from cliquedim import build_graph, format_class_text, generate
 from cliquedim.cli import corpus, main
 from cliquedim.errors import InfeasibleModelError
+from cliquedim.graph import independent_sets
 from cliquedim.simplex import solve_packing_lp
 
 F = Fraction
@@ -90,7 +94,7 @@ def test_packing_against_basis_enumeration():
 
 @st.composite
 def packing_lps(draw):
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 16))
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=9))
     covered = 0
     for vm in masks:
@@ -106,6 +110,53 @@ def packing_lps(draw):
 def test_packing_lp_matches_fraction_tableau(lp):
     n, masks = lp
     assert solve_packing_lp(n, masks) == oracles.reference_simplex(n, masks)
+
+
+# ─── int64 tableau: promotion to Python integers ────────────────────────────
+
+
+def widened_dtypes(monkeypatch, limit):
+    """Set the int64 entry limit to `limit` and record the dtype of the
+    tableau each pivot runs on."""
+    dtypes = []
+    widened = simplex._widened
+
+    def recording(tab):
+        tab = widened(tab)
+        dtypes.append(tab.dtype)
+        return tab
+
+    monkeypatch.setattr(simplex, "INT64_ENTRY_LIMIT", limit)
+    monkeypatch.setattr(simplex, "_widened", recording)
+    return dtypes
+
+
+@settings(max_examples=150, deadline=None)
+@given(packing_lps(), st.integers(2, 4))
+def test_promotion_mid_solve_keeps_the_pivot_path(lp, limit):
+    # a limit this low switches the tableau to Python integers mid-solve,
+    # before the first pivot that runs on an entry of at least `limit`
+    n, masks = lp
+    with mock.patch.object(simplex, "INT64_ENTRY_LIMIT", limit):
+        assert solve_packing_lp(n, masks) == oracles.reference_simplex(n, masks)
+
+
+def test_lp_crossing_the_limit_ends_on_python_integers(monkeypatch):
+    g = build_graph(generate("thresholds", universe=4), 3)
+    masks = list(independent_sets(g, maximal_only=True).masks)
+    expected = oracles.reference_simplex(g.num_vertices, masks)
+    dtypes = widened_dtypes(monkeypatch, 4)
+    assert solve_packing_lp(g.num_vertices, masks) == expected
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+def test_default_limit_keeps_entries_int64(monkeypatch):
+    # |a*p - f*q| <= 2 * (limit - 1)^2 must stay below 2^63
+    assert 2 * (simplex.INT64_ENTRY_LIMIT - 1) ** 2 < 1 << 63
+    dtypes = widened_dtypes(monkeypatch, simplex.INT64_ENTRY_LIMIT)
+    g = build_graph(generate("thresholds", universe=4), 3)
+    solve_packing_lp(g.num_vertices, list(independent_sets(g, maximal_only=True).masks))
+    assert dtypes and all(dt == np.int64 for dt in dtypes)
 
 
 # sha256 of `omega-star --verbose` stdout, m = 1..3 over the 20 corpus
