@@ -73,7 +73,14 @@ from .errors import (
     NoSeparationError,
     NotRealizableDistributionError,
 )
-from .dimensions import LN2_HI, LN2_LO, cached_graph, cached_omega_star
+from .dimensions import (
+    LN2_HI,
+    LN2_LO,
+    THETAS,
+    cached_graph,
+    cached_omega_star,
+    cached_small_pop_table,
+)
 from .fractional import coloring_to_distribution
 from .graph import Caps, DEFAULT_CAPS
 
@@ -864,9 +871,6 @@ def format_boost_report(report: BoostVerifyReport) -> str:
 # ─── realizable-distribution quantile check ──────────────────────────────
 
 
-THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-
-
 def small_pop_err_check(
     cls: ConceptClass, m: int, dist: dict, caps: Caps = DEFAULT_CAPS
 ) -> list:
@@ -875,36 +879,44 @@ def small_pop_err_check(
 
         Pr_{h~mu*}[loss_D(h) <= theta] >= 1/omega*_m - (1-theta)^m
 
-    for each theta in THETAS.  Returns [(theta, probability, bound, passed)].
-    The certificate comes from `cached_omega_star`, so sweeps over many
-    distributions solve the LP once.
+    for each theta in THETAS.  Returns [(theta, probability, bound, passed)]
+    in Fractions.  mu* and the four bounds come from
+    `cached_small_pop_table`, one integer table per certificate, so sweeps
+    over many distributions solve the LP and normalize mu* once.  Each call
+    scales D's weights to integers over their least common denominator and
+    compares every pattern's loss with theta in integers.
     """
     total = sum(dist.values(), Fraction(0))
     if total != 1:
         raise InvalidParamsError(f"distribution weights sum to {total}, not 1")
+    ones = zeros = 0
     for (p, l), w in dist.items():
         if w < 0 or l not in (0, 1) or not 0 <= p < cls.universe_size:
             raise InvalidParamsError(f"bad distribution entry {(p, l)}: {w}")
-    support = [(p, l) for (p, l), w in dist.items() if w > 0]
-    realizable = any(
-        all(row[p] == l for p, l in support) for row in cls.hypotheses
-    )
-    if not realizable:
+        if w > 0:
+            if l:
+                ones |= 1 << p
+            else:
+                zeros |= 1 << p
+    if not any(ones & ~r == 0 and zeros & r == 0 for r in cls.row_masks):
         raise NotRealizableDistributionError(
             "no hypothesis has zero loss on the distribution"
         )
-    cert = cached_omega_star(cls, m, caps)
-    mu = coloring_to_distribution(cert.coloring)
-    losses = {}
-    for h, w in mu.items():
-        loss = sum(
-            dw for (p, l), dw in dist.items() if h[p] != l
-        )
-        losses[h] = Fraction(loss)
+    table = cached_small_pop_table(cls, m, caps)
+    support = [(p, l, Fraction(w)) for (p, l), w in dist.items() if w > 0]
+    scale = math.lcm(*(w.denominator for _, _, w in support))
+    entries = [(p, l, w.numerator * (scale // w.denominator)) for p, l, w in support]
+    # loss_D(h) * scale, one integer per pattern of mu*
+    losses = [
+        sum(a for p, l, a in entries if (hm >> p) & 1 != l) for hm in table.masks
+    ]
     out = []
-    for theta in THETAS:
-        prob = sum((w for h, w in mu.items() if losses[h] <= theta), Fraction(0))
-        bound = Fraction(1) / cert.value - (1 - theta) ** m
+    for theta, bound in zip(THETAS, table.bounds):
+        cut = theta.numerator * scale
+        mass = sum(
+            n for loss, n in zip(losses, table.weights) if loss * theta.denominator <= cut
+        )
+        prob = Fraction(mass, table.denominator)
         out.append((theta, prob, bound, prob >= bound))
     return out
 

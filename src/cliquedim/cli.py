@@ -226,13 +226,28 @@ def _cmd_clique_from_tree(args):
     return 0, "\n".join(lines) + "\n"
 
 
+def _parse_gamma(text):
+    """The --gamma text as an exact Fraction, None when the flag is absent.
+    Any other text that is not a fraction num/den or a decimal Python can
+    read, the empty text included, is an input error naming the flag."""
+    if text is None:
+        return None
+    shown = repr(text) if len(text) <= 40 else f"a value of {len(text)} characters"
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidParamsError(f"--gamma {shown} has a zero denominator") from None
+    except ValueError:
+        raise InvalidParamsError(
+            "--gamma must be a fraction such as 1/16 or a decimal such as 0.0625 "
+            f"of at most {sys.get_int_max_str_digits()} digits; got {shown}"
+        ) from None
+
+
 def _cmd_boost(args):
     cls = _load_class(args.cls)
     caps = _caps(args)
-    try:
-        gamma = Fraction(args.gamma) if args.gamma else None
-    except ZeroDivisionError:
-        raise InvalidParamsError(f"gamma {args.gamma} has a zero denominator") from None
+    gamma = _parse_gamma(args.gamma)
     m0 = args.m0 if args.m0 is not None else smallest_separating_m0(cls, caps)
     try:
         config = boost_config(cls, m0, args.m, gamma, caps)

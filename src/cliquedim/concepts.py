@@ -64,6 +64,28 @@ class Dataset:
         self.ones_mask = ones
         self.zeros_mask = zeros
 
+    @classmethod
+    def from_canonical(cls, examples: tuple, ones_mask: int, zeros_mask: int) -> "Dataset":
+        """A dataset from parts that are already canonical, for builders that
+        enumerate datasets in order and must not pay for `Dataset(...)` again.
+
+        Contract: `examples` is a tuple of `LabeledExample`s sorted by
+        (point, label) with points >= 0 and labels 0 or 1, and `ones_mask` /
+        `zeros_mask` have bit p set iff some example is (p, 1) / (p, 0).
+        The result then equals `Dataset(examples)` in value, hash and masks.
+        The contract is the caller's to keep; the one check made is the O(1)
+        conflict test, which raises ContradictoryDatasetError as the full
+        constructor would.
+        """
+        conflict = ones_mask & zeros_mask
+        if conflict:
+            raise ContradictoryDatasetError((conflict & -conflict).bit_length() - 1)
+        ds = object.__new__(cls)
+        ds.examples = examples
+        ds.ones_mask = ones_mask
+        ds.zeros_mask = zeros_mask
+        return ds
+
     def __len__(self) -> int:
         return len(self.examples)
 

@@ -48,15 +48,16 @@ one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_clique
-from .concepts import ConceptClass
+from .concepts import ConceptClass, pattern_to_mask
 from .errors import InvariantError, ResourceLimitError
-from .fractional import omega_star
+from .fractional import DualityCertificate, coloring_to_distribution, omega_star
 from .graph import Caps, DEFAULT_CAPS, build_graph
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
 
@@ -79,6 +80,10 @@ MEMO_SIZE = 256
 _graphs: dict = {}
 _certs: dict = {}
 _ld_tables: dict = {}
+_pop_tables: dict = {}
+
+# the losses theta at which the small-population bound is checked
+THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
 def _remember(memo: dict, key, value):
@@ -108,6 +113,38 @@ def cached_omega_star(cls: ConceptClass, m: int, caps: Caps):
         return _remember(_certs, (cls, m), omega_star(g, caps))
     caps.check_universe(cls.universe_size)
     return cert
+
+
+@dataclass(frozen=True, eq=False)
+class SmallPopTable:
+    """mu*, the normalized optimal coloring of G_m, in integers: pattern
+    mask `masks[i]` has mass `weights[i] / denominator`.  `bounds[j]` is
+    1/omega*_m - (1 - THETAS[j])^m.  `cert` is the certificate read."""
+
+    cert: DualityCertificate
+    masks: tuple
+    weights: tuple
+    denominator: int
+    bounds: tuple
+
+
+def cached_small_pop_table(cls: ConceptClass, m: int, caps: Caps) -> SmallPopTable:
+    """The SmallPopTable of `cached_omega_star(cls, m, caps)`, built once
+    per certificate until `clear_caches()`."""
+    cert = cached_omega_star(cls, m, caps)
+    table = _pop_tables.get((cls, m))
+    if table is not None and table.cert is cert:
+        return table
+    mu = coloring_to_distribution(cert.coloring)
+    denominator = math.lcm(*(w.denominator for w in mu.values()))
+    table = SmallPopTable(
+        cert=cert,
+        masks=tuple(pattern_to_mask(h) for h in mu),
+        weights=tuple(w.numerator * (denominator // w.denominator) for w in mu.values()),
+        denominator=denominator,
+        bounds=tuple(Fraction(1) / cert.value - (1 - theta) ** m for theta in THETAS),
+    )
+    return _remember(_pop_tables, (cls, m), table)
 
 
 def vc_dimension(cls: ConceptClass) -> int:
@@ -437,3 +474,4 @@ def clear_caches() -> None:
     _graphs.clear()
     _certs.clear()
     _ld_tables.clear()
+    _pop_tables.clear()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
+from .concepts import ConceptClass, Dataset, HypothesisPattern, LabeledExample, mask_to_pattern
 from .errors import InvalidParamsError, InvariantError, NotIndependentError, ResourceLimitError
 
 
@@ -126,15 +126,18 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
     the graph.  DFS over labeled pairs in (point, label) order with the set
     of still-consistent hypotheses as a prune mask, which each leaf keeps as
     its vertex's realizer mask; nondecreasing pair sequences enumerate each
-    multiset exactly once, already sorted."""
+    multiset exactly once, already sorted and free of conflicts, so each
+    leaf becomes a vertex by `Dataset.from_canonical` with the ones/zeros
+    masks its frames carried down."""
     cls.require_nonempty()
     if m < 1:
         raise ValueError("m must be >= 1")
     n = cls.universe_size
     if n < 1:
         raise ValueError("universe must contain at least one point")
-    # consistent_mask[pair] = bitmask over hypothesis rows consistent with it
-    pairs = [(p, l) for p in range(n) for l in (0, 1)]
+    # pair k is the example (k // 2, k % 2), made once and shared by every
+    # vertex holding it; pair_masks[k] = bitmask over rows consistent with it
+    pairs = [LabeledExample(p, l) for p in range(n) for l in (0, 1)]
     pair_masks = []
     for p, l in pairs:
         mask = 0
@@ -145,18 +148,19 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
 
     vertices: list[Dataset] = []
     realizers: list[int] = []
-    prefix: list[tuple] = []
+    prefix: list[LabeledExample] = []
     # explicit DFS stack, so no m is too deep for it: one [next pair index,
-    # rows consistent with the prefix] frame per prefix length below m
-    stack = [[0, (1 << len(cls.hypotheses)) - 1]]
+    # rows consistent with the prefix, its ones mask, its zeros mask] frame
+    # per prefix length below m
+    stack = [[0, (1 << len(cls.hypotheses)) - 1, 0, 0]]
     while stack:
         frame = stack[-1]
-        k, alive = frame
+        k, alive, ones, zeros = frame
         nxt = 0
         while k < len(pairs):
-            # skip (x,1) when (x,0) is already in the prefix: pairs are
-            # point-major so the conflicting pair is exactly k-1
-            if not (prefix and pairs[k][0] == prefix[-1][0] and pairs[k][1] != prefix[-1][1]):
+            # skip (x,1) when (x,0) is already in the prefix; pairs are
+            # point-major, so that is the only conflict a next pair can make
+            if not (k & 1 and (zeros >> (k >> 1)) & 1):
                 nxt = alive & pair_masks[k]
                 if nxt:
                     break
@@ -167,13 +171,18 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
                 prefix.pop()
             continue
         frame[0] = k + 1
+        bit = 1 << (k >> 1)
+        if k & 1:
+            ones |= bit
+        else:
+            zeros |= bit
         prefix.append(pairs[k])
         if len(prefix) < m:
-            stack.append([k, nxt])
+            stack.append([k, nxt, ones, zeros])
             continue
         if len(vertices) >= caps.max_vertices:
             caps.check_vertices(len(vertices) + 1, m)
-        vertices.append(Dataset(prefix))
+        vertices.append(Dataset.from_canonical(tuple(prefix), ones, zeros))
         realizers.append(nxt)
         prefix.pop()
     return ContradictionGraph(cls, m, tuple(vertices), tuple(realizers))

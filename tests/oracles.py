@@ -13,7 +13,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from cliquedim import ConceptClass
+from cliquedim import (
+    DEFAULT_CAPS,
+    ConceptClass,
+    InvalidParamsError,
+    NotRealizableDistributionError,
+    cached_omega_star,
+    coloring_to_distribution,
+)
 
 
 def enumerate_realizable_multisets(cls: ConceptClass, m: int) -> list:
@@ -234,3 +241,38 @@ def sequence_omega_star(cls: ConceptClass, m: int) -> Fraction:
     masks = packing_constraints(cls, items)
     value, _, _ = reference_simplex(len(items), masks)
     return value
+
+
+def reference_small_pop_err_check(cls: ConceptClass, m: int, dist: dict, caps=DEFAULT_CAPS) -> list:
+    """The small-population check pattern by pattern in Fractions:
+    Pr_{h~mu*}[loss_D(h) <= theta] against 1/omega*_m - (1-theta)^m, with
+    mu* normalized from the cached certificate's coloring on every call.
+    Returns [(theta, probability, bound, passed)]."""
+    total = sum(dist.values(), Fraction(0))
+    if total != 1:
+        raise InvalidParamsError(f"distribution weights sum to {total}, not 1")
+    for (p, l), w in dist.items():
+        if w < 0 or l not in (0, 1) or not 0 <= p < cls.universe_size:
+            raise InvalidParamsError(f"bad distribution entry {(p, l)}: {w}")
+    support = [(p, l) for (p, l), w in dist.items() if w > 0]
+    realizable = any(
+        all(row[p] == l for p, l in support) for row in cls.hypotheses
+    )
+    if not realizable:
+        raise NotRealizableDistributionError(
+            "no hypothesis has zero loss on the distribution"
+        )
+    cert = cached_omega_star(cls, m, caps)
+    mu = coloring_to_distribution(cert.coloring)
+    losses = {}
+    for h, w in mu.items():
+        loss = sum(
+            dw for (p, l), dw in dist.items() if h[p] != l
+        )
+        losses[h] = Fraction(loss)
+    out = []
+    for theta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        prob = sum((w for h, w in mu.items() if losses[h] <= theta), Fraction(0))
+        bound = Fraction(1) / cert.value - (1 - theta) ** m
+        out.append((theta, prob, bound, prob >= bound))
+    return out

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cliquedim import (
+    DEFAULT_CAPS,
+    ConceptClass,
     Dataset,
     EvenLengthError,
     InvalidParamsError,
@@ -23,12 +26,16 @@ from cliquedim import (
     NotRealizableDistributionError,
     boost_config,
     build_graph,
+    cached_small_pop_table,
+    clear_caches,
+    coloring_to_distribution,
     draw_patterns,
     forced_gamma_good_check,
     generate,
     majority_vote,
     mask_to_pattern,
     mu_tilde,
+    omega_star,
     run_expert_game,
     sample_boosted,
     smallest_separating_m0,
@@ -682,6 +689,70 @@ def test_small_pop_err_holds_across_thetas_and_classes():
         cls = generate(family, universe=universe)
         for theta, prob, bound, ok in small_pop_err_check(cls, 2, dist):
             assert ok, f"theta={theta}: {prob} < {bound}"
+
+
+@st.composite
+def realizable_label_distributions(draw):
+    """(cls, m, D): positive weights, often unequal, on examples of one row,
+    plus zero-weight entries of either label anywhere.  Weights over a total
+    of 4 put losses on the theta grid itself."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=10))
+    cls = ConceptClass(n, rows)
+    row = draw(st.sampled_from(cls.hypotheses))
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    raw = draw(st.lists(st.integers(1, 6), min_size=len(points), max_size=len(points)))
+    total = draw(st.sampled_from((sum(raw), 4))) if sum(raw) <= 4 else sum(raw)
+    raw[0] += total - sum(raw)
+    dist = {(p, row[p]): F(k, total) for p, k in zip(points, raw)}
+    for p, l in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)), max_size=3)):
+        dist.setdefault((p, l), F(0))
+    return cls, draw(st.integers(1, 3)), dist
+
+
+# (0:1) at 1/4 and (2:0) at 3/4: one mu* pattern of thresholds(3) at m = 2,
+# the all-zero labeling, loses exactly theta = 1/4
+THETA_EDGE = (generate("thresholds", universe=3), 2, {(0, 1): F(1, 4), (2, 0): F(3, 4)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(realizable_label_distributions())
+@example(THETA_EDGE)
+def test_small_pop_err_matches_the_fraction_reference(case):
+    cls, m, dist = case
+    assert small_pop_err_check(cls, m, dist) == oracles.reference_small_pop_err_check(cls, m, dist)
+
+
+def test_small_pop_err_counts_a_loss_equal_to_theta():
+    cls, m, dist = THETA_EDGE
+    mu = coloring_to_distribution(omega_star(build_graph(cls, m)).coloring)
+    losses = {sum(w for (p, l), w in dist.items() if h[p] != l) for h in mu}
+    assert F(1, 4) in losses
+    assert small_pop_err_check(cls, m, dist) == oracles.reference_small_pop_err_check(cls, m, dist)
+
+
+def test_small_pop_table_follows_the_certificate_after_clear_caches(monkeypatch):
+    # mu* all on the all-zero labeling, at a made-up omega* of 3
+    real = omega_star(build_graph(ANCHOR, 2))
+    fake = dataclasses.replace(
+        real,
+        value=F(3),
+        coloring=dataclasses.replace(real.coloring, weights={(0, 0): F(3)}, colors=F(3)),
+    )
+    dist = {(0, 0): F(1, 2), (1, 0): F(1, 2)}
+    clear_caches()
+    try:
+        before = small_pop_err_check(ANCHOR, 2, dist)
+        assert before[0] == (F(0), F(1, 2), F(-1, 2), True)
+        monkeypatch.setattr("cliquedim.dimensions.omega_star", lambda g, caps=DEFAULT_CAPS: fake)
+        assert small_pop_err_check(ANCHOR, 2, dist) == before
+        clear_caches()
+        after = small_pop_err_check(ANCHOR, 2, dist)
+        assert cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS).cert is fake
+        assert after[0] == (F(0), F(1), F(1, 3) - 1, True)
+        assert after == oracles.reference_small_pop_err_check(ANCHOR, 2, dist)
+    finally:
+        clear_caches()
 
 
 # ─── numeric lemma grids ───────────────────────────────────────────────────

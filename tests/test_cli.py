@@ -404,8 +404,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
 
     # input error: margin with a zero denominator
     code, _, err = run(capsys, "boost", path, "--gamma", "1/0", "--trials", "10")
-    assert code == 2
-    assert err.startswith("error:")
+    assert (code, err) == (2, "error: --gamma '1/0' has a zero denominator\n")
+
+    # input error: a margin that is no number, is empty, or has more digits
+    # than Python reads names the flag
+    unreadable = "error: --gamma must be a fraction such as 1/16 or a decimal such as 0.0625 of at most 4300 digits; got "
+    long_decimal = "0.01" + "0" * 5000 + "1"
+    for gamma, shown in (("abc", "'abc'"), ("", "''"), (long_decimal, "a value of 5005 characters")):
+        code, _, err = run(capsys, "boost", path, "--gamma", gamma, "--trials", "10")
+        assert (code, err) == (2, unreadable + shown + "\n"), gamma
 
     # input error: a negative trial count and an anchor length below 1 name
     # their flag
@@ -613,12 +620,15 @@ def test_exit_code_contract_holds_on_fuzzed_boost_flags(family, flags):
 
 # sha256 of the stdout of each command at its default horizons: `cd`,
 # `cd-star` and `curves` over the 20 corpus classes in corpus order, and
-# `verify-dichotomy`, as produced before cd and cd* shared one sweep
+# `verify-dichotomy`, as produced before cd and cd* shared one sweep;
+# `verify-lemmas` at seed 0 as produced by the Fraction small-population
+# check, before it read one integer table per (class, m)
 CORPUS_OUTPUTS_SHA256 = {
     "cd": "bc8777ce278dbe6ba2b241e8ea23a630a14be56a33f433da11624bc173236c76",
     "cd-star": "45fb10e70531af9c79a30b4991660c2d9593a447da52259bb43914698c3dbacc",
     "curves": "83d44b0c83e324495b8775e74656f5517badf81287fd5d9a10bc550992f749c1",
     "verify-dichotomy": "f78f0f1cd28c178170aa329e380ada4f6a8687b885f8b7499a917a29ce9398fa",
+    "verify-lemmas": "6e64815e92b731d93348bbc34322aa4ad946cb634592f9025c91519fbddd1a64",
 }
 
 
@@ -633,8 +643,9 @@ def test_corpus_dimension_outputs_are_frozen(capsys, monkeypatch):
             assert main([command, "-"]) == 0
             digest.update(capsys.readouterr().out.encode())
         got[command] = digest.hexdigest()
-    assert main(["verify-dichotomy"]) == 0
-    got["verify-dichotomy"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for command in ("verify-dichotomy", "verify-lemmas"):
+        assert main([command, "--seed", "0"]) == 0
+        got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == CORPUS_OUTPUTS_SHA256
 
 

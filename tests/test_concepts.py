@@ -1,5 +1,10 @@
 """Dataset and concept-class invariants, generators, and text round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +14,7 @@ from cliquedim import (
     Dataset,
     EmptyClassError,
     InvalidParamsError,
+    LabeledExample,
     example_red_clique_datasets,
     format_class_text,
     generate,
@@ -52,6 +58,44 @@ def test_dataset_masks():
 def test_contradictory_dataset_rejected():
     with pytest.raises(ContradictoryDatasetError):
         Dataset([(0, 0), (1, 1), (0, 1)])
+
+
+def test_from_canonical_equals_the_full_constructor():
+    examples = (LabeledExample(0, 0), LabeledExample(2, 1), LabeledExample(2, 1))
+    d = Dataset.from_canonical(examples, 0b100, 0b001)
+    full = Dataset(examples)
+    assert d == full and hash(d) == hash(full)
+    assert (d.ones_mask, d.zeros_mask) == (full.ones_mask, full.zeros_mask)
+    assert d.examples is examples
+
+
+def test_from_canonical_refuses_a_conflicting_example_list():
+    examples = (LabeledExample(1, 0), LabeledExample(1, 1), LabeledExample(3, 0))
+    with pytest.raises(ContradictoryDatasetError) as info:
+        Dataset.from_canonical(examples, 0b0010, 0b1010)
+    assert info.value.point == 1
+
+
+OPTIMIZED_CANONICAL_PROBE = """
+assert False, "asserts must be stripped in this process"
+from cliquedim.concepts import Dataset, LabeledExample
+from cliquedim.errors import ContradictoryDatasetError
+try:
+    Dataset.from_canonical((LabeledExample(2, 0), LabeledExample(2, 1)), 0b100, 0b100)
+except ContradictoryDatasetError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_from_canonical_conflict_check_survives_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CANONICAL_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: dataset contains both labels for point 2\n"
 
 
 def test_dataset_rejects_bad_labels_and_points():

@@ -7,7 +7,9 @@ import oracles
 from cliquedim import (
     Caps,
     ConceptClass,
+    Dataset,
     InvalidParamsError,
+    LabeledExample,
     NotIndependentError,
     ResourceLimitError,
     build_graph,
@@ -247,6 +249,18 @@ def test_incidence_table_matches_the_pairwise_definitions(g):
     for maximal_only in (False, True):
         fam = independent_sets(g, maximal_only=maximal_only)
         assert (fam.patterns, fam.masks) == reference_independent_sets(g, maximal_only)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_vertices_equal_datasets_built_by_the_full_constructor(g):
+    assert [v.examples for v in g.vertices] == oracles.enumerate_realizable_multisets(g.cls, g.m)
+    for v in g.vertices:
+        full = Dataset(v.examples)
+        assert v == full
+        assert hash(v) == hash(full)
+        assert (v.ones_mask, v.zeros_mask) == (full.ones_mask, full.zeros_mask)
+        assert all(type(ex) is LabeledExample for ex in v.examples)
 
 
 def test_witness_hypothesis_rejects_dependent_sets():
