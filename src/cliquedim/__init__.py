@@ -114,6 +114,7 @@ from .dimensions import (
     fractional_clique_dimension,
     littlestone_dimension,
     littlestone_witness,
+    smallest_separating_m0,
     tech_cd_cutoff,
     vc_dimension,
 )
@@ -134,7 +135,6 @@ from .boosting import (
     run_expert_game,
     sample_boosted,
     small_pop_err_check,
-    smallest_separating_m0,
     verify_sspfcd_bound,
 )
 

@@ -136,20 +136,6 @@ def mu_tilde(cls: ConceptClass, m0: int, caps: Caps = DEFAULT_CAPS) -> MuTilde:
     )
 
 
-def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
-    """Least m0 with omega*_{m0} < 2^{m0}.  Always exists: a clique takes at
-    most one vertex per maximal consistency set and the packing constraints
-    sum to at most 2^|X|, so every m0 > |X| separates."""
-    m0 = 1
-    while True:
-        cert = cached_omega_star(cls, m0, caps)
-        if cert.value < 1 << m0:
-            return m0
-        m0 += 1
-        if m0 > cls.universe_size + 1:
-            raise InvariantError("separation must occur by |X|+1")
-
-
 @dataclass(frozen=True)
 class BoostConfig:
     mu: MuTilde
@@ -881,7 +867,7 @@ def small_pop_err_check(
 
     for each theta in THETAS.  Returns [(theta, probability, bound, passed)]
     in Fractions.  mu* and the four bounds come from
-    `cached_small_pop_table`, one integer table per certificate, so sweeps
+    `cached_small_pop_table`, one integer table per (class, m), so sweeps
     over many distributions solve the LP and normalize mu* once.  Each call
     scales D's weights to integers over their least common denominator and
     compares every pattern's loss with theta in integers.

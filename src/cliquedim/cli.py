@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,6 @@ from .boosting import (
     numeric_lemma_checks,
     run_expert_game,
     small_pop_err_check,
-    smallest_separating_m0,
     verify_sspfcd_bound,
 )
 from .cliques import find_balanced_point, max_clique, tree_from_clique, clique_from_tree
@@ -43,6 +43,7 @@ from .dimensions import (
     fractional_clique_dimension,
     littlestone_dimension,
     littlestone_witness,
+    smallest_separating_m0,
     vc_dimension,
 )
 from .errors import (
@@ -226,13 +227,51 @@ def _cmd_clique_from_tree(args):
     return 0, "\n".join(lines) + "\n"
 
 
+# a decimal with an exponent, in the syntax `Fraction` reads
+_SCIENTIFIC = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _unexpanded_decimal(text):
+    """A decimal M * 10^E whose exponent is past what str() may print, as
+    a Fraction built without expanding 10^|E|; None for any other text.
+
+    With L = sys.get_int_max_str_digits() and M of D digits, E > L makes
+    |value| > 10^L and -E > L + D makes |value| < 10^-L, both with more
+    than L digits.  Such a value is replaced by the stand-in +-10^(L+1) or
+    +-10^-(L+1): it has the same sign, falls on the same side of 1 and of
+    every epsilon/2 (which the refusal prints, so its denominator is below
+    10^L), squares to the same 0.0 when tiny, and cannot be printed
+    either, so `boost_config` refuses both with the same message.
+    A zero mantissa is 0.  L = 0 (no limit) expands every value.
+    """
+    limit = sys.get_int_max_str_digits()
+    match = _SCIENTIFIC.fullmatch(text)
+    if not limit or match is None:
+        return None
+    sign, whole, decimal, exp = (part.replace("_", "") for part in match.groups(""))
+    if max(len(whole), len(decimal), len(exp)) > limit:
+        return None  # Fraction refuses it without expanding anything
+    shift = int(exp) - len(decimal)
+    if -limit - len(whole) - len(decimal) <= shift <= limit:
+        return None  # 10^|shift| has at most 3L digits
+    if not (int(whole or "0") or int(decimal or "0")):
+        return Fraction(0)
+    magnitude = Fraction(10) ** (limit + 1 if shift > 0 else -limit - 1)
+    return -magnitude if sign == "-" else magnitude
+
+
 def _parse_gamma(text):
     """The --gamma text as an exact Fraction, None when the flag is absent.
     Any other text that is not a fraction num/den or a decimal Python can
-    read, the empty text included, is an input error naming the flag."""
+    read, the empty text included, is an input error naming the flag.  A
+    decimal too large or too small to print is not expanded (see
+    `_unexpanded_decimal`)."""
     if text is None:
         return None
     shown = repr(text) if len(text) <= 40 else f"a value of {len(text)} characters"
+    value = _unexpanded_decimal(text)
+    if value is not None:
+        return value
     try:
         return Fraction(text)
     except ZeroDivisionError:

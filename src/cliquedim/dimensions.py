@@ -34,7 +34,19 @@ by finitely many searches:
 
 Whatever remains in (m_max, cutoff] is searched directly when the graphs
 fit under the caps; otherwise the flag honestly degrades to
-lower-bound-at-m-max.
+lower-bound-at-m-max.  No m past the cutoff is tried.
+
+Each (cls, m) has one record: G_m, the LP certificate and its mu* table
+once solved, and omega_m and omega*_m once exact.  Values are settled in
+this order.  `dimension_report` settles each row first: m <= ld gives
+omega_m = omega*_m = 2^m with no search, otherwise an exact `max_clique`
+gives omega_m, and a clique at the ceiling gives omega*_m as well.  An LP
+(`cached_omega_star`) settles omega*_m wherever it runs.  cd, cd*, the
+report's omega* column and `smallest_separating_m0` read what is settled
+and search or solve only what is not.  A value settled twice must agree,
+or InvariantError is raised.  Every read applies its caps: the vertex cap
+whenever G_m is read, the LP's pattern cap whenever the value comes from
+the LP.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -58,7 +70,7 @@ from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_cl
 from .concepts import ConceptClass, pattern_to_mask
 from .errors import InvariantError, ResourceLimitError
 from .fractional import DualityCertificate, coloring_to_distribution, omega_star
-from .graph import Caps, DEFAULT_CAPS, build_graph
+from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, build_graph
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
 
 EXACT = "exact"
@@ -72,15 +84,13 @@ LN2_HI = Fraction(693148, 10**6)
 EXTENSION_VERTEX_CAP = 500
 
 
-# The memos key on (cls, m) (the ld tables on cls) alone, hold at most
-# MEMO_SIZE entries each (oldest dropped first), and call `build_graph` /
-# `omega_star` / `_ld_table` through this module's globals, so a wrapper
+# The record memo keys on (cls, m), the ld memo on cls; each holds at most
+# MEMO_SIZE entries (oldest dropped first), and `build_graph` / `omega_star`
+# / `_ld_table` are called through this module's globals, so a wrapper
 # installed on those names sees every miss.
 MEMO_SIZE = 256
-_graphs: dict = {}
-_certs: dict = {}
+_records: dict = {}
 _ld_tables: dict = {}
-_pop_tables: dict = {}
 
 # the losses theta at which the small-population bound is checked
 THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
@@ -93,58 +103,98 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def cached_graph(cls: ConceptClass, m: int, caps: Caps):
-    """G_m of `cls`, built once until `clear_caches()`.  `caps` applies on
-    every call: a cached graph larger than `caps.max_vertices` raises the
-    vertex-cap error a build under `caps` would."""
-    g = _graphs.get((cls, m))
-    if g is None:
-        return _remember(_graphs, (cls, m), build_graph(cls, m, caps))
-    caps.check_vertices(g.num_vertices, m)
-    return g
-
-
-def cached_omega_star(cls: ConceptClass, m: int, caps: Caps):
-    """Certified omega*_m of `cls`, solved once until `clear_caches()`, with
-    `caps` applied on every call as `omega_star` would apply them."""
-    g = cached_graph(cls, m, caps)
-    cert = _certs.get((cls, m))
-    if cert is None:
-        return _remember(_certs, (cls, m), omega_star(g, caps))
-    caps.check_universe(cls.universe_size)
-    return cert
-
-
 @dataclass(frozen=True, eq=False)
 class SmallPopTable:
     """mu*, the normalized optimal coloring of G_m, in integers: pattern
     mask `masks[i]` has mass `weights[i] / denominator`.  `bounds[j]` is
-    1/omega*_m - (1 - THETAS[j])^m.  `cert` is the certificate read."""
+    1/omega*_m - (1 - THETAS[j])^m."""
 
-    cert: DualityCertificate
     masks: tuple
     weights: tuple
     denominator: int
     bounds: tuple
 
 
+@dataclass(eq=False)
+class _Record:
+    """What is known of G_m of one class: the graph, the LP certificate and
+    its mu* table once solved, and omega_m / omega*_m once exact."""
+
+    graph: ContradictionGraph
+    omega: Optional[int] = None
+    omega_star: Optional[Fraction] = None
+    cert: Optional[DualityCertificate] = None
+    pop_table: Optional[SmallPopTable] = None
+
+
+def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
+    """The record of G_m, built under `caps` on a miss.  `caps` applies on
+    every call: a cached graph larger than `caps.max_vertices` raises the
+    vertex-cap error a build under `caps` would."""
+    rec = _records.get((cls, m))
+    if rec is None:
+        return _remember(_records, (cls, m), _Record(build_graph(cls, m, caps)))
+    caps.check_vertices(rec.graph.num_vertices, m)
+    return rec
+
+
+def _settle(rec: _Record, name: str, value) -> None:
+    """Record the exact value `name` ('omega' or 'omega_star') of G_m; a
+    value settled before must be the same."""
+    known = getattr(rec, name)
+    if known is not None and known != value:
+        raise InvariantError(f"{name} of G_{rec.graph.m} settled as {known} and as {value}")
+    setattr(rec, name, value)
+
+
+def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
+    """The record's LP certificate, solved under `caps` on the first call,
+    with the LP's pattern cap applied on every later one."""
+    if rec.cert is None:
+        cert = omega_star(rec.graph, caps)
+        _settle(rec, "omega_star", cert.value)
+        rec.cert = cert
+    else:
+        caps.check_universe(rec.graph.cls.universe_size)
+    return rec.cert
+
+
+def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
+    """omega*_m as the record holds it, solving the LP only when nothing
+    settled it; a value the LP gave is read with the LP's caps."""
+    if rec.omega_star is None or rec.cert is not None:
+        return _certificate(rec, caps).value
+    return rec.omega_star
+
+
+def cached_graph(cls: ConceptClass, m: int, caps: Caps):
+    """G_m of `cls`, built once until `clear_caches()`, with `caps` applied
+    on every call."""
+    return _record(cls, m, caps).graph
+
+
+def cached_omega_star(cls: ConceptClass, m: int, caps: Caps) -> DualityCertificate:
+    """Certified omega*_m of `cls`, solved once until `clear_caches()`, with
+    `caps` applied on every call as `omega_star` would apply them.  The LP
+    runs even when omega*_m is already settled, and must agree with it."""
+    return _certificate(_record(cls, m, caps), caps)
+
+
 def cached_small_pop_table(cls: ConceptClass, m: int, caps: Caps) -> SmallPopTable:
     """The SmallPopTable of `cached_omega_star(cls, m, caps)`, built once
-    per certificate until `clear_caches()`."""
-    cert = cached_omega_star(cls, m, caps)
-    table = _pop_tables.get((cls, m))
-    if table is not None and table.cert is cert:
-        return table
-    mu = coloring_to_distribution(cert.coloring)
-    denominator = math.lcm(*(w.denominator for w in mu.values()))
-    table = SmallPopTable(
-        cert=cert,
-        masks=tuple(pattern_to_mask(h) for h in mu),
-        weights=tuple(w.numerator * (denominator // w.denominator) for w in mu.values()),
-        denominator=denominator,
-        bounds=tuple(Fraction(1) / cert.value - (1 - theta) ** m for theta in THETAS),
-    )
-    return _remember(_pop_tables, (cls, m), table)
+    until `clear_caches()`."""
+    rec = _record(cls, m, caps)
+    cert = _certificate(rec, caps)
+    if rec.pop_table is None:
+        mu = coloring_to_distribution(cert.coloring)
+        denominator = math.lcm(*(w.denominator for w in mu.values()))
+        rec.pop_table = SmallPopTable(
+            masks=tuple(pattern_to_mask(h) for h in mu),
+            weights=tuple(w.numerator * (denominator // w.denominator) for w in mu.values()),
+            denominator=denominator,
+            bounds=tuple(Fraction(1) / cert.value - (1 - theta) ** m for theta in THETAS),
+        )
+    return rec.pop_table
 
 
 def vc_dimension(cls: ConceptClass) -> int:
@@ -276,10 +326,10 @@ class DimensionValue:
 def _sweep(m_max: int, upper: int, passes) -> DimensionValue:
     """The largest m <= m_max with passes(m), exact when no m in
     (m_max, upper] passes; a pass there or a cap hit anywhere leaves a lower
-    bound.  Every m > upper must fail analytically."""
+    bound.  Every m > upper must fail analytically, so none is tried."""
     value = 0
     try:
-        for m in range(1, m_max + 1):
+        for m in range(1, min(m_max, upper) + 1):
             if passes(m):
                 value = m
         for m in range(m_max + 1, upper + 1):
@@ -294,11 +344,13 @@ def _sweep(m_max: int, upper: int, passes) -> DimensionValue:
 def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -> DimensionValue:
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
-    An m passes by, in order: the mistake-tree fast path (ld >= m certifies
-    a 2^m-clique), the row bound omega_m <= |H| (no graph is built), a
-    cached omega*_m < 2^m (which fails m), then targeted branch-and-bound.
-    When the branch-and-bound runs out of nodes, omega*_m < 2^m still fails
-    m exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
+    An m is decided by the first of: the mistake-tree fast path (ld >= m
+    certifies a 2^m-clique; no graph is built), the row bound omega_m <= |H|
+    (no graph either), an omega*_m < 2^m settled in the record of G_m (which
+    fails m without reading G_m), an omega_m settled there (by a report's
+    `max_clique`; compared with 2^m), then targeted branch-and-bound.  When
+    the branch-and-bound runs out of nodes, omega*_m < 2^m still fails m
+    exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
     sweep.
     """
     cls.require_nonempty()
@@ -310,13 +362,18 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     def passes(m: int) -> bool:
         if ld >= m:
             return True
-        cert = _certs.get((cls, m))
-        if m > top or (cert is not None and cert.value < 1 << m):
+        if m > top:
             return False
+        rec = _records.get((cls, m))
+        if rec is not None and rec.omega_star is not None and rec.omega_star < 1 << m:
+            return False
+        rec = _record(cls, m, caps)
+        if rec.omega is not None:
+            return rec.omega == 1 << m
         try:
-            return has_clique_of_size(cached_graph(cls, m, caps), 1 << m, caps)
+            return has_clique_of_size(rec.graph, 1 << m, caps)
         except ResourceLimitError as exc:
-            if exc.dimension != "node-budget" or cached_omega_star(cls, m, caps).value == 1 << m:
+            if exc.dimension != "node-budget" or _settled_omega_star(rec, caps) == 1 << m:
                 raise
             return False  # omega_m <= omega*_m < 2^m
 
@@ -328,10 +385,10 @@ def fractional_clique_dimension(
 ) -> DimensionValue:
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
-    No LP runs for an m with ld >= m, which passes, or with 2^m > |H|,
-    which cannot pass (fact (1)).  Extension LPs past m_max run only while
-    the graphs stay under EXTENSION_VERTEX_CAP vertices; otherwise the flag
-    degrades.
+    No LP runs for an m with ld >= m, which passes, with 2^m > |H|, which
+    cannot pass (fact (1)), or whose omega*_m is already settled.  Extension
+    LPs past m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
+    vertices; otherwise the flag degrades.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -342,9 +399,20 @@ def fractional_clique_dimension(
 
     def passes(m: int) -> bool:
         use = caps if m <= m_max else extension_caps
-        return ld >= m or (m <= top and cached_omega_star(cls, m, use).value == 1 << m)
+        return ld >= m or (m <= top and _settled_omega_star(_record(cls, m, use), use) == 1 << m)
 
     return _sweep(m_max, top, passes)
+
+
+def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
+    """Least m0 with omega*_{m0} < 2^{m0}.  Every m0 <= ld has omega*_{m0}
+    = 2^{m0} and every m0 > floor(log2 |H|) separates (fact (1)), so only
+    the m0 between are read."""
+    top = _log2_rows(cls)
+    for m0 in range(littlestone_dimension(cls) + 1, top + 1):
+        if _settled_omega_star(_record(cls, m0, caps), caps) < 1 << m0:
+            return m0
+    return top + 1
 
 
 @dataclass(frozen=True)
@@ -392,31 +460,34 @@ def dimension_report(
 ) -> DimensionReport:
     """Per-m table plus the four dimensions.  omega is exact unless the
     node budget ran out (then the best clique found is reported, flagged).
-    An exact omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact
-    (1)), so that row solves no LP."""
+    Each row settles what it can in the record of G_m before cd and cd*
+    read it: m <= ld settles omega_m = omega*_m = 2^m with no search, and
+    an exact omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact
+    (1)).  Only an omega*_m left open solves an LP."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
     rows = []
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
-        g = cached_graph(cls, m, caps)
-        omega = None
-        omega_exact = None
-        clique = None
-        if m <= m_max_clique:
+        rec = _record(cls, m, caps)
+        g = rec.graph
+        omega = omega_exact = None
+        if m <= ld:
+            _settle(rec, "omega", 1 << m)
+            _settle(rec, "omega_star", Fraction(1 << m))
+        elif m <= m_max_clique and rec.omega is None:
             try:
                 clique = max_clique(g, caps)
-                omega = clique.size
-                omega_exact = True
             except ResourceLimitError as exc:
                 omega = len(exc.best) if exc.best else 0
                 omega_exact = False
-        star = None
-        if m <= m_max_lp:
-            if clique is not None and clique.size == clique_ceiling(g):
-                star = _omega_star_at_ceiling(g, clique)
             else:
-                star = cached_omega_star(cls, m, caps).value
+                if clique.size == clique_ceiling(g):
+                    _settle(rec, "omega_star", _omega_star_at_ceiling(g, clique))
+                _settle(rec, "omega", clique.size)
+        if m <= m_max_clique and rec.omega is not None:
+            omega, omega_exact = rec.omega, True
+        star = _settled_omega_star(rec, caps) if m <= m_max_lp else None
         rows.append(
             PerMRow(m=m, num_vertices=g.num_vertices, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
@@ -471,7 +542,5 @@ def check_inequalities(report: DimensionReport) -> list:
 
 
 def clear_caches() -> None:
-    _graphs.clear()
-    _certs.clear()
+    _records.clear()
     _ld_tables.clear()
-    _pop_tables.clear()

@@ -748,7 +748,10 @@ def test_small_pop_table_follows_the_certificate_after_clear_caches(monkeypatch)
         assert small_pop_err_check(ANCHOR, 2, dist) == before
         clear_caches()
         after = small_pop_err_check(ANCHOR, 2, dist)
-        assert cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS).cert is fake
+        table = cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS)
+        assert (table.masks, table.weights, table.denominator) == ((0,), (1,), 1)
+        # 1/3 - (1 - theta)^2 at theta = 0, 1/4, 1/2, 1
+        assert table.bounds == (F(-2, 3), F(-11, 48), F(1, 12), F(1, 3))
         assert after[0] == (F(0), F(1), F(1, 3) - 1, True)
         assert after == oracles.reference_small_pop_err_check(ANCHOR, 2, dist)
     finally:

@@ -2,7 +2,12 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -216,8 +221,9 @@ def test_boost_small_run_passes(capsys, tmp_path):
 
 
 def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
-    # without --m0 the anchor search solves omega*_1..3 on thresholds(3); the
-    # configuration and the Monte Carlo check then reuse G_3 and omega*_3
+    # without --m0 the anchor search on thresholds(3) reads nothing: ld = 2
+    # settles m0 <= 2 and 2^3 > |H| = 4 separates m0 = 3, so only the
+    # configuration solves an LP, and the Monte Carlo check reuses G_3
     import cliquedim.dimensions as dims
     import cliquedim.simplex as simplex
     from cliquedim import clear_caches, format_class_text
@@ -232,9 +238,8 @@ def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "boost", "-", "--trials", "100")
     assert code == 0
     assert "m0=3 m=3" in out.splitlines()[1]
-    assert len(solves) == 3
-    assert sorted(built) == [1, 2, 3]
-    assert len(built) == 3  # every memo miss is one build
+    assert len(solves) == 1
+    assert built == [3]
     clear_caches()
 
 
@@ -276,9 +281,46 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
         cd, cd_star = CORPUS_CD_LINES[name]
         assert out.splitlines()[-2:] == [f"# cd={cd} exact", f"# cd_star={cd_star} exact"], name
     clear_caches()
-    # ld >= m or a maximum clique at min(2^m, |H|) settles omega*_m; only
-    # omega*_3 = 8 of paper_example_sec6 (ld = 2, cd* = 3) needs an LP
-    assert {name: len(a) for name, a in lps.items()} == {"paper_example_sec6": 1}
+    # ld >= m or a maximum clique at min(2^m, |H|) settles omega*_m, and cd*
+    # reads the report's values: no LP runs
+    assert lps == {}
+
+
+def test_curves_of_paper_example_reads_the_reports_values(capsys, monkeypatch):
+    # the report settles omega_1..4 and omega*_1..3 (m <= ld = 2 by the
+    # mistake tree, omega_3 = 8 at the ceiling), and cd and cd* read them
+    import cliquedim.dimensions as dims
+    from cliquedim import format_class_text
+
+    monkeypatch.setattr(dims, "has_clique_of_size", lambda *a: pytest.fail("searched"))
+    monkeypatch.setattr(dims, "omega_star", lambda *a: pytest.fail("solved an LP"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(generate("paper_example_sec6"))))
+    clear_caches()
+    try:
+        code, out, _ = run(capsys, "curves", "-")
+    finally:
+        clear_caches()
+    assert code == 0
+    assert out.splitlines()[-2:] == ["# cd=3 exact", "# cd_star=3 exact"]
+
+
+def test_an_unbounded_m_max_ends_at_the_analytic_bound(tmp_path):
+    # every m past floor(log2 |H|) fails, so --m-max 10^18 tries none of
+    # them; a subprocess, so that a sweep up to m_max times out, not hangs
+    path = write_class(tmp_path, family="disjoint_pairs", universe=2)
+    script = (
+        "import sys\n"
+        "from cliquedim.cli import main\n"
+        f"sys.exit(main(['cd', {path!r}, '--m-max', str(10**18)])"
+        f" or main(['cd-star', {path!r}, '--m-max', str(10**18)]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "# seed=0\ncd=1 exact\n# seed=0\ncd_star=1 exact\n"
 
 
 def test_curves_builds_the_ld_table_once(capsys, monkeypatch):
@@ -438,6 +480,27 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert (code, err) == (
         2, "error: gamma must lie in (0, epsilon/2) = (0, 1/32); got a value too long to print\n"
     )
+
+    # input error: the same messages, at once, for exponents whose power of
+    # ten would take seconds to expand (1e-10000000 took 12 s)
+    too_small = "error: gamma is too small: T = ceil(2 ln m / gamma^2) must be below 2^63 rounds\n"
+    too_long = "error: gamma must lie in (0, epsilon/2) = (0, 1/32); got a value too long to print\n"
+    too_many_digits = (
+        "error: gamma must lie in (0, epsilon/2) = (0, 1/32) with a numerator and "
+        "denominator of at most 4300 digits\n"
+    )
+    for gamma, m, message in (
+        ("1e-10000000", "2", too_small),
+        ("1e-10000000", "1", too_many_digits),
+        ("9e10000000", "2", too_long),
+        ("-2.5e-10000000", "2", too_long),
+    ):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "boost", path, f"--gamma={gamma}", "--m", m, "--trials", "10")
+        assert (code, err) == (2, message), (gamma, m)
+        assert time.perf_counter() - start < 2, (gamma, m)
+    code, _, err = run(capsys, "boost", path, "--gamma=0e-10000000", "--trials", "10")
+    assert (code, err) == (2, "error: gamma must lie in (0, epsilon/2) = (0, 1/32); got 0\n")
 
     # input error: the one-leaf tree has depth 0, and no G_0 exists
     leaf = tmp_path / "leaf.tree"

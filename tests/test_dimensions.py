@@ -1,14 +1,20 @@
 """Dimension computations: frozen values, exactness flags, and inequalities."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cliquedim import (
+    DEFAULT_CAPS,
     ConceptClass,
     EmptyClassError,
+    InvariantError,
     build_graph,
+    cached_omega_star,
     check_inequalities,
     clique_dimension,
     clique_from_tree,
@@ -19,12 +25,13 @@ from cliquedim import (
     littlestone_dimension,
     littlestone_witness,
     omega_star,
+    smallest_separating_m0,
     tech_cd_cutoff,
     vc_dimension,
 )
 from cliquedim.cli import corpus
 from cliquedim.cliques import clique_ceiling
-from cliquedim.dimensions import EXACT, LOWER_BOUND, DimensionValue
+from cliquedim.dimensions import EXACT, LOWER_BOUND, DimensionValue, _sweep
 from cliquedim.trees import branches, is_complete, min_depth
 
 
@@ -306,6 +313,137 @@ def test_report_dimensions_equal_the_standalone_sweeps(name):
     # rows settled by the ceiling agree with the LP
     for row in rep.rows[:3]:
         assert row.omega_star == omega_star(build_graph(cls, row.m)).value
+
+
+def test_sweep_tries_no_m_past_its_upper_bound():
+    tried = []
+
+    def passes(m):
+        if m > 3:
+            pytest.fail(f"tried m={m} past the upper bound 3")
+        tried.append(m)
+        return m <= 2
+
+    assert _sweep(10**18, 3, passes) == DimensionValue(2, EXACT)
+    assert _sweep(2, 3, passes) == DimensionValue(2, EXACT)
+    assert tried == [1, 2, 3, 1, 2, 3]
+
+
+def test_report_runs_no_max_clique_up_to_ld(monkeypatch):
+    # a complete shattered tree of depth ld settles omega_m = omega*_m = 2^m
+    # for every m <= ld
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches
+
+    searched = []
+    real = dims.max_clique
+    monkeypatch.setattr(dims, "max_clique", lambda g, caps: searched.append(g.m) or real(g, caps))
+    for name, cls in corpus():
+        searched.clear()
+        clear_caches()
+        rep = dimension_report(cls)
+        assert searched == list(range(rep.ld + 1, 5)), name
+        for row in rep.rows[: rep.ld]:
+            two = 1 << row.m
+            assert (row.omega, row.omega_exact, row.omega_star) == (two, True, two), name
+    clear_caches()
+
+
+def test_a_second_settled_value_must_agree(monkeypatch):
+    # the report of paper_example_sec6 settles omega*_2 = 4 by ld = 2 and
+    # omega*_3 = 8 by a clique at the ceiling; an LP that disagrees fails
+    import cliquedim.dimensions as dims
+    from cliquedim import clear_caches
+
+    cls = generate("paper_example_sec6")
+    clear_caches()
+    try:
+        dimension_report(cls)
+        real = dims.omega_star
+        monkeypatch.setattr(
+            dims, "omega_star", lambda g, caps: dataclasses.replace(real(g, caps), value=Fraction(7))
+        )
+        for m in (2, 3):
+            with pytest.raises(InvariantError, match=f"^omega_star of G_{m} settled as {1 << m} and as 7$"):
+                cached_omega_star(cls, m, DEFAULT_CAPS)
+        monkeypatch.setattr(dims, "omega_star", real)
+        assert cached_omega_star(cls, 3, DEFAULT_CAPS).value == 8
+    finally:
+        clear_caches()
+
+
+def test_settled_values_are_read_without_the_lps_pattern_cap():
+    # omega*_1..3 of paper_example_sec6 are settled by ld = 2 and by the
+    # 8-clique at the ceiling, so no LP and its pattern cap stand between
+    # the report and cd* = 3; the LP itself still refuses the cap
+    from cliquedim import Caps, ResourceLimitError, clear_caches
+
+    cls = generate("paper_example_sec6")
+    caps = Caps(max_pattern_universe=2)
+    clear_caches()
+    try:
+        rep = dimension_report(cls, caps=caps)
+        assert [row.omega_star for row in rep.rows] == [2, 4, 8, None]
+        assert rep.cd_star == DimensionValue(3, EXACT)
+        with pytest.raises(ResourceLimitError) as exc:
+            cached_omega_star(cls, 3, caps)
+        assert exc.value.dimension == "pattern-cap"
+    finally:
+        clear_caches()
+
+
+@st.composite
+def small_classes(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8))
+    return ConceptClass(n, rows)
+
+
+def oracle_omega_star(cls, m):
+    items = oracles.enumerate_realizable_multisets(cls, m)
+    value, _, _ = oracles.reference_simplex(len(items), oracles.packing_constraints(cls, items))
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_classes())
+# ld = 1 < 2 = floor(log2 |H|), omega_2 = 3 and omega*_2 < 4: cd and m0 are
+# decided at m = ld + 1
+@example(ConceptClass(3, {(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}))
+# ld = 2 < 3 = floor(log2 |H|) and omega_3 = 6: without omega*_3 in the
+# report, cd reads the settled omega_3
+@example(ConceptClass(4, {
+    (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1),
+    (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1),
+}))
+def test_settled_values_agree_with_the_oracles(cls):
+    from cliquedim import clear_caches
+
+    omegas, stars = {}, {}
+    for m in (1, 2, 3):
+        items = oracles.enumerate_realizable_multisets(cls, m)
+        omegas[m] = oracles.max_clique_size_bk(oracles.adjacency_from_collections(items))
+        stars[m] = oracle_omega_star(cls, m)
+    first = next(
+        m for m in itertools.count(1)
+        if (stars[m] if m in stars else oracle_omega_star(cls, m)) < 1 << m
+    )
+    try:
+        for m_max_lp in (3, 2):
+            clear_caches()
+            rep = dimension_report(cls, m_max_clique=3, m_max_lp=m_max_lp)
+            assert smallest_separating_m0(cls) == first
+            assert [(row.omega, row.omega_exact, row.omega_star) for row in rep.rows] == [
+                (omegas[m], True, stars[m] if m <= m_max_lp else None) for m in (1, 2, 3)
+            ]
+            clear_caches()
+            assert rep.cd == clique_dimension(cls, 3)
+            clear_caches()
+            assert rep.cd_star == fractional_clique_dimension(cls, m_max_lp)
+            clear_caches()
+            assert smallest_separating_m0(cls) == first
+    finally:
+        clear_caches()
 
 
 def test_dimension_value_rendering():
