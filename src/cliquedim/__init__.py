@@ -25,25 +25,21 @@ from .concepts import (
     parse_class_text,
     parse_dataset,
     pattern_to_mask,
-    restrict,
 )
 from .errors import (
     CliquedimError,
     ContradictoryDatasetError,
     DegenerateCliqueError,
     EmptyClassError,
-    EvenLengthError,
     InfeasibleModelError,
     InvariantError,
     InvalidParamsError,
     LengthMismatchError,
     NoSeparationError,
     NotCompleteError,
-    NotIndependentError,
     NotRealizableDistributionError,
     NotShatteredError,
     ResourceLimitError,
-    ZeroCliqueError,
     ZeroColoringError,
 )
 from .graph import (
@@ -54,8 +50,6 @@ from .graph import (
     build_graph,
     export_edge_list,
     independent_sets,
-    is_edge,
-    witness_hypothesis,
     wl_fingerprint,
 )
 from .trees import (
@@ -84,9 +78,7 @@ from .fractional import (
     DualityCertificate,
     FractionalClique,
     FractionalColoring,
-    clique_to_distribution,
     coloring_to_distribution,
-    consistency_probability,
     format_certificate,
     frac_str,
     omega_star,
@@ -129,11 +121,9 @@ from .boosting import (
     draw_patterns,
     forced_gamma_good_check,
     format_boost_report,
-    majority_vote,
     mu_tilde,
     numeric_lemma_checks,
     run_expert_game,
-    sample_boosted,
     small_pop_err_check,
     verify_sspfcd_bound,
 )

@@ -66,7 +66,6 @@ import numpy as np
 
 from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
 from .errors import (
-    EvenLengthError,
     InvalidParamsError,
     InvariantError,
     LengthMismatchError,
@@ -247,31 +246,12 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
     return draws
 
 
-def sample_boosted(config: BoostConfig, seed: int) -> HypothesisPattern:
-    """Majority of T i.i.d. draws from mu~, deterministic given the seed."""
-    return majority_vote(draw_patterns(config.mu, config.T, random.Random(seed)))
-
-
-def majority_vote(patterns: Sequence[HypothesisPattern]) -> HypothesisPattern:
-    """Pointwise strict majority; requires an odd number of equal-length
-    votes so no tie is possible."""
-    if not patterns:
-        raise EvenLengthError("majority of zero votes")
-    if len(patterns) % 2 == 0:
-        raise EvenLengthError(f"majority needs an odd count, got {len(patterns)}")
-    n = len(patterns[0])
-    if any(len(h) != n for h in patterns):
-        raise LengthMismatchError("patterns of unequal length")
-    half = len(patterns) / 2
-    return tuple(1 if sum(h[p] for h in patterns) > half else 0 for p in range(n))
-
-
 # ─── the inverted expert game ────────────────────────────────────────────
 
 
 @dataclass
 class ExpertGameTranscript:
-    """Full record of a Hedge run over a dataset's examples.
+    """Record of a Hedge run over a dataset's examples.
 
     Experts are the dataset's m examples (repeats stay separate experts).
     `losses[t, j]` is 1 when instance t agrees with expert j's example;
@@ -282,9 +262,6 @@ class ExpertGameTranscript:
     1 - learner[t].
     """
 
-    dataset: Dataset
-    instances: tuple
-    eta: float
     weights: np.ndarray  # (T+1, m)
     losses: np.ndarray  # (T, m)
     learner: np.ndarray  # (T,)
@@ -292,31 +269,6 @@ class ExpertGameTranscript:
     regret_bound: float  # sqrt(2 T ln m)
     shadow_regret: Optional[Fraction] = None
     shadow_certified: Optional[bool] = None
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return self.losses.sum(axis=0)
-
-    def label_distribution(self, t: int) -> dict:
-        """D_t over distinct labeled examples: total weight per value."""
-        out: dict = {}
-        for j, ex in enumerate(self.dataset):
-            key = (ex.point, ex.label)
-            out[key] = out.get(key, 0.0) + float(self.weights[t, j])
-        return out
-
-    def distribution_loss(self, t: int) -> float:
-        """L_{D_t}(h_t) = 1 - (weight mass the instance agrees with)."""
-        return 1.0 - float(self.learner[t])
-
-    def gamma_good(self, t: int, gamma: float) -> bool:
-        return self.distribution_loss(t) <= 0.5 - float(gamma) + 1e-12
-
-    def all_gamma_good(self, gamma: float) -> bool:
-        return all(self.gamma_good(t, gamma) for t in range(len(self.instances)))
-
-    def majority(self) -> HypothesisPattern:
-        return majority_vote(list(self.instances))
 
 
 def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) -> np.ndarray:
@@ -389,9 +341,6 @@ def run_expert_game(
             2 * t_rounds, m
         )
     return ExpertGameTranscript(
-        dataset=dataset,
-        instances=instances,
-        eta=eta,
         weights=weights,
         losses=losses,
         learner=learner,

@@ -116,6 +116,8 @@ def _cmd_gen(args):
 
 
 def _cmd_graph(args):
+    if args.prune_nonmaximal and not args.sets:
+        raise InvalidParamsError("--prune-nonmaximal prunes the --sets listing: give --sets too")
     cls = _load_class(args.cls)
     caps = _caps(args)
     g = cached_graph(cls, args.m, caps)

@@ -132,9 +132,9 @@ class ConceptClass:
 
     `hypotheses` is a tuple of rows (each a tuple of 0/1 of length
     `universe_size`), sorted lexicographically and pairwise distinct.  The
-    empty class (no rows) is a legal distinguished value: restriction can
-    produce it and callers branch on emptiness, but graph/dimension
-    operations reject it.
+    empty class (no rows) is a legal value, as a class file declaring
+    `hypotheses 0` reads, but graph/dimension operations reject it through
+    `require_nonempty`.
     """
 
     __slots__ = ("universe_size", "hypotheses", "row_masks")
@@ -209,20 +209,6 @@ def is_realizable(cls: ConceptClass, dataset: Dataset) -> bool:
                 f"dataset point {top} outside universe of size {cls.universe_size}"
             )
     return any(_mask_consistent(r, dataset) for r in cls.row_masks)
-
-
-def restrict(cls: ConceptClass, point: Point, label: Label) -> ConceptClass:
-    """Sub-class of hypotheses with h(point) == label.
-
-    May be empty; the empty class is returned as a value (callers branch on
-    `is_empty`).  Restriction preserves canonical order, so no re-sort
-    happens beyond the constructor's.
-    """
-    if not 0 <= point < cls.universe_size:
-        raise IndexError(f"point {point} outside universe of size {cls.universe_size}")
-    _check_label(label)
-    kept = [row for row in cls.hypotheses if row[point] == label]
-    return ConceptClass(cls.universe_size, kept)
 
 
 # ─── generators ──────────────────────────────────────────────────────────

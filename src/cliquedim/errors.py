@@ -36,14 +36,6 @@ class ResourceLimitError(CliquedimError):
         super().__init__(f"resource limit ({dimension}): {detail}")
 
 
-class NotIndependentError(CliquedimError):
-    """A vertex set handed to witness extraction contains a contradiction."""
-
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(f"set is not independent: conflicting labels at point {point}")
-
-
 class DegenerateCliqueError(CliquedimError, ValueError):
     """Balanced-point search needs a clique with at least two members."""
 
@@ -72,20 +64,12 @@ class ZeroColoringError(CliquedimError, ValueError):
     """A fractional coloring with zero total weight cannot be normalized."""
 
 
-class ZeroCliqueError(CliquedimError, ValueError):
-    """A fractional clique with zero total weight cannot be normalized."""
-
-
 class NoSeparationError(CliquedimError):
     """Boosting setup requires omega*_m < 2^m at the chosen m."""
 
 
 class LengthMismatchError(CliquedimError, ValueError):
     """Expert-game inputs whose lengths disagree with the config."""
-
-
-class EvenLengthError(CliquedimError, ValueError):
-    """Majority vote requires an odd number of voters."""
 
 
 class NotRealizableDistributionError(CliquedimError, ValueError):

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .concepts import HypothesisPattern, mask_to_pattern, pattern_to_mask
-from .errors import InvariantError, ZeroCliqueError, ZeroColoringError
+from .concepts import mask_to_pattern, pattern_to_mask
+from .errors import InvariantError, ZeroColoringError
 from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, independent_sets
 
 
@@ -173,20 +173,6 @@ def coloring_to_distribution(col: FractionalColoring) -> dict:
     return {h: w / col.colors for h, w in col.weights.items() if w}
 
 
-def clique_to_distribution(fc: FractionalClique) -> dict:
-    """Normalize a fractional clique into a distribution over vertices.
-    Every pattern is then consistent with probability <= 1/size."""
-    if fc.size == 0:
-        raise ZeroCliqueError("cannot normalize a zero-weight clique")
-    return {v: w / fc.size for v, w in fc.weights.items() if w}
-
-
-def consistency_probability(g: ContradictionGraph, dist: dict, pattern: HypothesisPattern) -> Fraction:
-    """Pr_{S ~ dist}[pattern consistent with S] for a vertex distribution."""
-    vm = g.consistent(pattern_to_mask(pattern))
-    return sum((p for v, p in dist.items() if (vm >> v) & 1), Fraction(0))
-
-
 # ─── certificate text format ─────────────────────────────────────────────
 
 
@@ -212,6 +198,10 @@ def format_certificate(cert: DualityCertificate) -> str:
 
 
 def parse_certificate(text: str) -> DualityCertificate:
+    """Inverse of `format_certificate`.  Comments after `#` and blank lines
+    are skipped.  Every other line is a section name or exactly two fields;
+    the value line comes once and no vertex or pattern repeats.  Anything
+    else raises `ValueError` naming the line, so no text reads ambiguously."""
     value = None
     primal: dict = {}
     dual: dict = {}
@@ -223,19 +213,29 @@ def parse_certificate(text: str) -> DualityCertificate:
         if line in ("primal", "dual"):
             section = line
             continue
-        if not (line.startswith("value ") or section):
+        fields = line.split()
+        if not (fields[0] == "value" or section):
             raise ValueError(f"unexpected certificate line: {line!r}")
         try:
-            if line.startswith("value "):
-                value = parse_frac(line.split()[1])
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 fields, got {len(fields)}")
+            key, weight = fields[0], parse_frac(fields[1])
+            if key == "value":
+                if value is not None:
+                    raise ValueError("a second value line")
+                value = weight
             elif section == "primal":
-                vs, ws = line.split()
-                primal[int(vs)] = parse_frac(ws)
+                v = int(key)
+                if v in primal:
+                    raise ValueError(f"vertex {v} repeats")
+                primal[v] = weight
             else:
-                hs, ws = line.split()
-                if set(hs) - {"0", "1"}:
-                    raise ValueError(f"pattern {hs!r} is not a string of 0s and 1s")
-                dual[tuple(int(c) for c in hs)] = parse_frac(ws)
+                if set(key) - {"0", "1"}:
+                    raise ValueError(f"pattern {key!r} is not a string of 0s and 1s")
+                h = tuple(int(c) for c in key)
+                if h in dual:
+                    raise ValueError(f"pattern {key} repeats")
+                dual[h] = weight
         except ValueError as exc:
             raise ValueError(f"bad certificate line {line!r}: {exc}") from None
     if value is None:

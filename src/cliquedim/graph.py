@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .concepts import ConceptClass, Dataset, HypothesisPattern, LabeledExample, mask_to_pattern
-from .errors import InvalidParamsError, InvariantError, NotIndependentError, ResourceLimitError
+from .concepts import ConceptClass, Dataset, LabeledExample, mask_to_pattern
+from .errors import InvalidParamsError, InvariantError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,6 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
     return ContradictionGraph(cls, m, tuple(vertices), tuple(realizers))
 
 
-def is_edge(g: ContradictionGraph, i: int, j: int) -> bool:
-    n = g.num_vertices
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex index out of range (n={n})")
-    return i != j and bool((g.adj[i] >> j) & 1)
-
-
 @dataclass(frozen=True)
 class IndependentSetFamily:
     """Deduplicated consistency sets V_h, keyed by the witness pattern (the
@@ -235,29 +228,6 @@ def independent_sets(
         patterns=tuple(mask_to_pattern(seen[vm], n) for vm in order),
         masks=tuple(order),
     )
-
-
-def witness_hypothesis(g: ContradictionGraph, vertex_mask: int) -> HypothesisPattern:
-    """A full labeling consistent with every dataset in the given vertex set.
-
-    Merges the sets' constraints; a point constrained both ways means the set
-    was not independent (raises, naming the least conflicting point).
-    Unconstrained points get label 0.
-    """
-    ones = 0
-    zeros = 0
-    m = vertex_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        if v >= g.num_vertices:
-            raise IndexError(f"vertex index {v} out of range")
-        ones |= g.ones[v]
-        zeros |= g.zeros[v]
-        m &= m - 1
-    conflict = ones & zeros
-    if conflict:
-        raise NotIndependentError((conflict & -conflict).bit_length() - 1)
-    return mask_to_pattern(ones, g.cls.universe_size)
 
 
 WL_ROUNDS = 3

@@ -18,7 +18,6 @@ from cliquedim import (
     DEFAULT_CAPS,
     ConceptClass,
     Dataset,
-    EvenLengthError,
     InvalidParamsError,
     InvariantError,
     LengthMismatchError,
@@ -32,12 +31,10 @@ from cliquedim import (
     draw_patterns,
     forced_gamma_good_check,
     generate,
-    majority_vote,
     mask_to_pattern,
     mu_tilde,
     omega_star,
     run_expert_game,
-    sample_boosted,
     smallest_separating_m0,
     verify_sspfcd_bound,
 )
@@ -187,9 +184,11 @@ def test_boost_config_anchor_frozen_values():
     assert cfg.T == 563
     assert cfg.T % 2 == 1
     assert cfg.eta == math.sqrt(2 * math.log(3) / 563)
-    # the expert game over a dataset of the target length runs at the same rate
-    game = run_expert_game(Dataset([(0, 0), (1, 0), (0, 0)]), [(0, 0)] * cfg.T)
-    assert game.eta == cfg.eta
+    # the expert game over a dataset of the target length runs at the same
+    # rate: (0, 1) agrees with the two (0:0) experts and not with (1:0), so
+    # one round scales their weight against its weight by exp(-eta)
+    game = run_expert_game(Dataset([(0, 0), (1, 0), (0, 0)]), [(0, 1)] * cfg.T)
+    assert game.weights[1, 0] / game.weights[1, 2] == pytest.approx(math.exp(-cfg.eta), rel=1e-12)
     assert cfg.alpha == pytest.approx(512 * math.log(8), rel=1e-12)
 
 
@@ -235,29 +234,6 @@ def test_boost_config_refuses_gamma_too_long_to_print():
     assert boost_config(ANCHOR, m0=2, m=3, gamma=F(1, 100) + F(1, 10 ** (digits - 1))).T == 21973
 
 
-def test_sample_boosted_is_deterministic():
-    cfg = boost_config(ANCHOR, m0=2, m=3)
-    assert sample_boosted(cfg, seed=5) == sample_boosted(cfg, seed=5)
-    assert sample_boosted(cfg, seed=5) in {(0, 0), (1, 1)}
-
-
-# ─── majority vote ─────────────────────────────────────────────────────────
-
-
-def test_majority_vote_pointwise():
-    assert majority_vote([(1, 1), (1, 0), (0, 0)]) == (1, 0)
-    assert majority_vote([(0, 1)]) == (0, 1)
-
-
-def test_majority_vote_rejects_even_and_ragged():
-    with pytest.raises(EvenLengthError):
-        majority_vote([(0,), (1,)])
-    with pytest.raises(EvenLengthError):
-        majority_vote([])
-    with pytest.raises(LengthMismatchError):
-        majority_vote([(0, 1), (1,), (0, 0)])
-
-
 # ─── the expert game ───────────────────────────────────────────────────────
 
 
@@ -277,7 +253,6 @@ def test_expert_game_losses_are_agreements():
     # with 1 (disagrees with expert 1)
     assert tr.losses[0].tolist() == [1.0, 0.0]
     assert tr.learner[0] == pytest.approx(0.5)
-    assert tr.distribution_loss(0) == pytest.approx(0.5)
 
 
 def test_expert_game_regret_identity_on_consistent_instances():
@@ -308,15 +283,6 @@ def test_expert_game_weights_depend_only_on_past():
     # final instance differs: everything up to the last weight row agrees
     assert np.array_equal(a.weights[:3], b.weights[:3])
     assert np.array_equal(a.losses[:2], b.losses[:2])
-
-
-def test_expert_game_gamma_goodness_reads_distribution_loss():
-    ds = Dataset([(0, 1), (1, 0)])
-    tr = run_expert_game(ds, [(1, 0), (1, 1)])
-    # (1,0) agrees with both experts: loss 0; (1,1) with expert 0 only
-    assert tr.gamma_good(0, 0.25)
-    assert not tr.gamma_good(1, 0.25)
-    assert not tr.all_gamma_good(0.25)
 
 
 def test_expert_game_rejects_short_instance():
@@ -363,10 +329,9 @@ def test_example_losses_equal_the_per_instance_loop():
 def test_expert_game_label_distribution_sums_to_one():
     ds = Dataset([(0, 1), (0, 1), (1, 0)])
     tr = run_expert_game(ds, [(1, 1), (0, 0)])
-    for t in range(2):
-        dist = tr.label_distribution(t)
-        assert sum(dist.values()) == pytest.approx(1.0)
-        assert set(dist) == {(0, 1), (1, 0)}
+    assert tr.weights.shape == (3, 3)
+    for row in tr.weights:
+        assert row.sum() == pytest.approx(1.0)
 
 
 def test_expert_game_shadow_certifies_regret():

@@ -407,6 +407,13 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
 
+    # input error: a flag that reads another flag's output, without it
+    code, out, err = run(capsys, "graph", path, "--m", "1", "--prune-nonmaximal")
+    assert (code, out) == (2, "")
+    assert err == "error: --prune-nonmaximal prunes the --sets listing: give --sets too\n"
+    code, out, _ = run(capsys, "graph", path, "--m", "1", "--prune-nonmaximal", "--sets")
+    assert code == 0 and out.count("\ns ") > 0
+
     # input error: a negative cap
     code, _, err = run(capsys, "omega", path, "--m", "1", "--pattern-cap", "-1")
     assert (code, err) == (2, "error: max_pattern_universe must be >= 0, got -1\n")

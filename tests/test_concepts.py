@@ -24,7 +24,6 @@ from cliquedim import (
     parse_class_text,
     parse_dataset,
     pattern_to_mask,
-    restrict,
 )
 from cliquedim.concepts import FAMILIES
 
@@ -173,23 +172,6 @@ def test_is_realizable():
     assert is_realizable(cls, Dataset([(0, 0), (1, 0), (2, 0)]))
     # no row starts with 1,0,0,0
     assert not is_realizable(cls, Dataset([(0, 1), (1, 0), (2, 0), (3, 0)]))
-
-
-def test_restrict_counts_on_example_class():
-    cls = generate("paper_example_sec6")
-    assert len(restrict(cls, 0, 0)) == 3
-    assert len(restrict(cls, 0, 1)) == 5
-    assert restrict(cls, 0, 0).universe_size == cls.universe_size
-
-
-def test_restrict_can_empty_a_class():
-    cls = ConceptClass(1, [(1,)])
-    assert restrict(cls, 0, 0).is_empty
-
-
-def test_restrict_rejects_bad_point():
-    with pytest.raises(IndexError):
-        restrict(generate("full", universe=2), 5, 0)
 
 
 # ─── generators ────────────────────────────────────────────────────────────

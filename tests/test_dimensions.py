@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from cliquedim import (
     build_graph,
     cached_omega_star,
     check_inequalities,
+    clear_caches,
     clique_dimension,
     clique_from_tree,
     dimension_report,
@@ -523,3 +525,76 @@ def test_chain_relations_on_small_classes():
         for row in rep.rows:
             if row.omega is not None and row.omega_exact and row.omega_star is not None:
                 assert row.omega <= row.omega_star <= row.two_pow_m
+
+
+# ─── the census of the classes on 4 points ───────────────────────────────
+
+# A symmetry of {0,1}^4 permutes the points and flips labels point by
+# point: 4! * 2^4 = 384 of them.  Each acts on the 16 rows, written as
+# 4-bit masks, and so on the classes, written as 16-bit masks over rows.
+CUBE_SYMMETRIES = [
+    tuple(
+        sum((((row >> p) & 1) ^ flip[p]) << perm[p] for p in range(4))
+        for row in range(16)
+    )
+    for perm in itertools.permutations(range(4))
+    for flip in itertools.product((0, 1), repeat=4)
+]
+
+
+def class_image(rows_mask, symmetry):
+    return sum(1 << symmetry[row] for row in range(16) if (rows_mask >> row) & 1)
+
+
+def orbit_representatives():
+    """The least class mask of each orbit of the nonempty classes."""
+    seen = bytearray(1 << 16)
+    reps = []
+    for rows_mask in range(1, 1 << 16):
+        if not seen[rows_mask]:
+            reps.append(rows_mask)
+            for symmetry in CUBE_SYMMETRIES:
+                seen[class_image(rows_mask, symmetry)] = 1
+    return reps
+
+
+def class_of(rows_mask):
+    return ConceptClass(4, [
+        tuple((row >> p) & 1 for p in range(4)) for row in range(16) if (rows_mask >> row) & 1
+    ])
+
+
+def test_census_of_the_classes_on_four_points():
+    reps = orbit_representatives()
+    assert len(reps) == 401
+    rng = random.Random(4)
+    counts = {}
+    gaps = set()
+    try:
+        for rows_mask in reps:
+            image = class_image(rows_mask, rng.choice(CUBE_SYMMETRIES))
+            values = []
+            for cls in (class_of(rows_mask), class_of(image)):
+                cd = clique_dimension(cls, m_max=4)
+                cd_star = fractional_clique_dimension(cls, m_max=4)
+                assert cd.exactness == cd_star.exactness == EXACT
+                values.append((vc_dimension(cls), littlestone_dimension(cls), cd.value, cd_star.value))
+            # every dimension is invariant under the symmetries
+            assert values[0] == values[1], rows_mask
+            ld, cd, cd_star = values[0][1:]
+            counts[ld, cd, cd_star] = counts.get((ld, cd, cd_star), 0) + 1
+            if cd > ld:
+                gaps.add(rows_mask)
+    finally:
+        clear_caches()
+    assert counts == {
+        (0, 0, 0): 1,
+        (1, 1, 1): 14,
+        (2, 2, 2): 185,
+        (2, 3, 3): 4,
+        (3, 3, 3): 196,
+        (4, 4, 4): 1,
+    }
+    # paper_example_sec6 is one of the four classes with cd > ld
+    example = sum(1 << sum(b << p for p, b in enumerate(row)) for row in generate("paper_example_sec6").hypotheses)
+    assert any(class_image(example, symmetry) in gaps for symmetry in CUBE_SYMMETRIES)

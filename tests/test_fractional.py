@@ -7,16 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cliquedim import (
+    DualityCertificate,
     build_graph,
-    clique_to_distribution,
     coloring_to_distribution,
-    consistency_probability,
     format_certificate,
     generate,
     is_consistent,
+    mask_to_pattern,
     max_clique,
     omega_star,
     parse_certificate,
@@ -159,11 +160,39 @@ def test_certificate_errors_show_the_exact_shortfall():
         ("value 1/1\ndual\n01 1/0\n", "01 1/0"),
         ("value 1/1\ndual\n12 1/1\n", "12 1/1"),
         ("value 1/1\nprimal\n0 1/2 3\n", "0 1/2 3"),
+        # trailing fields, a second value line and a repeated key are
+        # ambiguous: no last line wins
+        ("value 1/2 junk\nprimal\n0 1/2\n0 1/3\ndual\n01 1/2\n01 9/1\nvalue 7/1\n", "value 1/2 junk"),
+        ("value 1/1\nprimal\n0 1/2\nvalue 7/1\n", "value 7/1"),
+        ("value 1/1\nprimal\n0 1/2\n0 1/3\n", "0 1/3"),
+        ("value 1/1\nprimal\n0 1/2\n00 1/2\n", "00 1/2"),
+        ("value 1/1\ndual\n01 1/2\n01 9/1\n", "01 9/1"),
+        ("value 1/1\nprimal\n0\n", "0"),
     ],
 )
 def test_parse_certificate_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=f"^bad certificate line {line!r}: "):
         parse_certificate(text)
+
+
+# near-certificate lines: sections, key/weight pairs (some malformed,
+# some repeated), stray fields and arbitrary text
+CERTIFICATE_LINES = st.one_of(
+    st.sampled_from(["primal", "dual", "value 1/2", "value 3/1", "# note", ""]),
+    st.lists(st.sampled_from(["0", "1", "01", "10", "00", "value", "x", "1/2", "3/1", "1/0"]), max_size=3).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.lists(CERTIFICATE_LINES, max_size=8).map("\n".join))
+def test_parse_certificate_returns_or_raises_value_error(text):
+    try:
+        cert = parse_certificate(text)
+    except ValueError:
+        return
+    assert isinstance(cert, DualityCertificate)
+    assert parse_certificate(format_certificate(cert)) == cert
 
 
 def test_anchor_certificate_structure():
@@ -212,13 +241,23 @@ def test_coloring_distribution_covers_every_vertex():
 
 
 def test_clique_distribution_caps_every_pattern():
-    g = build_graph(generate("full", universe=2), 2)
-    cert = omega_star(g)
-    dist = clique_to_distribution(cert.clique)
-    assert sum(dist.values()) == 1
-    for hm in range(4):
-        pattern = tuple((hm >> p) & 1 for p in range(2))
-        assert consistency_probability(g, dist, pattern) <= 1 / cert.value
+    # the packing condition behind the pure-DP lower bound, against every
+    # labeling h and not only the maximal family the LP was solved on
+    for family, universe, m in [
+        ("full", 2, 2),
+        ("disjoint_pairs", 2, 2),
+        ("paper_example_sec6", 4, 2),
+        ("thresholds", 3, 2),
+    ]:
+        g = build_graph(generate(family, universe=universe), m)
+        cert = omega_star(g)
+        assert sum(cert.clique.weights.values()) == cert.value
+        for hm in range(1 << universe):
+            h = mask_to_pattern(hm, universe)
+            hit = sum(
+                (w for v, w in cert.clique.weights.items() if is_consistent(h, g.vertices[v])), F(0)
+            )
+            assert hit <= 1
 
 
 def test_certificate_text_round_trip():

@@ -10,7 +10,6 @@ from cliquedim import (
     Dataset,
     InvalidParamsError,
     LabeledExample,
-    NotIndependentError,
     ResourceLimitError,
     build_graph,
     export_edge_list,
@@ -18,11 +17,9 @@ from cliquedim import (
     independent_sets,
     is_consistent,
     parse_dataset,
-    witness_hypothesis,
     wl_fingerprint,
 )
 from cliquedim.concepts import mask_to_pattern
-from cliquedim.graph import is_edge
 
 
 def oracle_graph(cls, m):
@@ -54,7 +51,7 @@ def test_anchor_m2_structure():
     # same-label datasets on distinct points never contradict
     i = g.index_of(parse_dataset("(0:0);(0:0)"))
     j = g.index_of(parse_dataset("(1:1);(1:1)"))
-    assert not is_edge(g, i, j)
+    assert not (g.adj[i] >> j) & 1
 
 
 @pytest.mark.parametrize(
@@ -83,7 +80,7 @@ def test_graph_matches_enumeration_oracle(family, universe, m):
     for i in range(g.num_vertices):
         for j in range(i + 1, g.num_vertices):
             oi, oj = pos[rendered[i]], pos[rendered[j]]
-            assert is_edge(g, i, j) == bool((adj[oi] >> oj) & 1)
+            assert (g.adj[i] >> j) & 1 == (adj[oi] >> oj) & 1
 
 
 def test_vertices_are_canonically_sorted():
@@ -140,7 +137,7 @@ def test_independent_sets_are_independent_and_cover():
         members = [i for i in range(g.num_vertices) if (vm >> i) & 1]
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                assert not is_edge(g, members[a], members[b])
+                assert not (g.adj[members[a]] >> members[b]) & 1
     assert covered == (1 << g.num_vertices) - 1
 
 
@@ -263,23 +260,6 @@ def test_vertices_equal_datasets_built_by_the_full_constructor(g):
         assert all(type(ex) is LabeledExample for ex in v.examples)
 
 
-def test_witness_hypothesis_rejects_dependent_sets():
-    g = build_graph(generate("full", universe=2), 1)
-    i = g.index_of(parse_dataset("(0:0)"))
-    j = g.index_of(parse_dataset("(0:1)"))
-    with pytest.raises(NotIndependentError):
-        witness_hypothesis(g, (1 << i) | (1 << j))
-
-
-def test_witness_hypothesis_on_independent_set():
-    g = build_graph(generate("full", universe=2), 1)
-    fam = independent_sets(g, maximal_only=True)
-    pat = witness_hypothesis(g, fam.masks[0])
-    for i in range(g.num_vertices):
-        if (fam.masks[0] >> i) & 1:
-            assert is_consistent(pat, g.vertices[i])
-
-
 # ─── rendering ─────────────────────────────────────────────────────────────
 
 
@@ -292,7 +272,7 @@ def test_edge_list_header_and_shape():
     assert len(e_lines) == 7
     for line in e_lines:
         _, i, j = line.split()
-        assert is_edge(g, int(i), int(j))
+        assert (g.adj[int(i)] >> int(j)) & 1
 
 
 def test_edge_list_verbose_vertices_parse_back():

@@ -9,14 +9,21 @@ result must raise instead.  Nor may it raise `AssertionError`: an internal
 check raises `InvariantError`, which the CLI reports as `internal error:`
 with exit code 1 instead of a traceback.  The only third-party package a
 module may import is numpy: scipy alone once took most of `import cliquedim`.
+Every name `cliquedim` exports must have a reader: a library module other
+than `__init__.py`, the benchmark under `perfbench/`, or the README.
 """
 
 import ast
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cliquedim"
+import cliquedim
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cliquedim"
 
 
 def import_findings(path: Path) -> list:
@@ -150,3 +157,80 @@ def test_assert_lint_reports_raised_assertion_errors(tmp_path):
         "mod.py:3 raise AssertionError",
         "mod.py:5 raise AssertionError",
     ]
+
+
+# ─── every export has a reader ───────────────────────────────────────────
+
+
+def referenced_names(path: Path, strings: bool = False) -> set:
+    """Identifiers a module reads (names and attributes), and with
+    `strings` its string constants too: the benchmark names the functions
+    it traces as strings."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def backticked_names(text: str) -> set:
+    """Identifiers inside the inline code spans and fenced blocks of a
+    markdown text."""
+    spans = re.findall(r"```.*?```|`[^`]+`", text, re.S)
+    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def caller_less_exports(exports, src: Path, perfbench: Path, readme: Path) -> list:
+    """The exports that no module of `src` but `__init__.py` reads, that
+    `perfbench` neither reads nor names in a string, and that the README
+    does not show in backticks.  A name read only by dead code still
+    counts as read."""
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= referenced_names(path)
+    for path in sorted(perfbench.glob("*.py")):
+        read |= referenced_names(path, strings=True)
+    read |= backticked_names(readme.read_text(encoding="utf-8"))
+    return sorted(name for name in exports if name not in read)
+
+
+def public_exports(module) -> list:
+    return [
+        name
+        for name in module.__all__
+        if not name.startswith("__") and not isinstance(getattr(module, name), types.ModuleType)
+    ]
+
+
+def test_every_export_has_a_reader():
+    exports = public_exports(cliquedim)
+    assert caller_less_exports(exports, SRC, ROOT / "perfbench", ROOT / "README.md") == []
+
+
+def test_export_lint_reports_a_caller_less_export(tmp_path):
+    src = tmp_path / "src"
+    bench = tmp_path / "perfbench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text(
+        "from .mod import dead, inner, timed, shown\n"
+        "dead, inner, timed, shown\n"
+    )
+    (src / "mod.py").write_text(
+        "def dead(): pass\n"
+        "def inner(): pass\n"
+        "def timed(): pass\n"
+        "def shown(): pass\n"
+        "def outer(x):\n"
+        "    return inner(x.size)\n"
+    )
+    (bench / "spans.py").write_text('TRACED = (("mod", "timed"),)\n')
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `shown(x)`; dead code is not documented.\n```\nouter(1)\n```\n")
+    exports = ["dead", "inner", "timed", "shown", "size", "outer"]
+    assert caller_less_exports(exports, src, bench, readme) == ["dead"]
