@@ -53,10 +53,16 @@ class Dataset:
         for p, l in pairs:
             if p < 0:
                 raise InvalidParamsError(f"negative point index {p}")
+            try:
+                bit = 1 << p
+            except OverflowError:
+                raise InvalidParamsError(
+                    f"point index of {p.bit_length()} bits is too large"
+                ) from None
             if l:
-                ones |= 1 << p
+                ones |= bit
             else:
-                zeros |= 1 << p
+                zeros |= bit
         conflict = ones & zeros
         if conflict:
             raise ContradictoryDatasetError((conflict & -conflict).bit_length() - 1)
@@ -109,7 +115,7 @@ class Dataset:
         return ";".join(f"({p}:{l})" for p, l in self.examples)
 
 
-_EXAMPLE_RE = re.compile(r"\((\d+):([01])\)")
+_EXAMPLE_RE = re.compile(r"\(([0-9]+):([01])\)")
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -361,17 +367,19 @@ def format_class_text(cls: ConceptClass) -> str:
 def _header_count(line: str) -> int:
     try:
         _, count = line.split()
-        return int(count)
-    except ValueError:
-        raise InvalidParamsError(f"bad header line: {line!r}") from None
+        if re.fullmatch("[0-9]+", count):
+            return int(count)
+    except ValueError:  # not two fields, or more digits than int() reads
+        pass
+    raise InvalidParamsError(f"bad header line: {line!r}")
 
 
 def parse_class_text(text: str) -> ConceptClass:
     """Parse the format above: each header once, as its keyword and one
-    integer.  Rows may come in any order; duplicates collapse, which is
-    reported as an error since the declared count then disagrees.  With
-    `points 0` the only row is the empty one, whose line is blank, so
-    `hypotheses 1` and no row lines read as that row."""
+    integer in the digits 0-9.  Rows may come in any order; duplicates
+    collapse, which is reported as an error since the declared count then
+    disagrees.  With `points 0` the only row is the empty one, whose line is
+    blank, so `hypotheses 1` and no row lines read as that row."""
     rows = []
     headers: dict = {}
     for raw in text.splitlines():

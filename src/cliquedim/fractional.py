@@ -200,9 +200,11 @@ def format_certificate(cert: DualityCertificate) -> str:
 def parse_certificate(text: str) -> DualityCertificate:
     """Inverse of `format_certificate`.  Comments after `#` and blank lines
     are skipped.  Every other line is a section name or exactly two fields;
-    the value line comes once and no vertex or pattern repeats.  Anything
-    else raises `ValueError` naming the line, so no text reads ambiguously."""
+    the value line comes once, a vertex is written in the digits 0-9, every
+    pattern has one length and no vertex or pattern repeats.  Anything else
+    raises `ValueError` naming the line, so no text reads ambiguously."""
     value = None
+    width = 0  # the length of every dual pattern
     primal: dict = {}
     dual: dict = {}
     section = None
@@ -225,6 +227,8 @@ def parse_certificate(text: str) -> DualityCertificate:
                     raise ValueError("a second value line")
                 value = weight
             elif section == "primal":
+                if not key.isascii() or not key.isdigit():
+                    raise ValueError(f"vertex {key!r} is not a string of digits 0-9")
                 v = int(key)
                 if v in primal:
                     raise ValueError(f"vertex {v} repeats")
@@ -233,8 +237,11 @@ def parse_certificate(text: str) -> DualityCertificate:
                 if set(key) - {"0", "1"}:
                     raise ValueError(f"pattern {key!r} is not a string of 0s and 1s")
                 h = tuple(int(c) for c in key)
+                if dual and len(h) != width:
+                    raise ValueError(f"pattern {key} has {len(h)} labels, not {width}")
                 if h in dual:
                     raise ValueError(f"pattern {key} repeats")
+                width = len(h)
                 dual[h] = weight
         except ValueError as exc:
             raise ValueError(f"bad certificate line {line!r}: {exc}") from None

@@ -414,13 +414,14 @@ def test_forced_check_equals_the_per_round_loop():
 @st.composite
 def forced_runs(draw):
     """A dataset on |X| <= 4 labeled by one full labeling, so a gamma-good
-    pattern always exists, with a margin and a short odd round count."""
+    pattern always exists, with a margin and a short round count of either
+    parity (at an even T a count of exactly T/2 is a violation)."""
     universe = draw(st.integers(min_value=1, max_value=4))
     labeling = draw(st.integers(min_value=0, max_value=(1 << universe) - 1))
     points = draw(st.lists(st.integers(min_value=0, max_value=universe - 1), min_size=1, max_size=5))
     dataset = Dataset([(x, labeling >> x & 1) for x in points])
     gamma = draw(st.sampled_from((F(-3, 8), F(-1, 8), F(1, 32), F(1, 16))))
-    rounds = draw(st.integers(min_value=0, max_value=20)) * 2 + 1
+    rounds = draw(st.integers(min_value=1, max_value=41))
     return dataset, universe, gamma, rounds
 
 
@@ -432,6 +433,8 @@ def forced_runs(draw):
 )
 # 300 transcripts draw _DRAW_BLOCK // 300 rounds per block: cross a block
 @example((Dataset([(0, 1), (1, 0), (1, 0)]), 2, F(-1, 8), 2 * (_DRAW_BLOCK // 300) + 1), 300, 3)
+# an even T past the first block: a count of exactly T/2 there decides nothing
+@example((Dataset([(0, 1), (1, 0)]), 2, F(-3, 8), _DRAW_BLOCK // 300 + 2), 300, 0)
 def test_forced_check_equals_the_loop_on_random_datasets(run, transcripts, seed):
     dataset, universe, gamma, rounds = run
     cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=gamma, T=rounds)
@@ -452,7 +455,7 @@ def test_settled_runs_equal_the_loop_at_the_configured_rounds():
 
 def test_unsettled_runs_equal_the_loop():
     # on this vertex the good set always holds inconsistent labelings, so none
-    # of the 100 runs settles in the 16 blocks
+    # of the 100 runs settles; 94 are decided after round 200, the rest after 220
     cfg = dataclasses.replace(boost_config(generate("paper_example_sec6"), m0=4, m=4), T=301)
     ds = Dataset([(0, 1), (1, 0), (2, 1), (3, 0)])
     got = forced_gamma_good_check(ds, 4, cfg, 100, seed=1)
@@ -460,12 +463,37 @@ def test_unsettled_runs_equal_the_loop():
 
 
 def test_runs_settling_partway_equal_the_loop():
-    # 300 runs take blocks of 6 rounds: 18 runs settle after round 24 and 101
-    # after round 30, 181 are still live at round 31, and 156 runs violate
+    # 300 runs take blocks of 6 rounds: after round 24, 18 runs settle and 28
+    # more are decided; after round 30, 101 settle and 94 more are decided; 59
+    # are still live at round 31, and 156 runs violate
     cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=F(1, 32), T=31)
     ds = Dataset([(1, 0), (2, 1), (2, 1), (2, 1)])
     got = forced_gamma_good_check(ds, 4, cfg, 300, seed=78)
     assert got == reference_forced_violations(ds, 4, cfg, 300, seed=78) == (156, 300)
+
+
+def test_decided_runs_equal_the_loop_at_the_configured_rounds(monkeypatch):
+    # at least two labelings are always good on this vertex and at most one is
+    # consistent, so no run settles; every run is decided before 0.7 T rounds
+    cfg = boost_config(generate("paper_example_sec6"), m0=4, m=4)
+    ds = Dataset([(0, 1), (1, 0), (2, 1), (3, 0)])
+    assert cfg.T == 11357
+    drawn = []
+    make = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def random(self, size):
+            drawn.append(size[0])
+            return self.rng.random(size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", Spy)
+        got = forced_gamma_good_check(ds, 4, cfg, 100, seed=1)
+    assert got == reference_forced_violations(ds, 4, cfg, 100, seed=1) == (0, 100)
+    assert 0 < sum(drawn) < 0.7 * cfg.T
 
 
 def test_forced_check_raises_when_no_labeling_is_gamma_good():
@@ -615,6 +643,36 @@ def test_seeding_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: vectorised PCG64 seeding disagrees with numpy")
+
+
+OPTIMIZED_FORCED_PROBE = """
+import dataclasses
+from fractions import Fraction
+from cliquedim import Dataset, InvariantError, boost_config, forced_gamma_good_check, generate
+
+assert False, "asserts must be stripped in this process"
+anchor = boost_config(generate("disjoint_pairs", universe=2), 2, 3)
+try:
+    forced_gamma_good_check(Dataset([(0, 0), (1, 0)]), 2, dataclasses.replace(anchor, gamma=Fraction(3, 4)), 4, 0)
+except InvariantError as exc:
+    print("raised:", exc)
+sec6 = dataclasses.replace(boost_config(generate("paper_example_sec6"), 4, 4), T=301)
+print(forced_gamma_good_check(Dataset([(0, 1), (1, 0), (2, 1), (3, 0)]), 4, sec6, 100, 1))
+"""
+
+
+def test_forced_check_survives_python_O():
+    # the empty-good-set check and the early exits do not rest on asserts
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_FORCED_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sec6 = dataclasses.replace(boost_config(generate("paper_example_sec6"), 4, 4), T=301)
+    want = forced_gamma_good_check(Dataset([(0, 1), (1, 0), (2, 1), (3, 0)]), 4, sec6, 100, 1)
+    assert proc.stdout.splitlines() == ["raised: no gamma-good labeling available", repr(want)]
 
 
 def test_format_boost_report_shape():

@@ -440,6 +440,12 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "vc", str(tmp_path / "nope.txt"))
     assert code == 2
 
+    # unwritable output: --out into a missing directory or onto a directory
+    for out in (tmp_path / "no" / "such" / "x.txt", tmp_path):
+        code, stdout, err = run(capsys, "ld", path, "--out", str(out))
+        assert (code, stdout) == (2, ""), out
+        assert err.startswith("error: ") and str(out) in err, out
+
     # resource cap
     code, _, err = run(capsys, "graph", path, "--m", "3", "--vertex-cap", "5")
     assert code == 3

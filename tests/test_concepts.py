@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cliquedim import (
     ConceptClass,
@@ -114,6 +114,18 @@ def test_dataset_render_parse_round_trip():
 def test_parse_dataset_rejects_garbage():
     with pytest.raises(InvalidParamsError):
         parse_dataset("(0:0);(1-1)")
+
+
+@pytest.mark.parametrize("text", ["(٣:1)", "(+3:1)", "(3_0:1)", "(0:1);(²:0)"])
+def test_parse_dataset_reads_ascii_digits_only(text):
+    with pytest.raises(InvalidParamsError, match="^bad example rendering"):
+        parse_dataset(text)
+
+
+def test_a_point_too_large_to_shift_is_an_input_error():
+    # 1 << p raises OverflowError once p exceeds a C ssize_t
+    with pytest.raises(InvalidParamsError, match="^point index of 67 bits is too large$"):
+        parse_dataset("(99999999999999999999:1)")
 
 
 @given(
@@ -277,6 +289,13 @@ def test_class_text_rejects_missing_header():
         parse_class_text("01\n10\n")
 
 
+@pytest.mark.parametrize("count", ["٣", "+3", "3_0", "-1", "3.0", "²"])
+def test_class_text_header_counts_are_ascii_digits(count):
+    for text in (f"points {count}\nhypotheses 0\n", f"points 1\nhypotheses {count}\n0\n"):
+        with pytest.raises(InvalidParamsError, match="^bad header line"):
+            parse_class_text(text)
+
+
 @st.composite
 def small_classes(draw):
     n = draw(st.integers(0, 4))
@@ -294,3 +313,49 @@ def test_zero_point_class_reads_only_its_one_empty_row():
     for count in (2, 3):
         with pytest.raises(InvalidParamsError, match=f"declared {count} hypotheses, found 0 rows"):
             parse_class_text(f"points 0\nhypotheses {count}\n")
+
+
+# ─── parser fuzz ───────────────────────────────────────────────────────────
+
+# characters of the two text forms and their near misses; an edit adds at
+# most six digits, so no point reaches a size whose bit mask is costly
+EDIT_CHARS = "0123456789():;#+-_ \n\t٣²"
+
+
+@st.composite
+def edited(draw, texts):
+    """A text from `texts` with up to three characters deleted, inserted or
+    replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:i] + draw(st.text(EDIT_CHARS, max_size=2)) + text[i + cut :]
+    return text
+
+
+RENDERED_DATASETS = st.builds(
+    lambda labeling, points: Dataset([(p, labeling >> p & 1) for p in points]).render(),
+    st.integers(0, 63),
+    st.lists(st.integers(0, 5), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | edited(RENDERED_DATASETS))
+def test_parse_dataset_returns_or_raises_value_error(text):
+    try:
+        ds = parse_dataset(text)
+    except ValueError:
+        return
+    assert parse_dataset(ds.render()) == ds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | edited(small_classes().map(format_class_text)))
+def test_parse_class_text_returns_or_raises_value_error(text):
+    try:
+        cls = parse_class_text(text)
+    except ValueError:
+        return
+    assert parse_class_text(format_class_text(cls)) == cls

@@ -1,6 +1,7 @@
 """Exact LP duality certificates for the fractional clique number."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -168,10 +169,16 @@ def test_certificate_errors_show_the_exact_shortfall():
         ("value 1/1\nprimal\n0 1/2\n00 1/2\n", "00 1/2"),
         ("value 1/1\ndual\n01 1/2\n01 9/1\n", "01 9/1"),
         ("value 1/1\nprimal\n0\n", "0"),
+        # a vertex is written in the digits 0-9 and patterns share one length
+        ("value 1/1\nprimal\n-3 1/2\ndual\n0 1/2\n0110 1/2\n", "-3 1/2"),
+        ("value 1/1\nprimal\n+3 1/2\n", "+3 1/2"),
+        ("value 1/1\nprimal\n0_0 1/2\n", "0_0 1/2"),
+        ("value 1/1\nprimal\n٣ 1/2\n", "٣ 1/2"),
+        ("value 1/1\ndual\n0 1/2\n0110 1/2\n", "0110 1/2"),
     ],
 )
 def test_parse_certificate_names_the_bad_line(text, line):
-    with pytest.raises(ValueError, match=f"^bad certificate line {line!r}: "):
+    with pytest.raises(ValueError, match=f"^bad certificate line {re.escape(repr(line))}: "):
         parse_certificate(text)
 
 
