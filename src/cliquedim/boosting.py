@@ -42,14 +42,11 @@ It also drops a run once the run is decided: every example's count is
 above T/2.  Counts only grow, so the run's majority vote is already
 consistent and the run is no violation, whatever it picks later.  Dropping
 it skips the per-round check that some labeling is gamma-good in its
-remaining rounds, so a run is decided only at gamma <= 1/2.  There a
-labeling consistent with the dataset (one exists among the 2^|X| patterns)
-has mass sum(w) = 1, to rounding, which is at least 1/2 + gamma - 1e-12: no
-skipped round could fail the check.  At gamma > 1/2 every round is checked
-as before; unless gamma is within rounding of 1/2 + 1e-12, no labeling is
-good and the check fires in the first round.  The rule only counts and
-does not use the regret bound, so the check does not assume the
-implication it tests.
+remaining rounds.  `boost_config` guarantees gamma < epsilon/2 < 1/2, so a
+labeling consistent with the dataset (one exists among the 2^|X|
+patterns), whose mass sum(w) is 1 to rounding, is good in every round a
+decided run skips.  The rule only counts and does not use the regret bound,
+so the check does not assume the implication it tests.
 
 The Monte Carlo verifier gives trial i the stream of
 `np.random.default_rng(master_seed ^ i)` without building that generator:
@@ -421,9 +418,9 @@ def forced_gamma_good_check(
 
     After each block, a run whose last good set holds only consistent
     labelings is settled (see the module docstring): it leaves the loop,
-    and its final counts are its counts so far plus the rounds left.  At
-    gamma <= 1/2 a run whose every count is above T/2 is decided and leaves
-    too, adding no violation: counts only grow, and a consistent labeling
+    and its final counts are its counts so far plus the rounds left.  A run
+    whose every count is above T/2 is decided and leaves too, adding no
+    violation: counts only grow, and at gamma < 1/2 a consistent labeling
     (mass 1) is good in every round it skips.  The check that some labeling
     is good stays per round and runs before either exit.  Later blocks are
     still drawn for all B runs and keep the live runs' columns, so every
@@ -453,9 +450,6 @@ def forced_gamma_good_check(
     least = np.full(transcripts, np.inf)  # fewest good patterns seen per run
     correct = np.zeros((transcripts, m))
     live = np.arange(transcripts)  # each live run's column in a draw block
-    # at gamma <= 1/2 a consistent labeling (mass sum(w) = 1) is always good,
-    # so a decided run's skipped rounds cannot hold an empty good set
-    may_decide = config.gamma <= Fraction(1, 2)
     violations = 0
     per_block = max(1, _DRAW_BLOCK // max(transcripts, 1))
     for start in range(0, t_rounds, per_block):
@@ -483,8 +477,7 @@ def forced_gamma_good_check(
         # whose every count is above T/2 is decided: counts only grow, so its
         # counts plus the rounds left are above T/2 too, and it adds 0
         done = mass @ inconsistent == 0
-        if may_decide:
-            done |= (correct > t_rounds / 2).all(axis=1)
+        done |= (correct > t_rounds / 2).all(axis=1)
         if done.any():
             left = t_rounds - start - len(block)
             violations += int((correct[done] + left <= t_rounds / 2).any(axis=1).sum())

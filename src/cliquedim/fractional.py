@@ -22,6 +22,7 @@ sum is an exact integer sum.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,7 +228,7 @@ def parse_certificate(text: str) -> DualityCertificate:
                     raise ValueError("a second value line")
                 value = weight
             elif section == "primal":
-                if not key.isascii() or not key.isdigit():
+                if not re.fullmatch("[0-9]+", key):
                     raise ValueError(f"vertex {key!r} is not a string of digits 0-9")
                 v = int(key)
                 if v in primal:
