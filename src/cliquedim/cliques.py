@@ -28,11 +28,16 @@ example that under 1/(2m)-fraction of the other members contradict, until
 every example held by a surviving member is contradicted often enough.  The
 loop deletes at most |C|*m examples, drops fewer than C(|C|,2) edges in
 total (fewer than (|C|-1)/(2m) per iteration), and therefore always leaves
-an edge; the contradiction point of a surviving edge is balanced.
+an edge; the contradiction point of a surviving edge is balanced.  Its only
+state is each member's ones/zeros masks: a deletion clears one bit (and
+counts every copy of the example), and since examples are only ever
+deleted, an edge survives exactly when its two members still contradict at
+the end, so no edge is tracked along the way.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,78 +225,55 @@ def find_balanced_point(g: ContradictionGraph, clique: Clique) -> BalancedPointR
         raise DegenerateCliqueError("balanced point needs a clique of size >= 2")
     m = g.m
     threshold = Fraction(c - 1, 2 * m)
+    # the members' examples as working masks: deleting (p, l) clears bit p
+    ones = [g.ones[idx] for idx in members]
+    zeros = [g.zeros[idx] for idx in members]
 
-    # working copies: multiset as {(point,label): copies}; deleting an example
-    # removes the key outright (all copies), charging the multiplicity
-    work: list[dict] = []
-    ones = []
-    zeros = []
-    for idx in members:
-        d: dict = {}
-        for ex in g.vertices[idx]:
-            d[(ex.point, ex.label)] = d.get((ex.point, ex.label), 0) + 1
-        work.append(d)
-        ones.append(g.ones[idx])
-        zeros.append(g.zeros[idx])
+    def conflicts():
+        """(i, j, the points where members i < j disagree), pairs in order."""
+        for i in range(c):
+            for j in range(i + 1, c):
+                yield i, j, (ones[i] & zeros[j]) | (zeros[i] & ones[j])
 
-    alive = [((1 << c) - 1) & ~(1 << i) for i in range(c)]  # complete graph on members
+    for a, b, conflict in conflicts():
+        if not conflict:
+            raise ValueError(f"input is not a clique: members {a} and {b}")
 
-    def contradicts(i: int, j: int) -> bool:
-        return bool((ones[i] & zeros[j]) or (zeros[i] & ones[j]))
-
-    for a in range(c):
-        for b in range(a + 1, c):
-            if not contradicts(a, b):
-                raise ValueError(f"input is not a clique: members {a} and {b}")
+    def weak_example():
+        """(i, bit of p, l) for the first example (p, l), members in order
+        and points ascending, that under `threshold` members contradict."""
+        for i in range(c):
+            held = ones[i] | zeros[i]
+            while held:
+                bit = held & -held
+                held ^= bit
+                label = 1 if ones[i] & bit else 0
+                against = sum(1 for mask in (zeros if label else ones) if mask & bit)
+                if 2 * m * against < c - 1:  # against < threshold, in integers
+                    return i, bit, label
+        return None
 
     iterations = 0
     deletions = 0
-    edges_dropped = 0
-    while True:
-        hit = None
-        for i in range(c):
-            for (p, l) in sorted(work[i]):
-                cnt = sum(1 for j in range(c) if (p, 1 - l) in work[j])
-                if cnt < threshold:
-                    hit = (i, p, l)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while (hit := weak_example()) is not None:
+        i, bit, label = hit
         iterations += 1
-        i, p, l = hit
-        deletions += work[i].pop((p, l))
-        if l:
-            ones[i] &= ~(1 << p)
-        else:
-            zeros[i] &= ~(1 << p)
-        rest = alive[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not contradicts(i, j):
-                alive[i] &= ~(1 << j)
-                alive[j] &= ~(1 << i)
-                edges_dropped += 1
+        # the deletion removes every copy of the example the member holds
+        deletions += g.vertices[members[i]].examples.count((bit.bit_length() - 1, label))
+        ones[i] &= ~bit
+        zeros[i] &= ~bit
 
+    # deletions only end contradictions, so the pairs that still contradict
+    # are exactly the surviving edges
+    surviving = [conflict for _, _, conflict in conflicts() if conflict]
+    edges_dropped = c * (c - 1) // 2 - len(surviving)
     if deletions > c * m:
         raise InvariantError("elimination deleted more than |C|*m examples")
-    if edges_dropped >= c * (c - 1) // 2:
-        raise InvariantError("elimination dropped every edge's worth")
-    surviving = sum(a.bit_count() for a in alive) // 2
-    if surviving < 1:
+    if not surviving:
         raise InvariantError("no surviving edge after elimination")
 
-    # first surviving edge, then its least contradiction point
-    ei = ej = -1
-    for i in range(c):
-        if alive[i]:
-            ei = i
-            ej = (alive[i] & -alive[i]).bit_length() - 1
-            break
-    conflict = (ones[ei] & zeros[ej]) | (zeros[ei] & ones[ej])
-    x = (conflict & -conflict).bit_length() - 1
+    # least contradiction point of the first surviving edge
+    x = (surviving[0] & -surviving[0]).bit_length() - 1
 
     count_zero = sum(1 for idx in members if (g.zeros[idx] >> x) & 1)
     count_one = sum(1 for idx in members if (g.ones[idx] >> x) & 1)
@@ -308,7 +290,7 @@ def find_balanced_point(g: ContradictionGraph, clique: Clique) -> BalancedPointR
         iterations=iterations,
         deletions=deletions,
         edges_dropped=edges_dropped,
-        surviving_edges=surviving,
+        surviving_edges=len(surviving),
     )
 
 
@@ -325,20 +307,15 @@ def tree_from_clique(g: ContradictionGraph, clique: Clique) -> MistakeTree:
     """
     if clique.size < 1:
         raise DegenerateCliqueError("tree extraction needs a nonempty clique")
-    split_cache: dict = {}
 
+    @functools.cache
     def split(indices: tuple):
-        got = split_cache.get(indices)
-        if got is None:
-            rep = find_balanced_point(g, Clique(indices))
-            x = rep.point
-            left = tuple(i for i in indices if (g.zeros[i] >> x) & 1)
-            right = tuple(i for i in indices if (g.ones[i] >> x) & 1)
-            if not (left and right):
-                raise InvariantError(f"balanced point {x} leaves one side of the split empty")
-            got = (x, left, right)
-            split_cache[indices] = got
-        return got
+        x = find_balanced_point(g, Clique(indices)).point
+        left = tuple(i for i in indices if (g.zeros[i] >> x) & 1)
+        right = tuple(i for i in indices if (g.ones[i] >> x) & 1)
+        if not (left and right):
+            raise InvariantError(f"balanced point {x} leaves one side of the split empty")
+        return x, left, right
 
     def depth_of(indices: tuple) -> int:
         if len(indices) == 1:
@@ -361,12 +338,19 @@ def clique_from_tree(g: ContradictionGraph, tree: MistakeTree) -> Clique:
 
     Every branch spells a dataset; realizability of each branch is exactly
     membership in the vertex set.  Any two branches contradict at the point
-    of their least common ancestor, so the image is a clique.
+    of their least common ancestor, so the image is a clique.  A point
+    outside the universe is refused before any dataset is built, so its
+    size costs nothing.
     """
     if not is_complete(tree, g.m):
         raise NotCompleteError(f"tree is not complete at depth m={g.m}")
+    paths = branches(tree)
+    n = g.cls.universe_size
+    for path in paths:
+        if any(p >= n for p, _ in path):
+            raise NotShatteredError(f"branch {path} queries a point outside the universe of {n} points")
     indices = []
-    for path in branches(tree):
+    for path in paths:
         try:
             ds = Dataset(path)
         except ContradictoryDatasetError as exc:

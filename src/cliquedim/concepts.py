@@ -118,19 +118,22 @@ class Dataset:
 _EXAMPLE_RE = re.compile(r"\(([0-9]+):([01])\)")
 
 
+def _parse_example(part: str) -> tuple:
+    m = _EXAMPLE_RE.fullmatch(part.strip())
+    try:
+        if m:
+            return int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than int() reads
+        pass
+    raise InvalidParamsError(f"bad example rendering: {part!r}")
+
+
 def parse_dataset(text: str) -> Dataset:
     """Inverse of Dataset.render."""
     text = text.strip()
     if not text:
         return Dataset(())
-    parts = text.split(";")
-    pairs = []
-    for part in parts:
-        m = _EXAMPLE_RE.fullmatch(part.strip())
-        if not m:
-            raise InvalidParamsError(f"bad example rendering: {part!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return Dataset(pairs)
+    return Dataset([_parse_example(part) for part in text.split(";")])
 
 
 class ConceptClass:

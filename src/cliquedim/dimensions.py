@@ -347,11 +347,12 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     An m is decided by the first of: the mistake-tree fast path (ld >= m
     certifies a 2^m-clique; no graph is built), the row bound omega_m <= |H|
     (no graph either), an omega*_m < 2^m settled in the record of G_m (which
-    fails m without reading G_m), an omega_m settled there (by a report's
+    fails m with no search), an omega_m settled there (by a report's
     `max_clique`; compared with 2^m), then targeted branch-and-bound.  When
     the branch-and-bound runs out of nodes, omega*_m < 2^m still fails m
     exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
-    sweep.
+    sweep.  The record is read under `caps`, so a value an earlier call
+    settled gives the answer a fresh run gives.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -364,10 +365,9 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
             return True
         if m > top:
             return False
-        rec = _records.get((cls, m))
-        if rec is not None and rec.omega_star is not None and rec.omega_star < 1 << m:
-            return False
         rec = _record(cls, m, caps)
+        if rec.omega_star is not None and _settled_omega_star(rec, caps) < 1 << m:
+            return False
         if rec.omega is not None:
             return rec.omega == 1 << m
         try:

@@ -36,10 +36,15 @@ def frac_str(f: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    num, den = text.split("/")
-    if int(den) == 0:
+    """Inverse of `frac_str`: an optional minus, digits 0-9, a slash and
+    digits 0-9 naming a nonzero denominator."""
+    parts = re.fullmatch("(-?[0-9]+)/([0-9]+)", text)
+    if not parts:
+        raise ValueError(f"{text!r} is not a fraction -?[0-9]+/[0-9]+")
+    num, den = int(parts.group(1)), int(parts.group(2))
+    if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

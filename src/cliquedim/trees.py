@@ -95,6 +95,16 @@ def serialize_tree(tree: MistakeTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_point(line: str) -> int:
+    node = re.fullmatch(r"n\s+([0-9]+)", line)
+    try:
+        if node:
+            return int(node.group(1))
+    except ValueError:  # more digits than int() reads
+        pass
+    raise InvalidParamsError(f"bad tree line: {line!r}")
+
+
 def parse_tree(text: str) -> MistakeTree:
     """Inverse of `serialize_tree`; a node's point is a nonnegative decimal
     integer.  Nodes are assembled bottom-up on an explicit stack, so the
@@ -107,12 +117,9 @@ def parse_tree(text: str) -> MistakeTree:
     # open nodes: [point, finished children so far]
     pending: list = []
     for pos, tok in enumerate(tokens):
-        node = re.fullmatch(r"n\s+([0-9]+)", tok)
-        if node:
-            pending.append([int(node.group(1)), []])
-            continue
         if tok != "l":
-            raise InvalidParamsError(f"bad tree line: {tok!r}")
+            pending.append([_node_point(tok), []])
+            continue
         done: MistakeTree = MistakeLeaf()
         while pending:
             point, children = pending[-1]

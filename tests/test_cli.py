@@ -521,6 +521,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "clique-from-tree", path, "--tree", str(leaf))
     assert (code, err) == (2, "error: tree has depth 0: it must query at least one point\n")
 
+    # input error: a point outside the universe is refused before any
+    # dataset is built on it
+    far = tmp_path / "far.tree"
+    far.write_text("n 100000000\nl\nl\n")
+    code, _, err = run(capsys, "clique-from-tree", path, "--tree", str(far))
+    assert (code, err) == (
+        2, "error: branch [(100000000, 0)] queries a point outside the universe of 4 points\n"
+    )
+
     # deep input: a tree file nested 3000 deep is an input error, not a crash
     tiny = tmp_path / "tiny.txt"
     tiny.write_text("points 1\nhypotheses 2\n0\n1\n")

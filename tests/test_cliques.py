@@ -1,10 +1,15 @@
 """Exact clique search, balanced-example elimination, and tree conversions."""
 
+import re
+import tracemalloc
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cliquedim import (
+    BalancedPointReport,
     Caps,
     Clique,
     ConceptClass,
@@ -338,6 +343,148 @@ def test_balanced_point_accounting_on_max_cliques():
         assert 0 <= rep.point < g.cls.universe_size
 
 
+def reference_balanced_point(g, clique):
+    """The elimination loop as first written: each member's examples as a
+    {(p, l): copies} dict beside its masks, and each member's surviving
+    edges as a mask updated after every deletion."""
+    members = clique.members
+    c = len(members)
+    if c < 2:
+        raise DegenerateCliqueError("balanced point needs a clique of size >= 2")
+    m = g.m
+    threshold = Fraction(c - 1, 2 * m)
+    work, ones, zeros = [], [], []
+    for idx in members:
+        d = {}
+        for ex in g.vertices[idx]:
+            d[(ex.point, ex.label)] = d.get((ex.point, ex.label), 0) + 1
+        work.append(d)
+        ones.append(g.ones[idx])
+        zeros.append(g.zeros[idx])
+    alive = [((1 << c) - 1) & ~(1 << i) for i in range(c)]
+
+    def contradicts(i, j):
+        return bool((ones[i] & zeros[j]) or (zeros[i] & ones[j]))
+
+    for a in range(c):
+        for b in range(a + 1, c):
+            if not contradicts(a, b):
+                raise ValueError(f"input is not a clique: members {a} and {b}")
+    iterations = deletions = edges_dropped = 0
+    while True:
+        hit = None
+        for i in range(c):
+            for (p, l) in sorted(work[i]):
+                if sum(1 for j in range(c) if (p, 1 - l) in work[j]) < threshold:
+                    hit = (i, p, l)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        iterations += 1
+        i, p, l = hit
+        deletions += work[i].pop((p, l))
+        if l:
+            ones[i] &= ~(1 << p)
+        else:
+            zeros[i] &= ~(1 << p)
+        rest = alive[i]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not contradicts(i, j):
+                alive[i] &= ~(1 << j)
+                alive[j] &= ~(1 << i)
+                edges_dropped += 1
+    ei = next(i for i in range(c) if alive[i])
+    ej = (alive[ei] & -alive[ei]).bit_length() - 1
+    conflict = (ones[ei] & zeros[ej]) | (zeros[ei] & ones[ej])
+    x = (conflict & -conflict).bit_length() - 1
+    return BalancedPointReport(
+        point=x,
+        count_zero=sum(1 for idx in members if (g.zeros[idx] >> x) & 1),
+        count_one=sum(1 for idx in members if (g.ones[idx] >> x) & 1),
+        threshold=threshold,
+        clique_size=c,
+        iterations=iterations,
+        deletions=deletions,
+        edges_dropped=edges_dropped,
+        surviving_edges=sum(a.bit_count() for a in alive) // 2,
+    )
+
+
+def balanced_point_outcome(find, g, members):
+    """The report of `find`, or the type and text of what it raised."""
+    try:
+        return find(g, Clique(members))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def maximal_clique(g, order):
+    members = []
+    for v in order:
+        if all((g.adj[v] >> u) & 1 for u in members):
+            members.append(v)
+    return tuple(sorted(members))
+
+
+@st.composite
+def balanced_point_inputs(draw):
+    """A random class, 2 <= m <= 4, and a maximal clique of G_m grown in a
+    random order, sometimes with an extra vertex that may break the clique.
+    About a third of the cliques drawn make the loop delete examples."""
+    n = draw(st.integers(3, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=3, max_size=12))
+    g = build_graph(ConceptClass(n, rows), draw(st.integers(2, 4)))
+    order = draw(st.permutations(range(g.num_vertices)))
+    extra = draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=1))
+    return g, tuple(sorted(set(maximal_clique(g, order)) | set(extra)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_point_inputs())
+def test_balanced_point_matches_the_reference_loop(case):
+    g, members = case
+    got = balanced_point_outcome(find_balanced_point, g, members)
+    assert got == balanced_point_outcome(reference_balanced_point, g, members)
+
+
+# 2^m-cliques of G_3 whose elimination drops edges, rare in random draws:
+# (rows, members, edges dropped)
+EDGE_DROPPING_CLIQUES = [
+    (
+        ["00111", "01000", "01011", "01111", "10100", "11001", "11010", "11100"],
+        ["(0:0);(2:0);(4:0)", "(0:1);(2:0);(4:0)", "(1:0);(2:1);(4:0)", "(1:0);(2:1);(4:1)",
+         "(1:1);(2:1);(4:0)", "(1:1);(2:1);(4:1)", "(2:0);(3:0);(4:1)", "(2:0);(3:1);(4:1)"],
+        2,
+    ),
+    (
+        ["00011", "00100", "01000", "01010", "01111", "10011", "10100", "11001"],
+        ["(0:0);(1:0);(3:1)", "(0:0);(2:1);(3:0)", "(0:1);(1:0);(3:1)", "(0:1);(2:1);(3:0)",
+         "(1:1);(2:0);(3:1)", "(1:1);(2:1);(3:1)", "(2:0);(3:0);(4:0)", "(2:0);(3:0);(4:1)"],
+        1,
+    ),
+    (
+        ["0000", "0010", "0011", "0100", "0110", "0111", "1000", "1001", "1010", "1110"],
+        ["(0:0);(1:0);(2:0)", "(0:0);(1:0);(2:1)", "(0:0);(1:1);(2:0)", "(0:0);(1:1);(2:1)",
+         "(0:1);(1:0);(2:1)", "(0:1);(1:1);(2:1)", "(0:1);(2:0);(3:0)", "(0:1);(2:0);(3:1)"],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("rows,members,dropped", EDGE_DROPPING_CLIQUES)
+def test_elimination_drops_edges_as_the_reference_loop_does(rows, members, dropped):
+    cls = ConceptClass(len(rows[0]), [tuple(map(int, r)) for r in rows])
+    g = build_graph(cls, 3)
+    clique = validate_clique(g, [g.index_of(parse_dataset(d)) for d in members])
+    rep = find_balanced_point(g, clique)
+    assert rep == reference_balanced_point(g, clique)
+    assert (rep.edges_dropped, rep.surviving_edges) == (dropped, 28 - dropped)
+
+
 def test_balanced_point_needs_two_members():
     g = build_graph(generate("full", universe=2), 1)
     with pytest.raises(DegenerateCliqueError):
@@ -384,9 +531,28 @@ def test_tree_walks_keep_their_order_at_any_depth():
 
 def test_parse_tree_takes_only_nonnegative_decimal_points():
     assert parse_tree("n  7 # note\nl\nl\n") == MistakeNode(7, MistakeLeaf(), MistakeLeaf())
-    for line in ("n -1", "n x", "n 1 2", "n"):
-        with pytest.raises(InvalidParamsError, match="bad tree line"):
+    # the last line has more digits than int() reads
+    for line in ("n -1", "n x", "n 1 2", "n", "n " + "7" * 5000):
+        with pytest.raises(InvalidParamsError, match=f"^bad tree line: {re.escape(repr(line))}$"):
             parse_tree(f"{line}\nl\nl\n")
+
+
+# tree lines and their near misses
+TREE_LINES = st.one_of(
+    st.sampled_from(["l", "l", "n 0", "n 1", "n 12", "n  3 # c", "# c", "", "n", "n -1", "n 1 2", "n +1", "n ٣"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.lists(TREE_LINES, max_size=12).map("\n".join))
+@example("n " + "9" * 4301 + "\nl\nl\n")
+def test_parse_tree_returns_or_raises_invalid_params(text):
+    try:
+        tree = parse_tree(text)
+    except InvalidParamsError:
+        return
+    assert parse_tree(serialize_tree(tree)) == tree
 
 
 def test_tree_from_clique_leaves_carry_members():
@@ -441,6 +607,20 @@ def test_clique_from_tree_names_a_negative_point():
     g = build_graph(generate("disjoint_pairs", universe=2), 1)
     with pytest.raises(InvalidParamsError, match="^negative point index -1$"):
         clique_from_tree(g, MistakeNode(-1, MistakeLeaf(), MistakeLeaf()))
+
+
+def test_clique_from_tree_refuses_a_point_outside_the_universe_before_any_dataset():
+    # the bit masks of a dataset holding point 10^8 alone take 12.5 MB
+    g = build_graph(generate("disjoint_pairs", universe=2), 1)
+    tree = MistakeNode(10**8, MistakeLeaf(), MistakeLeaf())
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotShatteredError, match=r"queries a point outside the universe of 2 points$"):
+            clique_from_tree(g, tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_clique_from_tree_rejects_unrealizable_branch():

@@ -1,12 +1,13 @@
 """Dataset and concept-class invariants, generators, and text round-trips."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliquedim import (
     ConceptClass,
@@ -116,9 +117,14 @@ def test_parse_dataset_rejects_garbage():
         parse_dataset("(0:0);(1-1)")
 
 
-@pytest.mark.parametrize("text", ["(٣:1)", "(+3:1)", "(3_0:1)", "(0:1);(²:0)"])
+@pytest.mark.parametrize(
+    "text",
+    ["(٣:1)", "(+3:1)", "(3_0:1)", "(0:1);(²:0)",
+     pytest.param("(0:0);(" + "7" * 5000 + ":1)", id="more-digits-than-int-reads")],
+)
 def test_parse_dataset_reads_ascii_digits_only(text):
-    with pytest.raises(InvalidParamsError, match="^bad example rendering"):
+    part = text.split(";")[-1]
+    with pytest.raises(InvalidParamsError, match=f"^bad example rendering: {re.escape(repr(part))}$"):
         parse_dataset(text)
 
 
@@ -343,13 +349,15 @@ RENDERED_DATASETS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(st.text() | edited(RENDERED_DATASETS))
+@example("(0:1);(" + "9" * 4301 + ":0)")
 def test_parse_dataset_returns_or_raises_value_error(text):
     """Edits keep every point below 10^7, where `Dataset`'s `1 << p` stays
     small; a point near 10^10 still parses, and its masks take gigabytes,
-    so the property holds only for points of this size."""
+    so the property holds only for points of this size.  What is refused is
+    refused as an input error, never as int()'s own ValueError."""
     try:
         ds = parse_dataset(text)
-    except ValueError:
+    except (InvalidParamsError, ContradictoryDatasetError):
         return
     assert parse_dataset(ds.render()) == ds
 

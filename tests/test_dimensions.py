@@ -267,6 +267,23 @@ def test_cached_omega_star_below_two_pow_m_fails_m_without_search(monkeypatch):
     assert (got.value, got.exactness) == (2, EXACT)
 
 
+def test_clique_dimension_answers_the_same_with_or_without_a_cached_omega_star():
+    # random(5,8,2): G_3 has more than 60 vertices, so cd under that cap
+    # stops at a lower bound, and an omega*_3 = 7 cached under the default
+    # caps must not read past the cap to make it exact
+    from cliquedim import Caps, cached_omega_star, clear_caches
+
+    cls = generate("random", universe=5, count=8, seed=2)
+    caps = Caps(max_vertices=60)
+    clear_caches()
+    fresh = clique_dimension(cls, 4, caps)
+    clear_caches()
+    cached_omega_star(cls, 3, Caps())
+    after = clique_dimension(cls, 4, caps)
+    clear_caches()
+    assert fresh == after == DimensionValue(2, LOWER_BOUND)
+
+
 def test_fractional_clique_dimension_needs_no_lp_when_ld_reaches_log2_rows(monkeypatch):
     # thresholds(5): ld = 2 = floor(log2 6), so m <= 2 pass by the mistake
     # tree and m >= 3 fail by the row bound

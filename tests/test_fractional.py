@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cliquedim import (
@@ -175,6 +175,11 @@ def test_certificate_errors_show_the_exact_shortfall():
         ("value 1/1\nprimal\n0_0 1/2\n", "0_0 1/2"),
         ("value 1/1\nprimal\n٣ 1/2\n", "٣ 1/2"),
         ("value 1/1\ndual\n0 1/2\n0110 1/2\n", "0110 1/2"),
+        # a weight is -?[0-9]+/[0-9]+
+        ("value ٣/1\n", "value ٣/1"),
+        ("value 1/1\nprimal\n0 +3/1\n", "0 +3/1"),
+        ("value 1/1\ndual\n01 1_0/3\n", "01 1_0/3"),
+        ("value 1/1\nprimal\n0 3/4/5\n", "0 3/4/5"),
     ],
 )
 def test_parse_certificate_names_the_bad_line(text, line):
@@ -290,9 +295,30 @@ def test_parse_certificate_rejects_stray_lines():
         parse_certificate("garbage 1/2\n")
 
 
-def test_frac_str_round_trip():
-    for f in [F(0), F(1), F(3, 2), F(-7, 6)]:
-        assert parse_frac(frac_str(f)) == f
+@given(st.fractions())
+@example(F(0))
+@example(F(1))
+@example(F(3, 2))
+@example(F(-7, 6))
+def test_frac_str_round_trip(f):
+    assert parse_frac(frac_str(f)) == f
+
+
+@pytest.mark.parametrize("text", ["٣/1", "+3/1", "1_0/3", " 3/4", "3/4 ", "3/4/5", "3", "-/2", "1/-2"])
+def test_parse_frac_reads_only_signed_digit_fractions(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not a fraction"):
+        parse_frac(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("0123456789-+/_ ٣²")) | st.text())
+def test_parse_frac_returns_or_raises_value_error(text):
+    try:
+        f = parse_frac(text)
+    except ValueError:
+        return
+    assert re.fullmatch("-?[0-9]+/[0-9]+", text)
+    assert f == F(*map(int, text.split("/")))
 
 
 OPTIMIZED_DUALITY_PROBE = """
