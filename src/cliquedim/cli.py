@@ -6,7 +6,8 @@ means stdin) except `gen`, which writes one.  Every output begins with a
 class text, mistake trees and certificates round-trip through their
 parsers.  Exit codes: 0 all checks passed, 1 a verification check or an
 internal invariant failed, 2 usage or input error, 3 a resource cap was hit
-(the message names the limiting dimension).
+or memory refused (the message names the limiting dimension).  A command
+takes only the resource caps its code reads.
 """
 
 from __future__ import annotations
@@ -54,12 +55,7 @@ from .errors import (
     NotCompleteError,
     ResourceLimitError,
 )
-from .fractional import (
-    format_certificate,
-    frac_str,
-    validate_cover,
-    validate_packing,
-)
+from .fractional import format_certificate, frac_str
 from .graph import DEFAULT_CAPS, Caps, export_edge_list, independent_sets, wl_fingerprint
 from .trees import is_complete, max_depth, parse_tree, serialize_tree
 
@@ -119,7 +115,7 @@ def _cmd_graph(args):
     if args.prune_nonmaximal and not args.sets:
         raise InvalidParamsError("--prune-nonmaximal prunes the --sets listing: give --sets too")
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
     g = cached_graph(cls, args.m, caps)
     lines = [_header(args), export_edge_list(g, verbose=args.verbose).rstrip("\n")]
     if args.sets:
@@ -134,7 +130,7 @@ def _cmd_graph(args):
 
 def _cmd_omega(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
     g = cached_graph(cls, args.m, caps)
     c = max_clique(g, caps)
     lines = [_header(args), f"omega={c.size}"]
@@ -147,7 +143,7 @@ def _cmd_omega(args):
 
 def _cmd_omega_star(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
     cert = cached_omega_star(cls, args.m, caps)
     if args.verbose:
         return 0, _header(args) + "\n" + format_certificate(cert)
@@ -176,13 +172,14 @@ def _cmd_cd(args):
 
 def _cmd_cd_star(args):
     cls = _load_class(args.cls)
-    dv = fractional_clique_dimension(cls, args.m_max, _caps(args))
+    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
+    dv = fractional_clique_dimension(cls, args.m_max, caps)
     return 0, _header(args) + f"\ncd_star{dv}\n"
 
 
 def _cmd_balanced(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
     g = cached_graph(cls, args.m, caps)
     rep = find_balanced_point(g, max_clique(g, caps))
     lines = [
@@ -202,7 +199,7 @@ def _cmd_balanced(args):
 
 def _cmd_tree_from_clique(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
     g = cached_graph(cls, args.m, caps)
     tree = tree_from_clique(g, max_clique(g, caps))
     return 0, _header(args) + "\n" + serialize_tree(tree)
@@ -210,7 +207,6 @@ def _cmd_tree_from_clique(args):
 
 def _cmd_clique_from_tree(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_tree(fh.read())
     depth = max_depth(tree)
@@ -219,7 +215,7 @@ def _cmd_clique_from_tree(args):
         raise InvalidParamsError("tree has depth 0: it must query at least one point")
     if not is_complete(tree, depth):
         raise NotCompleteError(f"tree is not complete at depth m={depth}")
-    g = cached_graph(cls, depth, caps)
+    g = cached_graph(cls, depth, Caps(max_vertices=args.vertex_cap))
     c = clique_from_tree(g, tree)
     lines = [
         _header(args),
@@ -287,7 +283,7 @@ def _parse_gamma(text):
 
 def _cmd_boost(args):
     cls = _load_class(args.cls)
-    caps = _caps(args)
+    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
     gamma = _parse_gamma(args.gamma)
     m0 = args.m0 if args.m0 is not None else smallest_separating_m0(cls, caps)
     try:
@@ -329,8 +325,6 @@ def _cmd_verify_lemmas(args):
             checks.append((f"{name}:{cname}", passed, detail))
         for m in range(1, 4):
             cert = cached_omega_star(cls, m, caps)
-            validate_packing(cached_graph(cls, m, caps), cert.clique, caps)
-            validate_cover(cached_graph(cls, m, caps), cert.coloring)
             checks.append(
                 (
                     f"{name}:duality@m={m}",
@@ -454,19 +448,20 @@ def _build_parser() -> argparse.ArgumentParser:
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("--verbose", action="store_true")
 
-    # the resource caps, on every command that builds a graph
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--vertex-cap", type=int, default=DEFAULT_CAPS.max_vertices)
-    caps.add_argument("--pattern-cap", type=int, default=DEFAULT_CAPS.max_pattern_universe)
-    caps.add_argument("--node-budget", type=int, default=DEFAULT_CAPS.node_budget)
+    # one parent per resource cap: each command takes the caps its code reads
+    vertex_cap, pattern_cap, node_budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    vertex_cap.add_argument("--vertex-cap", type=int, default=DEFAULT_CAPS.max_vertices)
+    pattern_cap.add_argument("--pattern-cap", type=int, default=DEFAULT_CAPS.max_pattern_universe)
+    node_budget.add_argument("--node-budget", type=int, default=DEFAULT_CAPS.node_budget)
 
     cls_arg = argparse.ArgumentParser(add_help=False)
     cls_arg.add_argument(
         "cls", nargs="?", default="-", metavar="CLASS",
         help="class text file ('-' or omitted: stdin)",
     )
-    on_graph = [common, caps, cls_arg]
-    on_graph_verbose = [common, verbose, caps, cls_arg]
+    all_caps = [vertex_cap, pattern_cap, node_budget]
+    on_lp = [common, vertex_cap, pattern_cap, cls_arg]
+    on_search = [common, vertex_cap, node_budget, cls_arg]
 
     p = argparse.ArgumentParser(prog="cliquedim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -476,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--universe", type=int, default=2)
     sp.add_argument("--count", type=int, default=4, help="rows for the random family")
 
-    sp = sub.add_parser("graph", parents=on_graph_verbose, help="emit the contradiction graph edge list")
+    sp = sub.add_parser("graph", parents=[*on_lp, verbose], help="emit the contradiction graph edge list")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--sets", action="store_true", help="also list consistency-set sizes")
     sp.add_argument(
@@ -485,41 +480,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--fingerprint", action="store_true", help="append an isomorphism fingerprint")
 
-    sp = sub.add_parser("omega", parents=on_graph_verbose, help="exact clique number of G_m")
+    sp = sub.add_parser("omega", parents=[*on_search, verbose], help="exact clique number of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("omega-star", parents=on_graph_verbose, help="exact fractional clique number of G_m")
+    sp = sub.add_parser("omega-star", parents=[*on_lp, verbose], help="exact fractional clique number of G_m")
     sp.add_argument("--m", type=int, required=True)
 
     sub.add_parser("vc", parents=[common, cls_arg], help="VC dimension")
     sub.add_parser("ld", parents=[common, verbose, cls_arg], help="mistake-bound (Littlestone) dimension")
 
-    sp = sub.add_parser("cd", parents=on_graph, help="clique dimension with exactness flag")
+    sp = sub.add_parser("cd", parents=[common, *all_caps, cls_arg], help="clique dimension with exactness flag")
     sp.add_argument("--m-max", type=int, default=4)
 
-    sp = sub.add_parser("cd-star", parents=on_graph, help="fractional clique dimension with exactness flag")
+    sp = sub.add_parser("cd-star", parents=on_lp, help="fractional clique dimension with exactness flag")
     sp.add_argument("--m-max", type=int, default=3)
 
-    sp = sub.add_parser("balanced", parents=on_graph, help="balanced point of the maximum clique of G_m")
+    sp = sub.add_parser("balanced", parents=on_search, help="balanced point of the maximum clique of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("tree-from-clique", parents=on_graph, help="mistake tree extracted from the maximum clique of G_m")
+    sp = sub.add_parser("tree-from-clique", parents=on_search, help="mistake tree extracted from the maximum clique of G_m")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("clique-from-tree", parents=on_graph, help="clique of G_depth from a complete shattered tree")
+    sp = sub.add_parser("clique-from-tree", parents=[common, vertex_cap, cls_arg], help="clique of G_depth from a complete shattered tree")
     sp.add_argument("--tree", required=True, help="mistake-tree text file")
 
-    sp = sub.add_parser("boost", parents=on_graph, help="boosting pipeline consistency verification")
+    sp = sub.add_parser("boost", parents=on_lp, help="boosting pipeline consistency verification")
     sp.add_argument("--m0", type=int, default=None, help="anchor length (default: smallest separating)")
     sp.add_argument("--m", type=int, default=3, help="target dataset length")
     sp.add_argument("--gamma", default=None, help="margin as num/den (default epsilon/4)")
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--shadow", action="store_true", help="append one rational-shadow transcript check")
 
-    sub.add_parser("verify-lemmas", parents=[common, caps], help="inequality/duality/quantile/numeric checks over the corpus")
-    sub.add_parser("verify-dichotomy", parents=[common, caps], help="desk-scale dichotomy scans over the corpus")
+    sub.add_parser("verify-lemmas", parents=[common, *all_caps], help="inequality/duality/quantile/numeric checks over the corpus")
+    sub.add_parser("verify-dichotomy", parents=[common, *all_caps], help="desk-scale dichotomy scans over the corpus")
 
-    sp = sub.add_parser("curves", parents=on_graph, help="per-m omega/omega*/2^m table as CSV")
+    sp = sub.add_parser("curves", parents=[common, *all_caps, cls_arg], help="per-m omega/omega*/2^m table as CSV")
     sp.add_argument("--m-max", type=int, default=None, help="horizon for both engines (default 4 clique / 3 LP)")
 
     return p
@@ -530,8 +525,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = HANDLERS[args.command](args)
-    except ResourceLimitError as exc:
-        print(str(exc), file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:  # MemoryError: say, a huge --trials
+        print(exc if isinstance(exc, ResourceLimitError) else f"resource limit (memory): {exc}", file=sys.stderr)
         return 3
     except InvariantError as exc:
         # an internal check failed: a bug, reported like a failed verification

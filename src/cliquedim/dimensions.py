@@ -345,14 +345,13 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
     An m is decided by the first of: the mistake-tree fast path (ld >= m
-    certifies a 2^m-clique; no graph is built), the row bound omega_m <= |H|
-    (no graph either), an omega*_m < 2^m settled in the record of G_m (which
-    fails m with no search), an omega_m settled there (by a report's
-    `max_clique`; compared with 2^m), then targeted branch-and-bound.  When
-    the branch-and-bound runs out of nodes, omega*_m < 2^m still fails m
-    exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
-    sweep.  The record is read under `caps`, so a value an earlier call
-    settled gives the answer a fresh run gives.
+    certifies a 2^m-clique; no graph is built), an omega*_m < 2^m settled in
+    the record of G_m (which fails m with no search), an omega_m settled
+    there (by a report's `max_clique`; compared with 2^m), then targeted
+    branch-and-bound.  When it runs out of nodes, omega*_m < 2^m still fails
+    m exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
+    sweep, so 2^m <= |H|.  The record is read under `caps`, so a value an
+    earlier call settled gives the answer a fresh run gives.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -363,8 +362,6 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     def passes(m: int) -> bool:
         if ld >= m:
             return True
-        if m > top:
-            return False
         rec = _record(cls, m, caps)
         if rec.omega_star is not None and _settled_omega_star(rec, caps) < 1 << m:
             return False
@@ -372,8 +369,8 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
             return rec.omega == 1 << m
         try:
             return has_clique_of_size(rec.graph, 1 << m, caps)
-        except ResourceLimitError as exc:
-            if exc.dimension != "node-budget" or _settled_omega_star(rec, caps) == 1 << m:
+        except ResourceLimitError:
+            if _settled_omega_star(rec, caps) == 1 << m:
                 raise
             return False  # omega_m <= omega*_m < 2^m
 
@@ -399,7 +396,7 @@ def fractional_clique_dimension(
 
     def passes(m: int) -> bool:
         use = caps if m <= m_max else extension_caps
-        return ld >= m or (m <= top and _settled_omega_star(_record(cls, m, use), use) == 1 << m)
+        return ld >= m or _settled_omega_star(_record(cls, m, use), use) == 1 << m
 
     return _sweep(m_max, top, passes)
 

@@ -136,7 +136,7 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
 
     The primal optimum is a fractional clique, the dual a fractional coloring
     of equal total weight; both are revalidated before returning, the primal
-    against the same maximal family the LP was built from.
+    against the LP's own maximal family, and a failed check is InvariantError.
     """
     from .simplex import solve_packing_lp
 
@@ -151,8 +151,11 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
     )
     if col.colors != value:
         raise InvariantError(f"strong duality mismatch: dual total {col.colors} != value {value}")
-    _check_packing(g, fc, lambda: fam)
-    validate_cover(g, col)
+    try:
+        _check_packing(g, fc, lambda: fam)
+        validate_cover(g, col)
+    except ValueError as exc:
+        raise InvariantError(f"LP certificate at m={g.m} fails its check: {exc}") from exc
     return DualityCertificate(value=value, clique=fc, coloring=col)
 
 
@@ -167,7 +170,10 @@ def uniform_coloring_witness(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -
         weights={mask_to_pattern(hm, n): w for hm in range(1 << n)},
         colors=Fraction(2) ** g.m,
     )
-    validate_cover(g, col)
+    try:
+        validate_cover(g, col)
+    except ValueError as exc:
+        raise InvariantError(f"uniform coloring at m={g.m} fails its check: {exc}") from exc
     return col
 
 

@@ -571,6 +571,24 @@ def test_verify_report_is_reproducible():
     assert a.rows == b.rows
 
 
+def point_mass_config(cls, m0, m, pattern):
+    """`boost_config(cls, m0, m)` with mu~ moved onto the one `pattern`."""
+    cfg = boost_config(cls, m0, m)
+    return dataclasses.replace(cfg, mu=dataclasses.replace(cfg.mu, patterns=(pattern,), probs=(F(1),)))
+
+
+def test_verify_report_fails_the_datasets_a_point_mass_contradicts():
+    # every majority is the one pattern: a dataset it contradicts never
+    # succeeds, and the 99% upper limit falls below the floor epsilon - 2 gamma
+    pattern = (0, 0)
+    rep = verify_sspfcd_bound(ANCHOR, point_mass_config(ANCHOR, 2, 1, pattern), trials=200)
+    statuses = {row.dataset.render(): row.status for row in rep.rows}
+    assert statuses == {"(0:0)": "PASS", "(1:0)": "PASS", "(0:1)": "FAIL", "(1:1)": "FAIL"}
+    for row in rep.rows:
+        assert row.successes == (200 if row.status == "PASS" else 0)
+    assert not rep.all_pass
+
+
 def test_verify_report_sampling_path(monkeypatch):
     monkeypatch.setattr("cliquedim.boosting.ENUMERATE_CAP", 4)
     monkeypatch.setattr("cliquedim.boosting.SAMPLE_SIZE", 5)

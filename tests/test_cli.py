@@ -1,5 +1,6 @@
 """End-to-end command-line checks: formats, round-trips, exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -379,6 +381,26 @@ def test_internal_invariant_exits_one(capsys, monkeypatch, tmp_path):
     assert err.startswith("internal error: strong duality mismatch") and err.count("\n") == 1
 
 
+def test_a_certificate_failing_its_check_exits_one(capsys, monkeypatch, tmp_path):
+    # a solver that puts all its weight on one vertex breaks a packing
+    # constraint: that is a bug, not an input error
+    import cliquedim.simplex as simplex
+
+    solve = simplex.solve_packing_lp
+
+    def lopsided(n, masks):
+        value, x, y = solve(n, masks)
+        return value, [value] + [0] * (n - 1), y
+
+    monkeypatch.setattr(simplex, "solve_packing_lp", lopsided)
+    clear_caches()
+    code, out, err = run(capsys, "omega-star", write_class(tmp_path), "--m", "2")
+    clear_caches()
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: LP certificate at m=2 fails its check: packing constraint violated")
+    assert err.count("\n") == 1
+
+
 def test_verify_lemmas_summary(capsys):
     code, out, _ = run(capsys, "verify-lemmas")
     assert code == 0
@@ -399,6 +421,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     path = write_class(tmp_path)
     for argv in (
         ["vc", path, "--node-budget", "5"],
+        ["omega-star", path, "--m", "1", "--node-budget", "5"],
+        ["omega", path, "--m", "1", "--pattern-cap", "5"],
         ["curves", path, "--verbose"],
         ["gen", "full", "--verbose"],
     ):
@@ -415,7 +439,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.count("\ns ") > 0
 
     # input error: a negative cap
-    code, _, err = run(capsys, "omega", path, "--m", "1", "--pattern-cap", "-1")
+    code, _, err = run(capsys, "omega-star", path, "--m", "1", "--pattern-cap", "-1")
     assert (code, err) == (2, "error: max_pattern_universe must be >= 0, got -1\n")
 
     # input error: malformed class text
@@ -545,7 +569,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[-1] == "omega=2"
 
 
-# the length flag of each fuzzed command; those with one also take the caps
+# the length flag of each fuzzed command; those with one also take the
+# vertex cap, and those in FUZZ_SEARCH the node budget
 FUZZ_LENGTH_FLAG = {
     "graph": "--m",
     "omega": "--m",
@@ -559,6 +584,7 @@ FUZZ_LENGTH_FLAG = {
     "vc": None,
 }
 FUZZ_VERBOSE = {"graph", "omega", "omega-star", "ld"}
+FUZZ_SEARCH = {"omega", "balanced", "tree-from-clique", "cd", "curves"}
 
 
 @st.composite
@@ -594,7 +620,9 @@ def corrupted_class_texts(draw):
 def test_exit_code_contract_holds_on_corrupted_class_text(text, command, m, verbose):
     argv = [command, "-"]
     if FUZZ_LENGTH_FLAG[command]:
-        argv += [FUZZ_LENGTH_FLAG[command], str(m), "--vertex-cap", "300", "--node-budget", "2000"]
+        argv += [FUZZ_LENGTH_FLAG[command], str(m), "--vertex-cap", "300"]
+    if command in FUZZ_SEARCH:
+        argv += ["--node-budget", "2000"]
     verbose = verbose and command in FUZZ_VERBOSE
     if verbose:
         argv.append("--verbose")
@@ -802,6 +830,34 @@ def test_boost_m1_checks_the_proven_floor(capsys, monkeypatch):
         assert code == 0
         rows = out.splitlines()[2:]
         assert rows and all(r.endswith(f"bound={floor} PASS") for r in rows)
+
+
+def test_boost_exits_one_when_a_dataset_fails(capsys, monkeypatch):
+    # mu~ moved onto one pattern: at m = 1 every majority is that pattern,
+    # so the datasets it contradicts never succeed and FAIL
+    from cliquedim import cli
+
+    real = cli.boost_config
+
+    def point_mass(*args):
+        cfg = real(*args)
+        mu = dataclasses.replace(cfg.mu, patterns=cfg.mu.patterns[:1], probs=(Fraction(1),))
+        return dataclasses.replace(cfg, mu=mu)
+
+    monkeypatch.setattr(cli, "boost_config", point_mass)
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(generate("disjoint_pairs", universe=2))))
+    code, out, _ = run(capsys, "boost", "-", "--m", "1", "--trials", "200")
+    assert code == 1
+    statuses = sorted(row.rsplit(" ", 1)[1] for row in out.splitlines()[2:])
+    assert statuses == ["FAIL", "FAIL", "PASS", "PASS"]
+
+
+def test_boost_exits_three_when_the_trials_do_not_fit_in_memory(capsys, monkeypatch):
+    # 10^14 trials ask numpy for a 1.6 PB count array, which it refuses at once
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(generate("disjoint_pairs", universe=2))))
+    code, out, err = run(capsys, "boost", "-", "--m", "2", "--trials", str(10**14))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit (memory): ") and err.count("\n") == 1
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from cliquedim import (
     DualityCertificate,
+    InvariantError,
     build_graph,
     coloring_to_distribution,
     format_certificate,
@@ -224,6 +225,21 @@ def test_uniform_coloring_witness_when_tight():
     validate_cover(g, col)
     assert col.colors == 4
     assert all(w == 1 for w in col.weights.values())
+
+
+def test_a_certificate_failing_its_check_is_an_internal_error(monkeypatch):
+    # the checks run where each certificate is made: a failure is a bug
+    import cliquedim.fractional as fractional
+
+    def refuse(g, col):
+        raise ValueError("cover constraint violated")
+
+    monkeypatch.setattr(fractional, "validate_cover", refuse)
+    g = build_graph(generate("full", universe=2), 2)
+    with pytest.raises(InvariantError, match="^LP certificate at m=2 fails its check: cover constraint violated$"):
+        omega_star(g)
+    with pytest.raises(InvariantError, match="^uniform coloring at m=2 fails its check: cover constraint violated$"):
+        uniform_coloring_witness(g)
 
 
 def test_coloring_to_distribution_normalizes():
