@@ -24,9 +24,16 @@ learner's regret at most sqrt(2 T ln m).  Consequences verified here:
     epsilon-2gamma itself.
 
 Draws from mu~ are exact: `random.random()` returns j/2^53 for an integer
-j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw bisects
-integer thresholds built once per call (values off that grid, as a
-`random.Random` subclass may return, are compared with the Fractions).
+j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw picks
+among integer thresholds built once per call.  For a generator whose
+`random` and `getrandbits` are `random.Random`'s own, j is
+(a >> 5) 2^26 + (b >> 6) for successive Mersenne Twister outputs a and b,
+and `getrandbits(64 k)` holds k such pairs lowest word first: a block of
+up to `_DRAW_BLOCK` draws is one `getrandbits` call and one numpy
+`searchsorted`, with the same picks and final generator state as calls to
+`random()`.  Other generators (subclasses overriding either method,
+`SystemRandom`) are asked by `random()` per draw, and values off the grid,
+as they may return, are compared with the Fractions.
 
 The forced gamma-good check settles a run once every gamma-good pattern
 at its weights is consistent with the whole dataset.  Such a pick agrees
@@ -96,7 +103,7 @@ from .graph import Caps, DEFAULT_CAPS
 LN4_HI = 2 * LN2_HI  # 1.386296 > ln 4
 _SCALE = 1 << 53  # random.random() returns multiples of 2^-53
 # Small blocks and chunks keep peak memory at the round-by-round loops' level.
-_DRAW_BLOCK = 1 << 11  # doubles per block of forced-round draws
+_DRAW_BLOCK = 1 << 11  # doubles per forced-round block; mu~ draws per getrandbits call
 _SEED_CHUNK = 256  # Monte Carlo trials seeded per vectorised pass
 
 # numpy's SeedSequence hash (bit_generator.pyx) and the PCG64 LCG multiplier
@@ -229,20 +236,43 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
     a draw u picks the first pattern k with u < cum_k (the last one if none).
 
     `random.random()` returns j / 2^53 for an integer j, and for integer j
-    u >= cum_k exactly when j >= ceil(cum_k * 2^53).  So each draw bisects
-    integer thresholds, held as floats (every integer up to 2^53 is one).
-    A value whose u * 2^53 is not an integer, as a `random.Random`
-    subclass may return, is compared with the exact cumulative Fractions.
+    u >= cum_k exactly when j >= ceil(cum_k * 2^53).  So each draw picks
+    among integer thresholds.  For a generator whose `random` and
+    `getrandbits` are `random.Random`'s own, j comes without a call per
+    draw: `random()` is ((a >> 5) 2^26 + (b >> 6)) / 2^53 for two
+    successive 32-bit Mersenne Twister outputs a and b, and
+    `getrandbits(64 k)` returns 2k outputs lowest word first.  Each block
+    of up to `_DRAW_BLOCK` draws is one `getrandbits` call and one
+    `searchsorted`; the picks and the generator's final state equal those
+    of `count` calls to `random()`.  Any other generator (a subclass that
+    overrides either method, `SystemRandom`) is asked for each draw by
+    `random()`, which bisects the thresholds held as floats (every integer
+    up to 2^53 is one); a value whose u * 2^53 is not an integer, as such a
+    generator may return, is compared with the exact cumulative Fractions.
     """
+    if count < 0:
+        raise InvalidParamsError(f"count must be >= 0, got {count}")
     cum = []
     acc = Fraction(0)
     for p in mu.probs:
         acc += p
         cum.append(acc)
     last = len(cum) - 1
-    thresholds = [float(-(-c.numerator * _SCALE // c.denominator)) for c in cum[:last]]
+    limits = [-(-c.numerator * _SCALE // c.denominator) for c in cum[:last]]
     patterns = mu.patterns
     draws = []
+    kind = type(rng)
+    if kind.random is random.Random.random and kind.getrandbits is random.Random.getrandbits:
+        bounds = np.array(limits, dtype=np.uint64)
+        table = np.fromiter(patterns, dtype=object)
+        for start in range(0, count, _DRAW_BLOCK):
+            n = min(_DRAW_BLOCK, count - start)
+            # word pairs (a, b) as a + b 2^32; j = (a >> 5) 2^26 + (b >> 6)
+            pairs = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+            j = (pairs & _MASK32) >> 5 << 26 | pairs >> 38
+            draws += table[bounds.searchsorted(j, "right")].tolist()
+        return draws
+    thresholds = [float(t) for t in limits]
     for _ in range(count):
         u = rng.random()
         # exact: scaling a float by a power of two (an overflow gives inf)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from cliquedim import boosting
 from cliquedim import (
     DEFAULT_CAPS,
     ConceptClass,
@@ -172,6 +173,108 @@ def test_draw_patterns_is_exact_off_the_2_53_grid():
             return super().random() ** 3
 
     assert draw_patterns(mu, 500, Cubed(11)) == reference_draw_patterns(mu, 500, Cubed(11))
+
+
+def untemper(y):
+    """The Mersenne Twister word whose tempered output is `y`."""
+    y ^= y >> 18
+    x = y
+    for _ in range(2):
+        x = y ^ ((x << 15) & 0xEFC60000)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def emitting(outputs, start):
+    """A plain random.Random whose next 32-bit outputs are `outputs`: their
+    untempered words sit in its state from buffer index `start` < 624, so no
+    twist comes between them."""
+    words = list(random.Random(0).getstate()[1][:624])
+    words[start:start + len(outputs)] = map(untemper, outputs)
+    rng = random.Random()
+    rng.setstate((3, tuple(words) + (start,), None))
+    return rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weight_vectors,
+    st.sampled_from([1, 2, 3, 5, _DRAW_BLOCK]),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=12),
+)
+@example([F(1)], 1, 63, 0, 12)
+def test_block_draws_equal_the_reference_at_every_threshold(weights, block, low, spare, extra):
+    # random() makes j = (a >> 5) 2^26 + (b >> 6) from outputs a, b: load
+    # outputs giving j at, just below and just above every threshold, with
+    # `low` in the dropped bits, then `extra` draws from the twisted state
+    mu = distribution(weights)
+    js = [0, 2**53 - 1]
+    acc = F(0)
+    for p in mu.probs[:-1]:
+        acc += p
+        t = -(-acc.numerator * 2**53 // acc.denominator)
+        js += [j for j in (t - 1, t, t + 1) if 0 <= j < 2**53]
+    outputs = []
+    for j in js:
+        outputs += [(j >> 26) << 5 | low & 31, (j & (1 << 26) - 1) << 6 | low]
+    start = 624 - len(outputs) - spare
+    probe = emitting(outputs, start)
+    assert [probe.getrandbits(32) for _ in outputs] == outputs
+    probe = emitting(outputs, start)
+    assert [probe.random() * 2**53 for _ in js] == js
+    rng, ref = emitting(outputs, start), emitting(outputs, start)
+    count = len(js) + extra
+    bisected = []
+    with pytest.MonkeyPatch.context() as patch:
+        # a block smaller than the draws crosses block boundaries; the
+        # per-draw loop would bisect every draw of a plain random.Random
+        patch.setattr(boosting, "_DRAW_BLOCK", block)
+        patch.setattr(boosting, "bisect_right", lambda *a: bisected.append(a))
+        got = draw_patterns(mu, count, rng)
+    assert bisected == []
+    assert got == reference_draw_patterns(mu, count, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+class OnesBits(random.Random):
+    """Overrides only getrandbits, with all one bits: random() is Random's."""
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+
+class Squared(random.Random):
+    """Overrides only random()."""
+
+    def random(self):
+        return super().random() ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weight_vectors,
+    st.integers(min_value=0, max_value=2**64),
+    st.sampled_from([0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3]),
+    st.sampled_from([random.Random, OnesBits, Squared]),
+)
+@example([F(1, 3), F(2, 3)], 5, 0, random.Random)
+@example([F(1)], 5, _DRAW_BLOCK + 1, random.Random)
+@example([F(1, 3), F(0), F(2, 3)], 7, _DRAW_BLOCK + 1, OnesBits)
+@example([F(1, 3), F(0), F(2, 3)], 7, _DRAW_BLOCK + 1, Squared)
+def test_draw_patterns_equals_the_reference_across_blocks_and_generators(weights, seed, count, kind):
+    mu = distribution(weights)
+    rng, ref = kind(seed), kind(seed)
+    assert draw_patterns(mu, count, rng) == reference_draw_patterns(mu, count, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 # ─── configuration ─────────────────────────────────────────────────────────
@@ -512,6 +615,8 @@ def test_boosting_rejects_negative_counts_and_seeds():
         forced_gamma_good_check(ds, 2, cfg, transcripts=4, seed=-1)
     with pytest.raises(InvalidParamsError, match="seed must be >= 0, got -1"):
         verify_sspfcd_bound(ANCHOR, cfg, trials=4, master_seed=-1)
+    with pytest.raises(InvalidParamsError, match="count must be >= 0, got -5"):
+        draw_patterns(cfg.mu, -5, random.Random(0))
 
 
 # ─── the consistency-rate verifier ─────────────────────────────────────────

@@ -12,7 +12,10 @@ import oracles
 from cliquedim import (
     DEFAULT_CAPS,
     ConceptClass,
+    Dataset,
     EmptyClassError,
+    FractionalClique,
+    FractionalColoring,
     InvariantError,
     build_graph,
     cached_omega_star,
@@ -26,9 +29,13 @@ from cliquedim import (
     generate,
     littlestone_dimension,
     littlestone_witness,
+    max_clique,
     omega_star,
     smallest_separating_m0,
     tech_cd_cutoff,
+    validate_clique,
+    validate_cover,
+    validate_packing,
     vc_dimension,
 )
 from cliquedim.cli import corpus
@@ -615,3 +622,48 @@ def test_census_of_the_classes_on_four_points():
     # paper_example_sec6 is one of the four classes with cd > ld
     example = sum(1 << sum(b << p for p, b in enumerate(row)) for row in generate("paper_example_sec6").hypotheses)
     assert any(class_image(example, symmetry) in gaps for symmetry in CUBE_SYMMETRIES)
+
+
+def point_map(symmetry):
+    """(q, f) per point p: the symmetry sends point p to q and flips its
+    label iff f = 1."""
+    flips = symmetry[0]
+    targets = [(symmetry[1 << p] ^ flips).bit_length() - 1 for p in range(4)]
+    return [(q, (flips >> q) & 1) for q in targets]
+
+
+def test_census_omega_and_certificates_follow_the_symmetries():
+    # on a seeded sample of orbits, omega_m and omega*_m at m = 2, 3 equal
+    # those of a random symmetry image, and the maximum clique and both LP
+    # certificates, mapped through the symmetry, validate on the image's G_m
+    rng = random.Random(20)
+    for rows_mask in rng.sample(orbit_representatives(), 100):
+        symmetry = rng.choice(CUBE_SYMMETRIES)
+        points = point_map(symmetry)
+
+        def image_of(dataset):
+            return Dataset((points[p][0], l ^ points[p][1]) for p, l in dataset)
+
+        def pattern_image(h):
+            out = [0] * 4
+            for p, (q, f) in enumerate(points):
+                out[q] = h[p] ^ f
+            return tuple(out)
+
+        cls, image = class_of(rows_mask), class_of(class_image(rows_mask, symmetry))
+        assert image == ConceptClass(4, [pattern_image(h) for h in cls.hypotheses])
+        for m in (2, 3):
+            g, gi = build_graph(cls, m), build_graph(image, m)
+            index = [gi.index_of(image_of(v)) for v in g.vertices]
+            assert None not in index and len(set(index)) == gi.num_vertices
+            clique = max_clique(g)
+            assert max_clique(gi).size == clique.size, (rows_mask, m)
+            assert validate_clique(gi, [index[v] for v in clique.members]).size == clique.size
+            cert = omega_star(g)
+            assert omega_star(gi).value == cert.value, (rows_mask, m)
+            validate_packing(gi, FractionalClique(
+                {index[v]: w for v, w in cert.clique.weights.items()}, cert.clique.size
+            ))
+            validate_cover(gi, FractionalColoring(
+                {pattern_image(h): w for h, w in cert.coloring.weights.items()}, cert.coloring.colors
+            ))
