@@ -57,10 +57,14 @@ so the check does not assume the implication it tests.
 
 The Monte Carlo verifier gives trial i the stream of
 `np.random.default_rng(master_seed ^ i)` without building that generator:
-numpy's SeedSequence hash and PCG64 seeding run for a chunk of trials at
-once, in uint32 arrays and then 128-bit integers, and one reused PCG64 takes
-each trial's state.  The first and last state of every chunk are checked
-against numpy's own seeding, and a mismatch raises InvariantError.
+numpy's SeedSequence hash and PCG64's set-seed step run for a chunk of
+trials at once, in uint32 arrays and then 64-bit limbs with carries, and
+each trial's state and inc words are written straight into the 32 state
+bytes of one reused PCG64.  Before the first write a guard checks that
+those bytes lie inside the PCG64 object and learns their word order from a
+state set through numpy's public setter.  The full state of every chunk's
+first and last trial is then checked against numpy's own seeding.  Either
+failure raises InvariantError.
 
 Natural logarithms throughout.  Weight arithmetic is floating point with
 per-round renormalization; a rational shadow mode replays the game with the
@@ -70,6 +74,7 @@ comparison with conservative rational bounds.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 import sys
@@ -104,7 +109,7 @@ LN4_HI = 2 * LN2_HI  # 1.386296 > ln 4
 _SCALE = 1 << 53  # random.random() returns multiples of 2^-53
 # Small blocks and chunks keep peak memory at the round-by-round loops' level.
 _DRAW_BLOCK = 1 << 11  # doubles per forced-round block; mu~ draws per getrandbits call
-_SEED_CHUNK = 256  # Monte Carlo trials seeded per vectorised pass
+_SEED_CHUNK = 4096  # Monte Carlo trials seeded per vectorised pass
 
 # numpy's SeedSequence hash (bit_generator.pyx) and the PCG64 LCG multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -112,7 +117,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(_PCG_MULT, 1 << 64)
 
 
 # ─── the boosted sampling distribution ───────────────────────────────────
@@ -693,26 +698,45 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
-    """PCG64's set-seed step on generate_state(4, uint64): inc is the
-    sequence shifted left with its low bit set, and the state takes one LCG
-    step from 0, adds the seed and takes one more."""
-    inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
-    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-    return {"state": state, "inc": inc}
+def _mulhi64(x: np.ndarray, y: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products x * y, for a uint64 array x
+    and a 64-bit integer y, from 32-bit halves whose products fit in 64 bits."""
+    x_lo, x_hi = x & _MASK32, x >> 32
+    y_lo, y_hi = y & _MASK32, y >> 32
+    mid = x_hi * y_lo + (x_lo * y_lo >> 32)
+    cross = x_lo * y_hi + (mid & _MASK32)
+    return x_hi * y_hi + (mid >> 32) + (cross >> 32)
 
 
-def _pcg64_states(master_seed: int, start: int, stop: int):
-    """The state dicts ({"state", "inc"}) of np.random.PCG64(master_seed ^ i)
-    for the trials i in [start, stop), stop <= 2^32, without constructing a
-    PCG64 per trial.
+def _pcg64_set_seed(generated: np.ndarray) -> np.ndarray:
+    """PCG64's set-seed step on rows of generate_state(4, uint64) words
+    (seed high, seed low, sequence high, sequence low), in 64-bit limbs with
+    carries: inc = (seq << 1) | 1 and state = ((inc + seed) * _PCG_MULT + inc)
+    mod 2^128, one LCG step from 0 after adding the seed.  Returns the
+    C-contiguous (count, 4) uint64 rows (state low, state high, inc low,
+    inc high)."""
+    seed_hi, seed_lo, seq_hi, seq_lo = generated.T
+    inc_lo = seq_lo << 1 | 1
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)  # uint64 arrays wrap mod 2^64
+    prod_lo = sum_lo * _PCG_MULT_LO
+    prod_hi = _mulhi64(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The state and inc words of np.random.PCG64(master_seed ^ i) for the
+    trials i in [start, stop), stop <= 2^32, without constructing a PCG64
+    per trial: rows as `_pcg64_set_seed` returns them.
 
     SeedSequence hashes the seed's 32-bit words into a 4-word pool and
     generate_state(4, uint64) hashes the pool into four 64-bit words.  The
     hash constants do not depend on the data, so every trial runs the same
     steps, here on one uint32 array per word.  Only word 0 differs between
-    trials.  The first and last state are checked against numpy's own
-    seeding; the others are built one at a time as they are consumed.
+    trials.
     """
     words = [master_seed & _MASK32]  # little-endian 32-bit words, at least one
     rest = master_seed >> 32
@@ -735,14 +759,54 @@ def _pcg64_states(master_seed: int, start: int, stop: int):
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_consts(_INIT_B, _MULT_B)
     halves = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
-    words64 = np.stack(
+    generated = np.stack(
         [halves[k] | (halves[k + 1] << np.uint64(32)) for k in range(0, 8, 2)], axis=1
     )
-    for i in (start, stop - 1):
-        numpy_state = np.random.PCG64(master_seed ^ i).state["state"]
-        if _pcg64_state(*words64[i - start].tolist()) != numpy_state:
-            raise InvariantError(f"vectorised PCG64 seeding disagrees with numpy at trial {i}")
-    return (_pcg64_state(*row.tolist()) for row in words64)
+    return _pcg64_set_seed(generated)
+
+
+# the layout probe's (state low, state high, inc low, inc high): four
+# distinct 64-bit halves, inc odd
+_PROBE_WORDS = (0x0123456789ABCDEF, 0x1122334455667788, 0x0F1E2D3C4B5A6979, 0x8877665544332211)
+_PROBE_STATE = {
+    "bit_generator": "PCG64",
+    "state": {
+        "state": _PROBE_WORDS[1] << 64 | _PROBE_WORDS[0],
+        "inc": _PROBE_WORDS[3] << 64 | _PROBE_WORDS[2],
+    },
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
+def _pcg64_state_view(bitgen: np.random.PCG64) -> tuple:
+    """A 32-byte memoryview of `bitgen`'s pcg64_random_t (128-bit state, then
+    128-bit inc) and the column order that turns `_pcg64_words` rows into its
+    bytes: (0, 1, 2, 3) when each 128-bit word is stored low half first
+    (native __uint128_t), (1, 0, 3, 2) when high half first (numpy's emulated
+    struct).
+
+    The first field of the struct at `bitgen.ctypes.state_address` points to
+    the pcg64_random_t, which numpy keeps inside the PCG64 object.  Both
+    addresses must lie inside the object, and the word order is read back
+    from a state set through numpy's public setter; any other layout raises
+    InvariantError, so no byte is ever written outside the generator.  The
+    view holds no reference to `bitgen`, which must outlive it.
+    """
+    base = id(bitgen)
+    end = base + bitgen.__sizeof__()  # sys.getsizeof adds the GC header, which lies before id()
+    holder = bitgen.ctypes.state_address
+    address = None
+    if base <= holder and holder + ctypes.sizeof(ctypes.c_void_p) <= end:
+        address = ctypes.c_void_p.from_address(holder).value
+    if address is None or not base <= address <= end - 32:
+        raise InvariantError("PCG64 state pointer lies outside the generator object")
+    bitgen.state = _PROBE_STATE
+    stored = (ctypes.c_uint64 * 4).from_address(address)
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if list(stored) == [_PROBE_WORDS[k] for k in order]:
+            return memoryview(stored).cast("B"), order
+    raise InvariantError("PCG64 state layout is neither low nor high half first")
 
 
 # verify_sspfcd_bound checks every m-dataset of G_m up to ENUMERATE_CAP of
@@ -759,8 +823,11 @@ def verify_sspfcd_bound(
     caps: Caps = DEFAULT_CAPS,
 ) -> BoostVerifyReport:
     """Check Pr[boosted majority consistent with S] >= m^-alpha for every
-    realizable m-dataset S (see ENUMERATE_CAP).  Per-trial RNG is seeded
-    master XOR trial index, so trials are independent and order-free.  A
+    realizable m-dataset S (see ENUMERATE_CAP).  Trial i draws what
+    np.random.default_rng(master_seed ^ i) would, so trials are independent
+    and order-free.  Each trial's PCG64 state and inc words are written
+    directly into one reused generator, and each chunk's first and last
+    state is checked against numpy's seeding (InvariantError on a mismatch).  A
     row FAILs only when its one-sided 99% upper confidence limit sits below
     the bound.  The bound is m^-alpha, or the proven floor epsilon - 2 gamma
     when T = 1 (m = 1), where m^-alpha = 1 could never be met.
@@ -784,17 +851,22 @@ def verify_sspfcd_bound(
     t_rounds = config.T
 
     # majority labeling per trial; trial i draws what
-    # np.random.default_rng(master_seed ^ i) would, from one reseeded generator
+    # np.random.default_rng(master_seed ^ i) would, from one generator whose
+    # state and inc words are overwritten in place
     counts = np.empty((trials, len(probs)), dtype=np.int64)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    setting = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    state, order = _pcg64_state_view(bitgen)
     for start in range(0, trials, _SEED_CHUNK):
         stop = min(trials, start + _SEED_CHUNK)
-        for row, state in zip(counts[start:stop], _pcg64_states(master_seed, start, stop)):
-            setting["state"] = state
-            bitgen.state = setting
-            row[...] = gen.multinomial(t_rounds, probs)
+        words = np.ascontiguousarray(_pcg64_words(master_seed, start, stop)[:, order])
+        rows = memoryview(words).cast("B")
+        for i in range(start, stop):
+            offset = 32 * (i - start)
+            state[:] = rows[offset:offset + 32]
+            if i in (start, stop - 1) and bitgen.state != np.random.PCG64(master_seed ^ i).state:
+                raise InvariantError(f"vectorised PCG64 seeding disagrees with numpy at trial {i}")
+            counts[i] = gen.multinomial(t_rounds, probs)
     ones = counts @ pat_matrix  # per-point count of label-1 votes
     majs = (ones > t_rounds // 2).view(np.int8)  # 2 ones > T, on integers
 

@@ -1,6 +1,7 @@
 """Hedge game, boosted sampling, and the consistency-rate verifier."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -41,11 +42,12 @@ from cliquedim import (
 )
 from cliquedim.boosting import (
     _DRAW_BLOCK,
-    _SEED_CHUNK,
+    _PCG_MULT,
     MuTilde,
     _example_losses,
     _floor_bracketed,
-    _pcg64_states,
+    _pcg64_set_seed,
+    _pcg64_words,
     clopper_pearson,
     format_boost_report,
     numeric_lemma_checks,
@@ -715,31 +717,98 @@ def reference_majorities(config, trials, master_seed, n):
     return majs
 
 
+def reference_successes(report, config, master_seed, n):
+    """Each row's success count under the per-trial majority loop."""
+    majs = reference_majorities(config, report.trials, master_seed, n)
+    want = []
+    for row in report.rows:
+        pts = [ex.point for ex in row.dataset]
+        labs = np.array([ex.label for ex in row.dataset], dtype=np.int8)
+        want.append(int((majs[:, pts] == labs).all(axis=1).sum()))
+    return want
+
+
 def test_verify_report_equals_the_per_trial_loop():
     for cls, m0, m in ((ANCHOR, 2, 3), (generate("thresholds", universe=3), 3, 2)):
         cfg = boost_config(cls, m0, m)
         for seed in (0, 13, 2**62, 2**130):
             rep = verify_sspfcd_bound(cls, cfg, trials=300, master_seed=seed)
-            majs = reference_majorities(cfg, 300, seed, cls.universe_size)
-            want = []
-            for row in rep.rows:
-                pts = [ex.point for ex in row.dataset]
-                labs = np.array([ex.label for ex in row.dataset], dtype=np.int8)
-                want.append(int((majs[:, pts] == labs).all(axis=1).sum()))
+            want = reference_successes(rep, cfg, seed, cls.universe_size)
             assert [row.successes for row in rep.rows] == want
             assert len(set(want)) > 1
 
 
+def test_verify_report_equals_the_per_trial_loop_at_chunk_edges(monkeypatch):
+    chunk = 5
+    monkeypatch.setattr(boosting, "_SEED_CHUNK", chunk)
+    for cls, m0, m in ((ANCHOR, 2, 3), (generate("thresholds", universe=3), 3, 2)):
+        cfg = boost_config(cls, m0, m)
+        for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            for seed in (0, 2**32 + 9, 2**130):
+                rep = verify_sspfcd_bound(cls, cfg, trials=trials, master_seed=seed)
+                assert rep.trials == trials and all(row.trials == trials for row in rep.rows)
+                want = reference_successes(rep, cfg, seed, cls.universe_size)
+                assert [row.successes for row in rep.rows] == want, (trials, seed)
+
+
+def test_verify_report_with_zero_trials_skips_every_row():
+    cfg = boost_config(ANCHOR, m0=2, m=3)
+    rep = verify_sspfcd_bound(ANCHOR, cfg, trials=0, master_seed=3)
+    assert rep.all_pass and rep.trials == 0 and len(rep.rows) == 8
+    for row in rep.rows:
+        assert (row.status, row.successes, row.trials) == ("SKIP", 0, 0)
+        assert (row.ci_lo, row.ci_hi) == (0.0, 1.0)
+    assert format_boost_report(rep).count(" est=nan ") == 8
+
+
 def test_seeding_equals_numpy_pcg64_across_chunks():
-    # seeds of one to five 32-bit words; the pool holds four
-    trials = _SEED_CHUNK + 3
+    # seeds of one to five 32-bit words; the pool holds four.  Chunks of 7
+    # trials stand in for _SEED_CHUNK, which the verifier passes the same way.
+    chunk = 7
+    trials = 2 * chunk + 3
     for master_seed in (0, 5, 2**32 - 1, 2**32, 2**62, 2**130):
-        states = []
-        for start in range(0, trials, _SEED_CHUNK):
-            states += _pcg64_states(master_seed, start, min(trials, start + _SEED_CHUNK))
+        rows = []
+        for start in range(0, trials, chunk):
+            words = _pcg64_words(master_seed, start, min(trials, start + chunk))
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            rows += words.tolist()
+        states = [
+            {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+            for state_lo, state_hi, inc_lo, inc_hi in rows
+        ]
         assert states == [
             np.random.PCG64(master_seed ^ i).state["state"] for i in range(trials)
         ]
+
+
+WORD = st.integers(0, 2**64 - 1)
+CARRY_EDGES = (0, 2**63, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(WORD, st.sampled_from(CARRY_EDGES))] * 4), min_size=1, max_size=8))
+@example(list(itertools.product(CARRY_EDGES, repeat=4)))  # every edge word in every position
+@example([(2**64 - 1, 2**64 - 1, 2**63 - 1, 2**64 - 1)])  # inc all one bits: both sums carry
+def test_set_seed_limbs_equal_the_128_bit_formula(rows):
+    # rows of (seed high, seed low, sequence high, sequence low)
+    got = _pcg64_set_seed(np.array(rows, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(rows), 4) and got.flags.c_contiguous
+    for (seed_hi, seed_lo, seq_hi, seq_lo), out in zip(rows, got.tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) % 2**128
+        assert out == [state % 2**64, state >> 64, inc % 2**64, inc >> 64]
+
+
+def run_optimized(probe):
+    """The stdout lines of `probe` run under `python -O`, with src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 OPTIMIZED_SEEDING_PROBE = """
@@ -758,14 +827,91 @@ except InvariantError as exc:
 
 def test_seeding_check_survives_python_O():
     # a corrupted hash constant must be refused even with asserts compiled out
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_SEEDING_PROBE],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: vectorised PCG64 seeding disagrees with numpy")
+    lines = run_optimized(OPTIMIZED_SEEDING_PROBE)
+    assert lines == ["raised: vectorised PCG64 seeding disagrees with numpy at trial 0"]
+
+
+OPTIMIZED_GUARD_PROBE = """
+import ctypes
+import numpy as np
+from cliquedim import InvariantError, boost_config, generate, verify_sspfcd_bound
+from cliquedim.boosting import _PROBE_WORDS
+
+assert False, "asserts must be stripped in this process"
+PCG64 = np.random.PCG64
+made = []
+
+
+class Recorded(PCG64):
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        made.append(self)
+
+
+class Reversed(Recorded):
+    # the public setter stores the four 64-bit halves in reverse order
+    @property
+    def state(self):
+        return PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        swap = lambda x: x % 2**64 << 64 | x >> 64
+        words = value["state"]
+        reversed_words = {"state": swap(words["inc"]), "inc": swap(words["state"])}
+        PCG64.state.__set__(self, dict(value, bit_generator="Reversed", state=reversed_words))
+
+
+# a pointer outside the generator to 32 bytes that already read as the probe
+target = (ctypes.c_uint64 * 4)(*_PROBE_WORDS)
+holder = ctypes.c_void_p(ctypes.addressof(target))
+
+
+class OutsideHolder(Recorded):
+    @property
+    def ctypes(self):
+        return PCG64.ctypes.__get__(self)._replace(state_address=ctypes.addressof(holder))
+
+
+class OutsidePointer(Recorded):
+    # the object's type pointer: a field inside the object, pointing outside it
+    @property
+    def ctypes(self):
+        return PCG64.ctypes.__get__(self)._replace(state_address=id(self) + 8)
+
+
+def pcg_words(bitgen):
+    address = ctypes.c_void_p.from_address(PCG64.ctypes.__get__(bitgen).state_address).value
+    return list((ctypes.c_uint64 * 4).from_address(address))
+
+
+cls = generate("disjoint_pairs", universe=2)
+config = boost_config(cls, 2, 3)
+for fake in (Reversed, OutsideHolder, OutsidePointer):
+    np.random.PCG64 = fake
+    try:
+        verify_sspfcd_bound(cls, config, trials=10)
+    except InvariantError as exc:
+        print(fake.__name__, "raised:", exc)
+    finally:
+        np.random.PCG64 = PCG64
+    bitgen = made.pop()
+    reversed_probe = tuple(pcg_words(bitgen)) == _PROBE_WORDS[::-1]
+    print(fake.__name__, "unwritten:", tuple(target) == _PROBE_WORDS, reversed_probe)
+"""
+
+
+def test_state_write_guard_survives_python_O():
+    # an unknown word order or a state pointer outside the generator object
+    # is refused before a byte is written, even with asserts compiled out
+    assert run_optimized(OPTIMIZED_GUARD_PROBE) == [
+        "Reversed raised: PCG64 state layout is neither low nor high half first",
+        "Reversed unwritten: True True",
+        "OutsideHolder raised: PCG64 state pointer lies outside the generator object",
+        "OutsideHolder unwritten: True False",
+        "OutsidePointer raised: PCG64 state pointer lies outside the generator object",
+        "OutsidePointer unwritten: True False",
+    ]
 
 
 OPTIMIZED_FORCED_PROBE = """
@@ -786,16 +932,10 @@ print(forced_gamma_good_check(Dataset([(0, 1), (1, 0), (2, 1), (3, 0)]), 4, sec6
 
 def test_forced_check_survives_python_O():
     # the empty-good-set check and the early exits do not rest on asserts
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_FORCED_PROBE],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    lines = run_optimized(OPTIMIZED_FORCED_PROBE)
     sec6 = dataclasses.replace(boost_config(generate("paper_example_sec6"), 4, 4), T=301)
     want = forced_gamma_good_check(Dataset([(0, 1), (1, 0), (2, 1), (3, 0)]), 4, sec6, 100, 1)
-    assert proc.stdout.splitlines() == ["raised: no gamma-good labeling available", repr(want)]
+    assert lines == ["raised: no gamma-good labeling available", repr(want)]
 
 
 def test_format_boost_report_shape():
