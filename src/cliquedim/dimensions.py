@@ -4,7 +4,9 @@ Four quantities per class:
 
   vc   largest shattered point subset;
   ld   optimal mistake-tree depth: ld(H) = max over points x splitting H
-       into two nonempty restrictions of 1 + min(ld(H0), ld(H1));
+       into two nonempty restrictions of 1 + min(ld(H0), ld(H1)).  It is
+       the largest d passing the decision ld(H) >= d, which refuses any
+       restriction of fewer than 2^d rows before splitting it;
   cd   sup of m with clique number omega_m = 2^m;
   cd*  sup of m with fractional clique number omega*_m = 2^m.
 
@@ -84,23 +86,16 @@ LN2_HI = Fraction(693148, 10**6)
 EXTENSION_VERTEX_CAP = 500
 
 
-# The record memo keys on (cls, m), the ld memo on cls; each holds at most
-# MEMO_SIZE entries (oldest dropped first), and `build_graph` / `omega_star`
-# / `_ld_table` are called through this module's globals, so a wrapper
-# installed on those names sees every miss.
+# The record memo, the module's only memo, keys on (cls, m) and holds at
+# most MEMO_SIZE entries (oldest dropped first).  `build_graph` and
+# `omega_star` are called through this module's globals, so a wrapper
+# installed on those names sees every miss.  ld is decided afresh on each
+# call: a decision memoises only within that call.
 MEMO_SIZE = 256
 _records: dict = {}
-_ld_tables: dict = {}
 
 # the losses theta at which the small-population bound is checked
 THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +128,11 @@ def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
     vertex-cap error a build under `caps` would."""
     rec = _records.get((cls, m))
     if rec is None:
-        return _remember(_records, (cls, m), _Record(build_graph(cls, m, caps)))
-    caps.check_vertices(rec.graph.num_vertices, m)
+        if len(_records) >= MEMO_SIZE:
+            del _records[next(iter(_records))]
+        rec = _records[cls, m] = _Record(build_graph(cls, m, caps))
+    else:
+        caps.check_vertices(rec.graph.num_vertices, m)
     return rec
 
 
@@ -220,25 +218,26 @@ def _splits(rows: tuple, n: int):
             yield x, zeros, ones
 
 
-def _ld_table(cls: ConceptClass):
-    """The memoised recursion ld(rows) over restrictions of `cls`."""
+def _ld_decision(cls: ConceptClass):
+    """(ld(H), at_least) where the memoised at_least(rows, d) decides
+    ld(rows) >= d for a restriction `rows` of `cls`.  A depth-d shattered
+    tree has 2^d leaves, each realized by its own row, so fewer rows fail
+    at once and the recursion is at most log2 |H| + 1 calls deep."""
     cls.require_nonempty()
     n = cls.universe_size
 
     @lru_cache(maxsize=None)
-    def ld(rows: tuple) -> int:
-        if len(rows) <= 1:
-            return 0
-        return max((1 + min(ld(h0), ld(h1)) for _, h0, h1 in _splits(rows, n)), default=0)
+    def at_least(rows: tuple, d: int) -> bool:
+        if len(rows) < 1 << d:
+            return False
+        return d == 0 or any(
+            at_least(h0, d - 1) and at_least(h1, d - 1) for _, h0, h1 in _splits(rows, n)
+        )
 
-    return ld
-
-
-def _cached_ld_table(cls: ConceptClass):
-    table = _ld_tables.get(cls)
-    if table is None:
-        table = _remember(_ld_tables, cls, _ld_table(cls))
-    return table
+    ld = 0
+    while at_least(cls.hypotheses, ld + 1):
+        ld += 1
+    return ld, at_least
 
 
 def _log2_rows(cls: ConceptClass) -> int:
@@ -248,25 +247,25 @@ def _log2_rows(cls: ConceptClass) -> int:
 
 
 def littlestone_dimension(cls: ConceptClass) -> int:
-    return _cached_ld_table(cls)(cls.hypotheses)
+    return _ld_decision(cls)[0]
 
 
 def littlestone_witness(cls: ConceptClass) -> MistakeTree:
     """A complete shattered mistake tree of depth ld.  At every internal node
     both restrictions are nonempty and can still support depth-1 below, so
     each branch stays realizable."""
-    ld = _cached_ld_table(cls)
+    ld, at_least = _ld_decision(cls)
     n = cls.universe_size
 
     def build(rows: tuple, d: int) -> MistakeTree:
         if d == 0:
             return MistakeLeaf()
         for x, zeros, ones in _splits(rows, n):
-            if min(ld(zeros), ld(ones)) >= d - 1:
+            if at_least(zeros, d - 1) and at_least(ones, d - 1):
                 return MistakeNode(x, build(zeros, d - 1), build(ones, d - 1))
         raise InvariantError("no splitting point although depth budget remains")
 
-    return build(cls.hypotheses, ld(cls.hypotheses))
+    return build(cls.hypotheses, ld)
 
 
 def tech_cd_cutoff(d: int) -> int:
@@ -540,4 +539,3 @@ def check_inequalities(report: DimensionReport) -> list:
 
 def clear_caches() -> None:
     _records.clear()
-    _ld_tables.clear()

@@ -217,6 +217,27 @@ def reference_simplex(n_vars: int, row_masks: list) -> tuple:
     return -obj[-1], x, [-obj[n + i] for i in range(m)]
 
 
+def reference_littlestone(cls: ConceptClass) -> int:
+    """ld by the textbook recursion on row masks: 0 on a single row, else
+    the max over points x splitting the rows of 1 + min(ld(H0), ld(H1)).
+    Restrictions are frozensets of masks, tabulated in a local dict."""
+    n = cls.universe_size
+    table = {}
+
+    def ld(rows: frozenset) -> int:
+        if rows not in table:
+            best = 0
+            for x in range(n):
+                h1 = frozenset(r for r in rows if (r >> x) & 1)
+                h0 = rows - h1
+                if h0 and h1:
+                    best = max(best, 1 + min(ld(h0), ld(h1)))
+            table[rows] = best
+        return table[rows]
+
+    return ld(frozenset(cls.row_masks))
+
+
 def sequence_vertices(cls: ConceptClass, m: int) -> list:
     """All realizable ORDERED length-m example sequences (repeats allowed).
     The quotient guard compares clique quantities on this construction with

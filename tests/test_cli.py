@@ -325,22 +325,6 @@ def test_an_unbounded_m_max_ends_at_the_analytic_bound(tmp_path):
     assert done.stdout == "# seed=0\ncd=1 exact\n# seed=0\ncd_star=1 exact\n"
 
 
-def test_curves_builds_the_ld_table_once(capsys, monkeypatch):
-    # the report's ld and the cd decisions share one memoised recursion
-    import cliquedim.dimensions as dims
-    from cliquedim import clear_caches, format_class_text
-
-    tables = []
-    table = dims._ld_table
-    monkeypatch.setattr(dims, "_ld_table", lambda cls: tables.append(cls) or table(cls))
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(dict(corpus())["thresholds-4"])))
-    clear_caches()
-    code, out, _ = run(capsys, "curves", "-")
-    clear_caches()
-    assert code == 0 and out.splitlines()[-2:] == ["# cd=2 exact", "# cd_star=2 exact"]
-    assert len(tables) == 1
-
-
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -350,16 +334,34 @@ def test_curves_builds_the_ld_table_once(capsys, monkeypatch):
     ids=["thresholds-3", "paper_example_sec6"],
 )
 def test_ld_verbose_runs_the_recursion_once(capsys, monkeypatch, name, expected):
+    # the witness reads ld and every split from one memoised decision
     import cliquedim.dimensions as dims
     from cliquedim import format_class_text
 
-    tables = []
-    table = dims._ld_table
-    monkeypatch.setattr(dims, "_ld_table", lambda cls: tables.append(cls) or table(cls))
+    decisions = []
+    decide = dims._ld_decision
+    monkeypatch.setattr(dims, "_ld_decision", lambda cls: decisions.append(cls) or decide(cls))
     monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(dict(corpus())[name])))
     code, out, _ = run(capsys, "ld", "-", "--verbose")
     assert (code, out) == (0, expected)
-    assert len(tables) == 1
+    assert len(decisions) == 1
+
+
+def test_ld_of_point_functions_on_300_points(capsys, monkeypatch):
+    # the zero row and the 300 unit rows: every split peels off one row, so
+    # a recursion that deepens with each peeled row overflows the stack
+    from cliquedim import format_class_text
+
+    n = 300
+    rows = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    text = format_class_text(ConceptClass(n, rows))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "ld", "-") == (0, "# seed=0\nld=1\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "ld", "-", "--verbose")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "# ld=1"
+    assert max_depth(parse_tree(out)) == 1
 
 
 def test_internal_invariant_exits_one(capsys, monkeypatch, tmp_path):
@@ -760,6 +762,30 @@ def test_corpus_dimension_outputs_are_frozen(capsys, monkeypatch):
         assert main([command, "--seed", "0"]) == 0
         got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == CORPUS_OUTPUTS_SHA256
+
+
+# sha256 of `ld - --verbose` stdout over the 20 corpus classes in corpus
+# order, then the 200 random classes of `ld_pin_classes`, as produced by the
+# ld table before ld became a bounded decision
+LD_VERBOSE_SHA256 = "37aa7ab4af8be03b3411626fff409570ad7189e4e0455664c5251e2917e50b75"
+
+
+def ld_pin_classes():
+    yield from (cls for _, cls in corpus())
+    for seed in range(200):
+        universe = 1 + seed % 7
+        yield generate("random", universe=universe, count=1 + seed % min(40, 1 << universe), seed=seed)
+
+
+def test_ld_verbose_output_is_frozen(capsys, monkeypatch):
+    from cliquedim import format_class_text
+
+    digest = hashlib.sha256()
+    for cls in ld_pin_classes():
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+        assert main(["ld", "-", "--verbose"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LD_VERBOSE_SHA256
 
 
 # sha256 of `omega - --m M --verbose` stdout over the 20 corpus classes in

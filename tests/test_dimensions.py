@@ -110,6 +110,48 @@ def test_example_class_witness_maps_to_known_clique():
     assert clique.members == (1, 2, 8, 9)
 
 
+@st.composite
+def small_classes(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=min(24, 1 << n)))
+    return ConceptClass(n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_classes())
+@example(generate("thresholds", universe=5))
+@example(generate("paper_example_sec6"))
+def test_ld_and_witness_match_the_reference_recursion(cls):
+    d = oracles.reference_littlestone(cls)
+    assert littlestone_dimension(cls) == d
+    tree = littlestone_witness(cls)
+    assert is_complete(tree, d)
+    if d:
+        assert clique_from_tree(build_graph(cls, d), tree).size == 1 << d
+
+
+def lines(p: int) -> ConceptClass:
+    """The p^2 + p lines of the affine plane F_p^2, point (a, b) at index
+    a*p + b, one row per line with 1 on its p points."""
+    plane = [(a, b) for a in range(p) for b in range(p)]
+    slopes = [tuple(int(b == (s * a + c) % p) for a, b in plane) for s in range(p) for c in range(p)]
+    verticals = [tuple(int(a == c) for a, _ in plane) for c in range(p)]
+    return ConceptClass(p * p, slopes + verticals)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ld_of_lines_is_two_with_a_four_clique_witness(p):
+    # two lines meet in at most one point, so the p + 1 lines through a
+    # point split off one at a time: no depth-3 tree.  Splits that peel off
+    # few lines reach exponentially many restrictions unless those under
+    # 2^d rows are refused at once
+    cls = lines(p)
+    assert len(cls.hypotheses) == p * p + p
+    assert littlestone_dimension(cls) == 2
+    clique = clique_from_tree(build_graph(cls, 2), littlestone_witness(cls))
+    assert clique.size == 4
+
+
 # ─── analytic cutoffs ──────────────────────────────────────────────────────
 
 
