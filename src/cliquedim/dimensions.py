@@ -38,17 +38,24 @@ Whatever remains in (m_max, cutoff] is searched directly when the graphs
 fit under the caps; otherwise the flag honestly degrades to
 lower-bound-at-m-max.  No m past the cutoff is tried.
 
-Each (cls, m) has one record: G_m, the LP certificate and its mu* table
-once solved, and omega_m and omega*_m once exact.  Values are settled in
-this order.  `dimension_report` settles each row first: m <= ld gives
-omega_m = omega*_m = 2^m with no search, otherwise an exact `max_clique`
-gives omega_m, and a clique at the ceiling gives omega*_m as well.  An LP
-(`cached_omega_star`) settles omega*_m wherever it runs.  cd, cd*, the
-report's omega* column and `smallest_separating_m0` read what is settled
-and search or solve only what is not.  A value settled twice must agree,
-or InvariantError is raised.  Every read applies its caps: the vertex cap
-whenever G_m is read, the LP's pattern cap whenever the value comes from
-the LP.
+Each (cls, m) has one record.  It holds the order |V(G_m)|, counted
+without a build; the core of G_m (its vertices with min(m, |X|) distinct
+points, which has the same omega_m and omega*_m: `graph` module docstring)
+and the full G_m, each built on first read; omega_m and omega*_m once
+exact; and the full graph's LP certificate and its mu* table once solved.
+Values are settled in this order.  `dimension_report` settles each row
+first: m <= ld gives omega_m = omega*_m = 2^m with no search, otherwise an
+exact `max_clique` on the core gives omega_m, and a clique at the ceiling
+gives omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd*,
+the report's omega* column and `smallest_separating_m0` read what is
+settled and search or solve only what is not, on the core: the LP there
+settles the value only.  The full graph is built only by the readers of
+its vertices or of a full LP certificate: `cached_graph`,
+`cached_omega_star` and `cached_small_pop_table`.  A value settled twice
+must agree, or InvariantError is raised, so a core LP that a later full LP
+contradicts is an internal error.  Every read applies its caps: the vertex
+cap to the counted order whenever G_m is read, the LP's pattern cap
+whenever the value comes from an LP.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -63,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -72,7 +79,7 @@ from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_cl
 from .concepts import ConceptClass, pattern_to_mask
 from .errors import InvariantError, ResourceLimitError
 from .fractional import DualityCertificate, coloring_to_distribution, omega_star
-from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, build_graph
+from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, build_core, build_graph, count_vertices
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
 
 EXACT = "exact"
@@ -82,15 +89,12 @@ LOWER_BOUND = "lower-bound-at-m-max"
 LN2_LO = Fraction(693147, 10**6)
 LN2_HI = Fraction(693148, 10**6)
 
-# cd* extension LPs past m_max run only on graphs of at most this many vertices
-EXTENSION_VERTEX_CAP = 500
-
-
 # The record memo, the module's only memo, keys on (cls, m) and holds at
-# most MEMO_SIZE entries (oldest dropped first).  `build_graph` and
-# `omega_star` are called through this module's globals, so a wrapper
-# installed on those names sees every miss.  ld is decided afresh on each
-# call: a decision memoises only within that call.
+# most MEMO_SIZE entries (oldest dropped first).  `count_vertices`,
+# `build_core`, `build_graph` and `omega_star` are called through this
+# module's globals, so a wrapper installed on those names sees every miss.
+# ld is decided afresh on each call: a decision memoises only within that
+# call.
 MEMO_SIZE = 256
 _records: dict = {}
 
@@ -112,28 +116,46 @@ class SmallPopTable:
 
 @dataclass(eq=False)
 class _Record:
-    """What is known of G_m of one class: the graph, the LP certificate and
-    its mu* table once solved, and omega_m / omega*_m once exact."""
+    """What is known of G_m of one class: its order |V(G_m)|, counted
+    without a build; its core and the full graph, each built on first read;
+    omega_m / omega*_m once exact, with `solved` set when an LP gave
+    omega*_m; and the full graph's LP certificate and its mu* table once
+    solved."""
 
-    graph: ContradictionGraph
+    cls: ConceptClass
+    m: int
+    order: int
+    core: Optional[ContradictionGraph] = None
+    graph: Optional[ContradictionGraph] = None
     omega: Optional[int] = None
     omega_star: Optional[Fraction] = None
+    solved: bool = False
     cert: Optional[DualityCertificate] = None
     pop_table: Optional[SmallPopTable] = None
 
 
 def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
-    """The record of G_m, built under `caps` on a miss.  `caps` applies on
-    every call: a cached graph larger than `caps.max_vertices` raises the
-    vertex-cap error a build under `caps` would."""
+    """The record of G_m, with `caps`' vertex cap applied to the counted
+    order on every call, as a build under `caps` would apply it."""
     rec = _records.get((cls, m))
     if rec is None:
         if len(_records) >= MEMO_SIZE:
             del _records[next(iter(_records))]
-        rec = _records[cls, m] = _Record(build_graph(cls, m, caps))
-    else:
-        caps.check_vertices(rec.graph.num_vertices, m)
+        rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m))
+    caps.check_vertices(rec.order, m)
     return rec
+
+
+def _core(rec: _Record) -> ContradictionGraph:
+    if rec.core is None:
+        rec.core = build_core(rec.cls, rec.m)
+    return rec.core
+
+
+def _graph(rec: _Record, caps: Caps) -> ContradictionGraph:
+    if rec.graph is None:
+        rec.graph = build_graph(rec.cls, rec.m, caps)
+    return rec.graph
 
 
 def _settle(rec: _Record, name: str, value) -> None:
@@ -141,34 +163,38 @@ def _settle(rec: _Record, name: str, value) -> None:
     value settled before must be the same."""
     known = getattr(rec, name)
     if known is not None and known != value:
-        raise InvariantError(f"{name} of G_{rec.graph.m} settled as {known} and as {value}")
+        raise InvariantError(f"{name} of G_{rec.m} settled as {known} and as {value}")
     setattr(rec, name, value)
 
 
 def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
-    """The record's LP certificate, solved under `caps` on the first call,
-    with the LP's pattern cap applied on every later one."""
+    """The LP certificate of the full G_m, solved under `caps` on the first
+    call, with the LP's pattern cap applied on every later one."""
     if rec.cert is None:
-        cert = omega_star(rec.graph, caps)
+        cert = omega_star(_graph(rec, caps), caps)
         _settle(rec, "omega_star", cert.value)
-        rec.cert = cert
+        rec.cert, rec.solved = cert, True
     else:
-        caps.check_universe(rec.graph.cls.universe_size)
+        caps.check_universe(rec.cls.universe_size)
     return rec.cert
 
 
 def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
-    """omega*_m as the record holds it, solving the LP only when nothing
-    settled it; a value the LP gave is read with the LP's caps."""
-    if rec.omega_star is None or rec.cert is not None:
-        return _certificate(rec, caps).value
+    """omega*_m as the record holds it, solving the LP of the core only
+    when nothing settled it; a value an LP gave is read with the LP's
+    caps."""
+    if rec.omega_star is None:
+        _settle(rec, "omega_star", omega_star(_core(rec), caps).value)
+        rec.solved = True
+    elif rec.solved:
+        caps.check_universe(rec.cls.universe_size)
     return rec.omega_star
 
 
 def cached_graph(cls: ConceptClass, m: int, caps: Caps):
     """G_m of `cls`, built once until `clear_caches()`, with `caps` applied
     on every call."""
-    return _record(cls, m, caps).graph
+    return _graph(_record(cls, m, caps), caps)
 
 
 def cached_omega_star(cls: ConceptClass, m: int, caps: Caps) -> DualityCertificate:
@@ -209,35 +235,39 @@ def vc_dimension(cls: ConceptClass) -> int:
     return 0
 
 
-def _splits(rows: tuple, n: int):
-    """(x, H0, H1) for each point x splitting `rows` into two nonempty parts."""
-    for x in range(n):
-        zeros = tuple(r for r in rows if r[x] == 0)
-        ones = tuple(r for r in rows if r[x] == 1)
-        if zeros and ones:
-            yield x, zeros, ones
-
-
 def _ld_decision(cls: ConceptClass):
-    """(ld(H), at_least) where the memoised at_least(rows, d) decides
-    ld(rows) >= d for a restriction `rows` of `cls`.  A depth-d shattered
-    tree has 2^d leaves, each realized by its own row, so fewer rows fail
-    at once and the recursion is at most log2 |H| + 1 calls deep."""
+    """(ld(H), at_least, splits).  A restriction of `cls` is an int mask of
+    row indices; the memoised at_least(rows, d) decides ld(rows) >= d, and
+    splits(rows) yields (x, H0, H1) for each point x splitting `rows` into
+    two nonempty parts.  A depth-d shattered tree has 2^d leaves, each
+    realized by its own row, so fewer rows fail at once and the recursion is
+    at most log2 |H| + 1 calls deep."""
     cls.require_nonempty()
-    n = cls.universe_size
+    ones_at = [0] * cls.universe_size  # bit i of ones_at[x]: row i has 1 at x
+    for i, rm in enumerate(cls.row_masks):
+        while rm:
+            ones_at[(rm & -rm).bit_length() - 1] |= 1 << i
+            rm &= rm - 1
+
+    def splits(rows: int):
+        for x, ones in enumerate(ones_at):
+            h1 = rows & ones
+            if h1 and h1 != rows:
+                yield x, rows ^ h1, h1
 
     @lru_cache(maxsize=None)
-    def at_least(rows: tuple, d: int) -> bool:
-        if len(rows) < 1 << d:
+    def at_least(rows: int, d: int) -> bool:
+        if rows.bit_count() < 1 << d:
             return False
         return d == 0 or any(
-            at_least(h0, d - 1) and at_least(h1, d - 1) for _, h0, h1 in _splits(rows, n)
+            at_least(h0, d - 1) and at_least(h1, d - 1) for _, h0, h1 in splits(rows)
         )
 
+    every = (1 << len(cls.hypotheses)) - 1
     ld = 0
-    while at_least(cls.hypotheses, ld + 1):
+    while at_least(every, ld + 1):
         ld += 1
-    return ld, at_least
+    return ld, at_least, splits
 
 
 def _log2_rows(cls: ConceptClass) -> int:
@@ -254,18 +284,17 @@ def littlestone_witness(cls: ConceptClass) -> MistakeTree:
     """A complete shattered mistake tree of depth ld.  At every internal node
     both restrictions are nonempty and can still support depth-1 below, so
     each branch stays realizable."""
-    ld, at_least = _ld_decision(cls)
-    n = cls.universe_size
+    ld, at_least, splits = _ld_decision(cls)
 
-    def build(rows: tuple, d: int) -> MistakeTree:
+    def build(rows: int, d: int) -> MistakeTree:
         if d == 0:
             return MistakeLeaf()
-        for x, zeros, ones in _splits(rows, n):
+        for x, zeros, ones in splits(rows):
             if at_least(zeros, d - 1) and at_least(ones, d - 1):
                 return MistakeNode(x, build(zeros, d - 1), build(ones, d - 1))
         raise InvariantError("no splitting point although depth budget remains")
 
-    return build(cls.hypotheses, ld)
+    return build((1 << len(cls.hypotheses)) - 1, ld)
 
 
 def tech_cd_cutoff(d: int) -> int:
@@ -347,10 +376,11 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     certifies a 2^m-clique; no graph is built), an omega*_m < 2^m settled in
     the record of G_m (which fails m with no search), an omega_m settled
     there (by a report's `max_clique`; compared with 2^m), then targeted
-    branch-and-bound.  When it runs out of nodes, omega*_m < 2^m still fails
-    m exactly; otherwise the budget hit stands.  Facts (1) and (2) end the
-    sweep, so 2^m <= |H|.  The record is read under `caps`, so a value an
-    earlier call settled gives the answer a fresh run gives.
+    branch-and-bound on the core of G_m.  When it runs out of nodes,
+    omega*_m < 2^m still fails m exactly; otherwise the budget hit stands.
+    Facts (1) and (2) end the sweep, so 2^m <= |H|.  The record is read
+    under `caps`, so a value an earlier call settled gives the answer a
+    fresh run gives.
     """
     cls.require_nonempty()
     if m_max < 1:
@@ -367,7 +397,7 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
         if rec.omega is not None:
             return rec.omega == 1 << m
         try:
-            return has_clique_of_size(rec.graph, 1 << m, caps)
+            return has_clique_of_size(_core(rec), 1 << m, caps)
         except ResourceLimitError:
             if _settled_omega_star(rec, caps) == 1 << m:
                 raise
@@ -382,20 +412,17 @@ def fractional_clique_dimension(
     """Largest m <= m_max with omega*_m = 2^m (exact LPs), plus exactness.
 
     No LP runs for an m with ld >= m, which passes, with 2^m > |H|, which
-    cannot pass (fact (1)), or whose omega*_m is already settled.  Extension
-    LPs past m_max run only while the graphs stay under EXTENSION_VERTEX_CAP
-    vertices; otherwise the flag degrades.
+    cannot pass (fact (1)), or whose omega*_m is already settled.  Every
+    other m, past m_max too, solves the LP of the core of G_m under `caps`.
     """
     cls.require_nonempty()
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    extension_caps = replace(caps, max_vertices=min(caps.max_vertices, EXTENSION_VERTEX_CAP))
     ld = littlestone_dimension(cls)
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
-        use = caps if m <= m_max else extension_caps
-        return ld >= m or _settled_omega_star(_record(cls, m, use), use) == 1 << m
+        return ld >= m or _settled_omega_star(_record(cls, m, caps), caps) == 1 << m
 
     return _sweep(m_max, top, passes)
 
@@ -435,10 +462,11 @@ class DimensionReport:
 
 
 def _omega_star_at_ceiling(g, clique) -> Fraction:
-    """omega*_m of a G_m whose maximum clique reaches clique_ceiling(g):
-    the clique is a fractional clique of its size, and the uniform coloring
-    (2^m) or the row coloring (|H|) a fractional coloring of the same
-    total.  The clique and the row coloring's cover are checked again."""
+    """omega*_m of a G_m, or of its core, whose maximum clique reaches
+    clique_ceiling(g): the clique is a fractional clique of its size, and
+    the uniform coloring (2^m) or the row coloring (|H|) a fractional
+    coloring of the same total.  The clique and the row coloring's cover
+    are checked again."""
     try:
         validate_clique(g, clique.members)
     except (IndexError, ValueError) as exc:
@@ -458,20 +486,21 @@ def dimension_report(
     node budget ran out (then the best clique found is reported, flagged).
     Each row settles what it can in the record of G_m before cd and cd*
     read it: m <= ld settles omega_m = omega*_m = 2^m with no search, and
-    an exact omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact
-    (1)).  Only an omega*_m left open solves an LP."""
+    an exact omega_m of the core at the ceiling min(2^m, |H|) is omega*_m
+    too (fact (1)).  Only an omega*_m left open solves an LP, on the core.
+    `num_vertices` is the counted order of the full G_m."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
     rows = []
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
         rec = _record(cls, m, caps)
-        g = rec.graph
         omega = omega_exact = None
         if m <= ld:
             _settle(rec, "omega", 1 << m)
             _settle(rec, "omega_star", Fraction(1 << m))
         elif m <= m_max_clique and rec.omega is None:
+            g = _core(rec)
             try:
                 clique = max_clique(g, caps)
             except ResourceLimitError as exc:
@@ -485,7 +514,7 @@ def dimension_report(
             omega, omega_exact = rec.omega, True
         star = _settled_omega_star(rec, caps) if m <= m_max_lp else None
         rows.append(
-            PerMRow(m=m, num_vertices=g.num_vertices, omega=omega,
+            PerMRow(m=m, num_vertices=rec.order, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
         )
     cd = clique_dimension(cls, m_max_clique, caps)

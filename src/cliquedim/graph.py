@@ -15,10 +15,37 @@ Both relations come from one example-incidence table: `holders[2p + l]` is
 the mask of the vertices that hold the example (p, l).  A vertex is
 adjacent to every holder of the opposite label of one of its examples, and
 V_h is every vertex except the holders of some (p, 1 - h(p)).
+
+The core of G_m is its set of vertices with exactly k = min(m, |X|)
+distinct points, and `build_core` builds it as a graph of its own.  It has
+the clique number and the fractional clique number of G_m.  Take a vertex S
+with fewer than k distinct points and a row h realizing it, and replace
+repeated copies in S by examples (x, h(x)) at points x outside S until S'
+has k distinct points.  Then S' is realized by h and holds every example of
+S, so S' contradicts every vertex S does, and every labeling consistent
+with S' is consistent with S.
+  * A clique maps to a clique of the core of the same size: two members
+    contradict, so their images contradict, and so differ.
+  * A fractional clique of G_m moves its weight from each S to its S',
+    and any V_h holding S' holds S, so each V_h keeps its total at most 1.
+    A fractional clique of the core is one of G_m already, since the
+    core's V_h are those of G_m cut to the core.
+So omega_m and omega*_m are the same on both.  A certificate of the core
+is one of G_m: its primal, indexed by the same datasets in G_m, meets every
+V_h of G_m (its weights lie on the core), and its dual coloring covers
+every S of G_m at least as much as it covers S'.
+
+`count_vertices` gives |V(G_m)| without listing a vertex.  A vertex is a
+realizable set of j labeled distinct points with m copies spread over them,
+each point at least once, in C(m - 1, j - 1) ways.  So |V(G_m)| is the sum
+over j <= min(m, |X|) of C(m - 1, j - 1) times N_j, the number of
+realizable labeled j-point sets, which one pass over the points counts for
+every j at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .concepts import ConceptClass, Dataset, LabeledExample, mask_to_pattern
@@ -121,43 +148,91 @@ class ContradictionGraph:
         )
 
 
-def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> ContradictionGraph:
-    """Enumerate realizable size-m datasets in canonical order and assemble
-    the graph.  DFS over labeled pairs in (point, label) order with the set
-    of still-consistent hypotheses as a prune mask, which each leaf keeps as
-    its vertex's realizer mask; nondecreasing pair sequences enumerate each
-    multiset exactly once, already sorted and free of conflicts, so each
-    leaf becomes a vertex by `Dataset.from_canonical` with the ones/zeros
-    masks its frames carried down."""
+def _pair_masks(cls: ConceptClass, m: int) -> list:
+    """`masks[k]`: the rows consistent with the example (k // 2, k % 2),
+    after the checks every G_m shares."""
     cls.require_nonempty()
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = cls.universe_size
-    if n < 1:
+    if cls.universe_size < 1:
         raise ValueError("universe must contain at least one point")
-    # pair k is the example (k // 2, k % 2), made once and shared by every
-    # vertex holding it; pair_masks[k] = bitmask over rows consistent with it
-    pairs = [LabeledExample(p, l) for p in range(n) for l in (0, 1)]
-    pair_masks = []
-    for p, l in pairs:
-        mask = 0
+    every = (1 << len(cls.hypotheses)) - 1
+    masks = []
+    for p in range(cls.universe_size):
+        ones = 0
         for i, rm in enumerate(cls.row_masks):
-            if ((rm >> p) & 1) == l:
-                mask |= 1 << i
-        pair_masks.append(mask)
+            ones |= ((rm >> p) & 1) << i
+        masks += [every & ~ones, ones]
+    return masks
 
+
+def count_vertices(cls: ConceptClass, m: int) -> int:
+    """|V(G_m)|, counted without listing a vertex (module docstring)."""
+    pair_masks = _pair_masks(cls, m)
+    n = cls.universe_size
+    most = min(m, n)
+    # ways[alive] holds, for each j, how many labeled j-point sets over the
+    # points passed so far have exactly the rows `alive` consistent with
+    # them, as digit j of one int in base 2^width; a digit, and any sum of
+    # them, is at most C(n, j) * |H| < 2^width, so none carries
+    width = n + len(cls.hypotheses).bit_length()
+    keep = (1 << width * (most + 1)) - 1  # the digits j <= most
+    ways = {(1 << len(cls.hypotheses)) - 1: 1}
+    for k in range(0, 2 * n, 2):
+        grown = dict(ways)  # point k // 2 left out
+        for alive, sizes in ways.items():
+            more = (sizes << width) & keep
+            if more:
+                for mask in pair_masks[k : k + 2]:
+                    rows = alive & mask
+                    if rows:
+                        grown[rows] = grown.get(rows, 0) + more
+        ways = grown
+    sizes = sum(ways.values())
+    digit = (1 << width) - 1
+    return sum(((sizes >> width * j) & digit) * math.comb(m - 1, j - 1) for j in range(1, most + 1))
+
+
+def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> ContradictionGraph:
+    """Enumerate realizable size-m datasets in canonical order and assemble
+    the graph."""
+    return _enumerate(cls, m, caps, 0)
+
+
+def build_core(cls: ConceptClass, m: int) -> ContradictionGraph:
+    """The core of G_m: the vertices with exactly min(m, |X|) distinct
+    points, in canonical order (module docstring).  Never larger than G_m,
+    whose vertex cap the caller checks on `count_vertices`."""
+    return _enumerate(cls, m, Caps(max_vertices=math.inf), min(m, cls.universe_size))
+
+
+def _enumerate(cls: ConceptClass, m: int, caps: Caps, distinct: int) -> ContradictionGraph:
+    """G_m, or with `distinct` > 0 its vertices with that many distinct
+    points.  DFS over labeled pairs in (point, label) order with the set of
+    still-consistent hypotheses as a prune mask, which each leaf keeps as
+    its vertex's realizer mask; nondecreasing pair sequences enumerate each
+    multiset exactly once, already sorted and free of conflicts, so each
+    leaf becomes a vertex by `Dataset.from_canonical` with the ones/zeros
+    masks its frames carried down.  With `distinct` set, each frame scans
+    only the pairs after which the remaining examples can still bring the
+    prefix up to that many distinct points."""
+    pair_masks = _pair_masks(cls, m)
+    n = cls.universe_size
+    # pair k is the example (k // 2, k % 2), made once and shared by every
+    # vertex holding it
+    pairs = [LabeledExample(p, l) for p in range(n) for l in (0, 1)]
     vertices: list[Dataset] = []
     realizers: list[int] = []
     prefix: list[LabeledExample] = []
     # explicit DFS stack, so no m is too deep for it: one [next pair index,
-    # rows consistent with the prefix, its ones mask, its zeros mask] frame
-    # per prefix length below m
-    stack = [[0, (1 << len(cls.hypotheses)) - 1, 0, 0]]
+    # rows consistent with the prefix, its ones mask, its zeros mask, end of
+    # the pairs to scan] frame per prefix length below m
+    stack = [[0, (1 << len(cls.hypotheses)) - 1, 0, 0, 2 * min(n, n - distinct + 1)]]
     while stack:
         frame = stack[-1]
-        k, alive, ones, zeros = frame
+        k, alive, ones, zeros, end = frame
         nxt = 0
-        while k < len(pairs):
+        while k < end:
             # skip (x,1) when (x,0) is already in the prefix; pairs are
             # point-major, so that is the only conflict a next pair can make
             if not (k & 1 and (zeros >> (k >> 1)) & 1):
@@ -178,7 +253,19 @@ def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> Contrad
             zeros |= bit
         prefix.append(pairs[k])
         if len(prefix) < m:
-            stack.append([k, nxt, ones, zeros])
+            start, end = k, 2 * n
+            if distinct:
+                # after pair k, `held` points are distinct and `left`
+                # examples are to come: another copy of x can still reach
+                # `distinct` points iff held + min(left - 1, n - 1 - x)
+                # does, and a new point y > x iff left >= distinct - held
+                # and y <= n - distinct + held
+                held, left = (ones | zeros).bit_count(), m - len(prefix)
+                x = k >> 1
+                if held + min(left - 1, n - 1 - x) < distinct:
+                    start = 2 * x + 2
+                end = 2 * min(n, n - distinct + held + 1) if held + left >= distinct else start
+            stack.append([start, nxt, ones, zeros, end])
             continue
         if len(vertices) >= caps.max_vertices:
             caps.check_vertices(len(vertices) + 1, m)

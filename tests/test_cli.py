@@ -257,17 +257,18 @@ CORPUS_CD_LINES = {
 
 
 def test_curves_builds_each_graph_once(capsys, monkeypatch):
-    # the cd* extension past m_max reuses graphs the report already built,
-    # under its own smaller vertex cap, instead of building them again
+    # curves counts each G_m and builds only the cores it searches, each
+    # once: the full graphs are for the readers of vertices and certificates
     import cliquedim.dimensions as dims
     import cliquedim.simplex as simplex
     from cliquedim import clear_caches, format_class_text
 
-    build, solve = dims.build_graph, simplex.solve_packing_lp
+    build_core, solve = dims.build_core, simplex.solve_packing_lp
+    monkeypatch.setattr(dims, "build_graph", lambda *a: pytest.fail("built a full graph"))
     lps = {}
     for name, cls in corpus():
         built = []
-        monkeypatch.setattr(dims, "build_graph", lambda cls, m, caps: built.append(m) or build(cls, m, caps))
+        monkeypatch.setattr(dims, "build_core", lambda cls, m: built.append(m) or build_core(cls, m))
         monkeypatch.setattr(
             simplex, "solve_packing_lp",
             lambda *a, name=name: lps.setdefault(name, []).append(a) or solve(*a),
@@ -278,8 +279,9 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
         assert code == 0
         assert len(built) == len(set(built)), name
         if name == "thresholds-5":
-            # G_5 is never needed: 2^5 > |H| = 6
-            assert sorted(built) == [1, 2, 3, 4]
+            # G_1 and G_2 are settled by ld = 2, and G_5 is never needed:
+            # 2^5 > |H| = 6
+            assert sorted(built) == [3, 4]
         cd, cd_star = CORPUS_CD_LINES[name]
         assert out.splitlines()[-2:] == [f"# cd={cd} exact", f"# cd_star={cd_star} exact"], name
     clear_caches()
@@ -476,6 +478,26 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "graph", path, "--m", "3", "--vertex-cap", "5")
     assert code == 3
     assert "resource limit" in err
+
+    # the vertex cap on a counted G_m refuses exactly where a build would:
+    # G_3 of paper_example_sec6 has 78 vertices and G_4 157; cd and cd* read
+    # G_3 as their first m past ld = 2 and degrade there, the others refuse
+    refused = "resource limit (vertex-cap): more than {} realizable datasets at m={}\n"
+    for argv, cap, code_wanted, last, err_wanted in (
+        (["curves", path], 156, 3, None, refused.format(156, 4)),
+        (["curves", path], 157, 0, "# cd_star=3 exact", ""),
+        (["cd", path], 77, 0, "cd>=2 lower-bound-at-m-max", ""),
+        (["cd", path], 78, 0, "cd=3 exact", ""),
+        (["cd-star", path], 77, 0, "cd_star>=2 lower-bound-at-m-max", ""),
+        (["cd-star", path], 78, 0, "cd_star=3 exact", ""),
+        (["omega-star", path, "--m", "3"], 77, 3, None, refused.format(77, 3)),
+        (["omega-star", path, "--m", "3"], 78, 0, "8/1", ""),
+    ):
+        clear_caches()
+        code, out, err = run(capsys, *argv, "--vertex-cap", str(cap))
+        assert (code, err) == (code_wanted, err_wanted), (argv, cap)
+        assert (out.splitlines()[-1] if out else None) == last, (argv, cap)
+    clear_caches()
 
     # input error: header without its count
     monkeypatch.setattr("sys.stdin", io.StringIO("points\n"))

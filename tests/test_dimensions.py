@@ -222,16 +222,19 @@ def test_clique_dimension_frozen(family, universe, m_max, value, exactness):
         ("thresholds", 4, 3, 2, EXACT),
         ("random-5", 4, 3, 1, EXACT),
         ("random-7", 4, 3, 2, EXACT),
-        # benchmark classes whose extension a vertex cap stopped before the
-        # row bound 2^m <= |H| ended it
+        # benchmark classes whose extension the row bound 2^m <= |H| ends
         ("random-5-8-2", 5, 3, 2, EXACT),
         ("random-6-8-2", 6, 3, 3, EXACT),
+        # ld = 3 and |H| = 16: the extension solves omega*_4 = 47/3 < 16 on
+        # the core of G_4 (166 of its 802 vertices)
+        ("random-6-16-1", 6, 3, 3, EXACT),
     ],
 )
 def test_fractional_clique_dimension_frozen(family, universe, m_max, value, exactness):
     named = dict(corpus())
     named["random-5-8-2"] = generate("random", universe=5, count=8, seed=2)
     named["random-6-8-2"] = generate("random", universe=6, count=8, seed=2)
+    named["random-6-16-1"] = generate("random", universe=6, count=16, seed=1)
     cls = named[family] if family in named else generate(family, universe=universe)
     assert cls.universe_size == universe
     got = fractional_clique_dimension(cls, m_max)
@@ -239,8 +242,8 @@ def test_fractional_clique_dimension_frozen(family, universe, m_max, value, exac
 
 
 def test_memo_applies_caps_on_every_call():
-    # a graph cached under large caps still refuses a smaller vertex cap (the
-    # cd* extension's), and a cached certificate a smaller pattern cap
+    # a graph cached under large caps still refuses a smaller vertex cap,
+    # and a cached certificate a smaller pattern cap
     from cliquedim import Caps, ResourceLimitError, cached_graph, cached_omega_star, clear_caches
 
     cls = generate("thresholds", universe=5)
@@ -273,9 +276,11 @@ def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
 
 def test_clique_dimension_refutes_a_budget_hit_with_omega_star():
     # ld = 3 and |H| = 16 = 2^4, so m = 4 needs a proof that G_4 has no
-    # 16-clique, which runs past 10^3 nodes; omega*_4 = 47/3 < 16 settles it
+    # 16-clique, which runs past 10^3 nodes on G_4 and on its core alike;
+    # omega*_4 = 47/3 < 16 settles it
     from cliquedim import Caps, ResourceLimitError, cached_omega_star, clear_caches
     from cliquedim.cliques import has_clique_of_size
+    from cliquedim.graph import build_core
 
     cls = generate("random", universe=6, count=16, seed=1)
     caps = Caps(node_budget=10**3)
@@ -283,8 +288,9 @@ def test_clique_dimension_refutes_a_budget_hit_with_omega_star():
     got = clique_dimension(cls, 3, caps)
     assert (got.value, got.exactness) == (3, EXACT)
     assert cached_omega_star(cls, 4, caps).value == Fraction(47, 3)
-    with pytest.raises(ResourceLimitError):
-        has_clique_of_size(build_graph(cls, 4), 16, caps)
+    for g in (build_graph(cls, 4), build_core(cls, 4)):
+        with pytest.raises(ResourceLimitError):
+            has_clique_of_size(g, 16, caps)
     clear_caches()
 
 
@@ -440,6 +446,40 @@ def test_a_second_settled_value_must_agree(monkeypatch):
         clear_caches()
 
 
+def test_a_core_lp_the_full_lp_contradicts_is_an_internal_error(monkeypatch, capsys):
+    # random(5,8,2): ld = 2 and omega*_3 = 7 < 8 = 2^3, so the report and
+    # the m0 search solve the LP of G_3's core; a wrong value there must
+    # clash with the full LP that cached_omega_star and boost solve
+    import io
+
+    import cliquedim.dimensions as dims
+    from cliquedim import cli, format_class_text
+
+    cls = generate("random", universe=5, count=8, seed=2)
+    real = dims.omega_star
+
+    def wrong_on_the_core(g, caps):
+        cert = real(g, caps)
+        if g.num_vertices < build_graph(g.cls, g.m).num_vertices:
+            return dataclasses.replace(cert, value=Fraction(15, 2))
+        return cert
+
+    monkeypatch.setattr(dims, "omega_star", wrong_on_the_core)
+    clash = "omega_star of G_3 settled as 15/2 and as 7"
+    clear_caches()
+    try:
+        assert dimension_report(cls).rows[2].omega_star == Fraction(15, 2)
+        with pytest.raises(InvariantError, match=f"^{clash}$"):
+            cached_omega_star(cls, 3, DEFAULT_CAPS)
+        clear_caches()
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+        code = cli.main(["boost", "-", "--trials", "10"])
+    finally:
+        clear_caches()
+    assert (code, capsys.readouterr()) == (1, ("", f"internal error: {clash}\n"))
+
+
 def test_settled_values_are_read_without_the_lps_pattern_cap():
     # omega*_1..3 of paper_example_sec6 are settled by ld = 2 and by the
     # 8-clique at the ceiling, so no LP and its pattern cap stand between
@@ -552,18 +592,25 @@ def test_report_survives_node_budget_exhaustion():
 
 def test_report_revalidates_the_ceiling_certificate(monkeypatch):
     # omega*_m taken from a clique at the ceiling rests on the clique and,
-    # at |H|, on every vertex having a realizing row; both are checked
+    # at |H|, on every vertex of the core it was found in having a realizing
+    # row; both are checked
     import cliquedim.dimensions as dims
-    from cliquedim import Clique, InvariantError, cached_graph, clear_caches
+    from cliquedim import Clique, InvariantError, clear_caches
 
     cls = generate("thresholds", universe=5)  # omega_3 = 6 = |H| < 8
+    build_core = dims.build_core
+
+    def rowless_first_vertex(cls, m):
+        g = build_core(cls, m)
+        g.realizers = (0,) + g.realizers[1:]
+        return g
+
+    monkeypatch.setattr(dims, "build_core", rowless_first_vertex)
     clear_caches()
-    g = cached_graph(cls, 3, dims.DEFAULT_CAPS)
-    realizers = g.realizers
-    g.realizers = (0,) + realizers[1:]
     with pytest.raises(InvariantError, match="no realizing row"):
         dimension_report(cls)
-    g.realizers = realizers
+    monkeypatch.setattr(dims, "build_core", build_core)
+    clear_caches()
     monkeypatch.setattr(dims, "max_clique", lambda g, caps: Clique(tuple(range(clique_ceiling(g)))))
     with pytest.raises(InvariantError, match="not a clique"):
         dimension_report(cls)

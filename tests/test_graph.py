@@ -8,6 +8,7 @@ from cliquedim import (
     Caps,
     ConceptClass,
     Dataset,
+    FractionalClique,
     InvalidParamsError,
     LabeledExample,
     ResourceLimitError,
@@ -16,10 +17,15 @@ from cliquedim import (
     generate,
     independent_sets,
     is_consistent,
+    max_clique,
+    omega_star,
     parse_dataset,
+    validate_cover,
+    validate_packing,
     wl_fingerprint,
 )
 from cliquedim.concepts import mask_to_pattern
+from cliquedim.graph import build_core, count_vertices
 
 
 def oracle_graph(cls, m):
@@ -258,6 +264,38 @@ def test_vertices_equal_datasets_built_by_the_full_constructor(g):
         assert hash(v) == hash(full)
         assert (v.ones_mask, v.zeros_mask) == (full.ones_mask, full.zeros_mask)
         assert all(type(ex) is LabeledExample for ex in v.examples)
+
+
+@st.composite
+def classes_and_lengths(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8))
+    return ConceptClass(n, rows), draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(classes_and_lengths())
+def test_the_count_and_the_core_agree_with_the_full_graph(case):
+    # the core keeps omega_m and omega*_m, and its LP certificate is one of
+    # the full G_m; the full searches and LPs run only where they are small
+    cls, m = case
+    g = build_graph(cls, m)
+    assert count_vertices(cls, m) == g.num_vertices
+    core = build_core(cls, m)
+    k = min(m, cls.universe_size)
+    kept = [i for i, v in enumerate(g.vertices) if (v.ones_mask | v.zeros_mask).bit_count() == k]
+    assert core.vertices == tuple(g.vertices[i] for i in kept)
+    assert core.realizers == tuple(g.realizers[i] for i in kept)
+    omega, cert = max_clique(core).size, omega_star(core)
+    if g.num_vertices <= 400:
+        assert omega == max_clique(g).size
+    if g.num_vertices <= 150:
+        assert cert.value == omega_star(g).value
+    if (2 * cls.universe_size) ** m <= 64:
+        assert (omega, cert.value) == (oracles.sequence_omega(cls, m), oracles.sequence_omega_star(cls, m))
+    primal = {kept[i]: w for i, w in cert.clique.weights.items()}
+    validate_packing(g, FractionalClique(primal, cert.clique.size))
+    validate_cover(g, cert.coloring)
 
 
 # ─── rendering ─────────────────────────────────────────────────────────────
