@@ -146,7 +146,7 @@ class ConceptClass:
     `require_nonempty`.
     """
 
-    __slots__ = ("universe_size", "hypotheses", "row_masks")
+    __slots__ = ("universe_size", "hypotheses", "row_masks", "point_masks")
 
     def __init__(self, universe_size: int, hypotheses: Iterable[Sequence[int]]):
         if universe_size < 0:
@@ -165,6 +165,12 @@ class ConceptClass:
         self.row_masks = tuple(
             sum(b << p for p, b in enumerate(row)) for row in rows
         )
+        # bit i of point_masks[p] = hypotheses[i][p], read from a column's
+        # binary digits so the cost stays linear in the row count
+        digits = bytes.maketrans(b"\0\1", b"01")
+        self.point_masks = tuple(
+            int(bytes(column).translate(digits), 2) for column in zip(*reversed(rows))
+        ) if rows else (0,) * universe_size
 
     @property
     def is_empty(self) -> bool:

@@ -46,16 +46,18 @@ exact; and the full graph's LP certificate and its mu* table once solved.
 Values are settled in this order.  `dimension_report` settles each row
 first: m <= ld gives omega_m = omega*_m = 2^m with no search, otherwise an
 exact `max_clique` on the core gives omega_m, and a clique at the ceiling
-gives omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd*,
-the report's omega* column and `smallest_separating_m0` read what is
-settled and search or solve only what is not, on the core: the LP there
-settles the value only.  The full graph is built only by the readers of
-its vertices or of a full LP certificate: `cached_graph`,
-`cached_omega_star` and `cached_small_pop_table`.  A value settled twice
-must agree, or InvariantError is raised, so a core LP that a later full LP
-contradicts is an internal error.  Every read applies its caps: the vertex
-cap to the counted order whenever G_m is read, the LP's pattern cap
-whenever the value comes from an LP.
+gives omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd*
+and the report's omega* column read what is settled and search or solve
+only what is not, on the core: the LP there settles the value only.  The
+full graph is built only by the readers of its vertices or of a full LP
+certificate: `cached_graph`, `cached_omega_star`, `cached_small_pop_table`
+and `smallest_separating_m0`, which solves an open omega*_m0 on the full
+graph because boost reads that certificate for the m0 it finds.  A value
+settled twice must agree, or InvariantError is raised, so a core LP that a
+later full LP contradicts is an internal error.  Every read applies its
+caps: the vertex cap to the counted order whenever G_m is read (and to the
+count's table while it counts), the LP's pattern cap whenever the value
+comes from an LP.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -136,12 +138,13 @@ class _Record:
 
 def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
     """The record of G_m, with `caps`' vertex cap applied to the counted
-    order on every call, as a build under `caps` would apply it."""
+    order on every call, as a build under `caps` would apply it, and to
+    the count's own table while it counts."""
     rec = _records.get((cls, m))
     if rec is None:
         if len(_records) >= MEMO_SIZE:
             del _records[next(iter(_records))]
-        rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m))
+        rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m, caps))
     caps.check_vertices(rec.order, m)
     return rec
 
@@ -243,14 +246,9 @@ def _ld_decision(cls: ConceptClass):
     realized by its own row, so fewer rows fail at once and the recursion is
     at most log2 |H| + 1 calls deep."""
     cls.require_nonempty()
-    ones_at = [0] * cls.universe_size  # bit i of ones_at[x]: row i has 1 at x
-    for i, rm in enumerate(cls.row_masks):
-        while rm:
-            ones_at[(rm & -rm).bit_length() - 1] |= 1 << i
-            rm &= rm - 1
 
     def splits(rows: int):
-        for x, ones in enumerate(ones_at):
+        for x, ones in enumerate(cls.point_masks):
             h1 = rows & ones
             if h1 and h1 != rows:
                 yield x, rows ^ h1, h1
@@ -430,10 +428,16 @@ def fractional_clique_dimension(
 def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
     """Least m0 with omega*_{m0} < 2^{m0}.  Every m0 <= ld has omega*_{m0}
     = 2^{m0} and every m0 > floor(log2 |H|) separates (fact (1)), so only
-    the m0 between are read."""
+    the m0 between are read.  An open omega*_{m0} is read from the full
+    LP, whose certificate `boost_config` reads for the m0 found."""
     top = _log2_rows(cls)
     for m0 in range(littlestone_dimension(cls) + 1, top + 1):
-        if _settled_omega_star(_record(cls, m0, caps), caps) < 1 << m0:
+        rec = _record(cls, m0, caps)
+        if rec.omega_star is None:
+            star = _certificate(rec, caps).value
+        else:
+            star = _settled_omega_star(rec, caps)
+        if star < 1 << m0:
             return m0
     return top + 1
 

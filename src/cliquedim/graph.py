@@ -158,16 +158,18 @@ def _pair_masks(cls: ConceptClass, m: int) -> list:
         raise ValueError("universe must contain at least one point")
     every = (1 << len(cls.hypotheses)) - 1
     masks = []
-    for p in range(cls.universe_size):
-        ones = 0
-        for i, rm in enumerate(cls.row_masks):
-            ones |= ((rm >> p) & 1) << i
+    for ones in cls.point_masks:
         masks += [every & ~ones, ones]
     return masks
 
 
-def count_vertices(cls: ConceptClass, m: int) -> int:
-    """|V(G_m)|, counted without listing a vertex (module docstring)."""
+def count_vertices(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """|V(G_m)|, counted without listing a vertex (module docstring).  The
+    vertex cap applies while counting, so an oversized G_m is refused after
+    bounded work: each key of the table but the full row mask stands for at
+    least one realizable labeled set of at most m points, which is a vertex
+    of G_m once its first example is repeated, so the table never holds
+    more than 1 + |V(G_m)| keys.  The caller checks the count itself."""
     pair_masks = _pair_masks(cls, m)
     n = cls.universe_size
     most = min(m, n)
@@ -187,6 +189,7 @@ def count_vertices(cls: ConceptClass, m: int) -> int:
                     rows = alive & mask
                     if rows:
                         grown[rows] = grown.get(rows, 0) + more
+        caps.check_vertices(len(grown) - 1, m)
         ways = grown
     sizes = sum(ways.values())
     digit = (1 << width) - 1

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquedim import (
+    Caps,
     ConceptClass,
     clear_caches,
     format_class_text,
@@ -497,6 +499,27 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *argv, "--vertex-cap", str(cap))
         assert (code, err) == (code_wanted, err_wanted), (argv, cap)
         assert (out.splitlines()[-1] if out else None) == last, (argv, cap)
+    clear_caches()
+
+    # the count is refused while it runs, not once it is done: G_4 of 200
+    # random rows on 20 points has 107200 vertices, and the count's table,
+    # which at most triples per point, is checked after each point
+    many = tmp_path / "many.txt"
+    rng = random.Random(0)
+    many.write_text(format_class_text(
+        ConceptClass(20, [[rng.randrange(2) for _ in range(20)] for _ in range(200)])
+    ))
+    checked = []
+    check_vertices = Caps.check_vertices
+
+    def spy(caps, count, m):
+        checked.append(count)
+        check_vertices(caps, count, m)
+
+    with mock.patch.object(Caps, "check_vertices", spy):
+        code, _, err = run(capsys, "omega", str(many), "--m", "4", "--vertex-cap", "1000")
+    assert (code, err) == (3, refused.format(1000, 4))
+    assert checked and max(checked) <= 3 * 1000 + 2, checked
     clear_caches()
 
     # input error: header without its count

@@ -155,6 +155,7 @@ def test_class_rows_sorted_and_deduped():
     cls = ConceptClass(2, [(1, 0), (0, 1), (1, 0)])
     assert cls.hypotheses == ((0, 1), (1, 0))
     assert cls.row_masks == (0b10, 0b01)
+    assert cls.point_masks == (0b10, 0b01)  # bit i: row i has a 1 there
 
 
 def test_class_rejects_bad_rows():

@@ -447,9 +447,10 @@ def test_a_second_settled_value_must_agree(monkeypatch):
 
 
 def test_a_core_lp_the_full_lp_contradicts_is_an_internal_error(monkeypatch, capsys):
-    # random(5,8,2): ld = 2 and omega*_3 = 7 < 8 = 2^3, so the report and
-    # the m0 search solve the LP of G_3's core; a wrong value there must
-    # clash with the full LP that cached_omega_star and boost solve
+    # random(5,8,2): ld = 2 and omega*_3 = 7 < 8 = 2^3, so the report
+    # solves the LP of G_3's core; a wrong value there must clash with the
+    # full LP that cached_omega_star and `omega-star` solve.  boost's m0
+    # search solves the full LP only, the one boost reads
     import io
 
     import cliquedim.dimensions as dims
@@ -457,12 +458,18 @@ def test_a_core_lp_the_full_lp_contradicts_is_an_internal_error(monkeypatch, cap
 
     cls = generate("random", universe=5, count=8, seed=2)
     real = dims.omega_star
+    solved = []
 
     def wrong_on_the_core(g, caps):
         cert = real(g, caps)
+        solved.append(g.num_vertices)
         if g.num_vertices < build_graph(g.cls, g.m).num_vertices:
             return dataclasses.replace(cert, value=Fraction(15, 2))
         return cert
+
+    def main(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
+        return cli.main(list(argv)), capsys.readouterr()
 
     monkeypatch.setattr(dims, "omega_star", wrong_on_the_core)
     clash = "omega_star of G_3 settled as 15/2 and as 7"
@@ -473,11 +480,14 @@ def test_a_core_lp_the_full_lp_contradicts_is_an_internal_error(monkeypatch, cap
             cached_omega_star(cls, 3, DEFAULT_CAPS)
         clear_caches()
         capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO(format_class_text(cls)))
-        code = cli.main(["boost", "-", "--trials", "10"])
+        assert main("curves", "-")[0] == 0
+        assert main("omega-star", "-", "--m", "3") == (1, ("", f"internal error: {clash}\n"))
+        clear_caches()
+        solved.clear()
+        assert main("boost", "-", "--trials", "10")[0] == 0
     finally:
         clear_caches()
-    assert (code, capsys.readouterr()) == (1, ("", f"internal error: {clash}\n"))
+    assert solved == [build_graph(cls, 3).num_vertices]
 
 
 def test_settled_values_are_read_without_the_lps_pattern_cap():
