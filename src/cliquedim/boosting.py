@@ -23,6 +23,13 @@ learner's regret at most sqrt(2 T ln m).  Consequences verified here:
     (epsilon-2gamma)^(-2).  At m = 1 (T = 1) it checks the floor
     epsilon-2gamma itself.
 
+The game maps its instances to columns in one pass: each instance, as a
+tuple, looks up the column of its distinct pattern, and the (m, T) loss
+table is one gather of those columns.  Its arrays are expert-major, one
+contiguous row per example, so the cumulative losses run along rows and each
+round's max, normalizing sum and learner's loss are vector operations over
+the m rows; the transcript holds transposed views of them.
+
 Draws from mu~ are exact: `random.random()` returns j/2^53 for an integer
 j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw picks
 among integer thresholds built once per call.  For a generator whose
@@ -75,10 +82,12 @@ comparison with conservative rational bounds.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import random
 import sys
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -304,7 +313,9 @@ class ExpertGameTranscript:
     unused update).  The learner's expected loss per round equals the
     probability mass of experts the instance agrees with, so the realizable
     loss of instance t against the induced label distribution D_t is
-    1 - learner[t].
+    1 - learner[t].  The game computes in expert-major (m, T+1) and (m, T)
+    arrays; `weights` and `losses` are their transposed views, so
+    `weights[:, j]` and `losses[:, j]` are contiguous.
     """
 
     weights: np.ndarray  # (T+1, m)
@@ -317,29 +328,25 @@ class ExpertGameTranscript:
 
 
 def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) -> np.ndarray:
-    """(T, m) array: 1.0 where instance t agrees with example j.  Draws
-    repeat few patterns, so each distinct instance gets one row and the
-    array is one gather of those rows."""
+    """Expert-major (m, T) array: 1.0 where instance t agrees with example j.
+
+    Draws repeat few patterns, so one pass maps every instance, as a tuple,
+    to the column of its distinct pattern, numbered by first appearance,
+    and the array is one gather of those columns.  Lengths are checked once
+    per distinct pattern; the error names the first instance that is too
+    short."""
     m = len(dataset)
     if m < 1:
         raise InvalidParamsError("expert game needs a nonempty dataset")
     top = max(ex.point for ex in dataset)
-    row_of: dict = {}
-    index = []
-    for t, h in enumerate(instances):
-        r = row_of.get(h)
-        if r is None:
-            if len(h) <= top:
-                raise LengthMismatchError(
-                    f"instance {t} has length {len(h)}, dataset uses point {top}"
-                )
-            r = row_of[h] = len(row_of)
-        index.append(r)
-    rows = np.zeros((len(row_of), m), dtype=np.float64)
-    for h, r in row_of.items():
-        for j, ex in enumerate(dataset):
-            rows[r, j] = 1.0 if h[ex.point] == ex.label else 0.0
-    return rows[np.array(index, dtype=np.intp)]
+    col_of = defaultdict(itertools.count().__next__)
+    index = np.fromiter(map(col_of.__getitem__, map(tuple, instances)), np.intp)
+    for c, h in enumerate(col_of):
+        if len(h) <= top:
+            t = int((index == c).argmax())  # the pattern's first instance
+            raise LengthMismatchError(f"instance {t} has length {len(h)}, dataset uses point {top}")
+    columns = np.array([[1.0 if h[ex.point] == ex.label else 0.0 for h in col_of] for ex in dataset])
+    return columns.take(index, axis=1)
 
 
 def run_expert_game(
@@ -353,41 +360,45 @@ def run_expert_game(
     the same call as `boost_config`'s eta for a dataset of its target length
     and its round count.  Weights have the closed form
     w_t ~ exp(-eta * cumulative loss before t),
-    computed as a renormalized softmax per round.  `shadow` replays the run
-    in exact rationals (update factor = the exact value of float exp(-eta))
-    and certifies regret <= sqrt(2 T ln m) with conservative rational
-    bounds; certification can only strengthen a float PASS, never fake one.
+    computed as a renormalized softmax per round, in the expert-major
+    layout the module docstring describes.
+
+    `shadow` replays the run in exact rationals (update factor = the exact
+    value of float exp(-eta)) and certifies regret <= sqrt(2 T ln m) with
+    conservative rational bounds; certification can only strengthen a float
+    PASS, never fake one.  The replay's rationals grow with every round, so
+    its cost grows faster than T^2: on paper_example_sec6's dataset
+    (0:1);(2:1);(2:1);(3:1) with mu~ draws it took 0.8 s, 5.6 s and 46 s at
+    T = 563, 1000 and 2000 (one run each, 2-core Xeon VM).
     """
-    instances = tuple(tuple(h) for h in instances)
-    t_rounds = len(instances)
+    losses = _example_losses(dataset, instances)  # (m, T)
+    m, t_rounds = losses.shape
     if t_rounds < 1:
         raise InvalidParamsError("expert game needs at least one round")
-    m = len(dataset)
     eta = _hedge_rate(m, t_rounds)
-    losses = _example_losses(dataset, instances)
-    # one (T+1, m) array: cumulative loss before each round, then -eta times
+    # one (m, T+1) array: cumulative loss before each round, then -eta times
     # it, shifted, then its exp (in place, the same values as fresh arrays)
-    z = np.zeros((t_rounds + 1, m))
-    np.cumsum(losses, axis=0, out=z[1:])
+    z = np.zeros((m, t_rounds + 1))
+    np.cumsum(losses, axis=1, out=z[:, 1:])
     z *= -eta
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=0)
     weights = np.exp(z, out=z)
-    weights /= weights.sum(axis=1, keepdims=True)
-    learner = (weights[:-1] * losses).sum(axis=1)
-    total = losses.sum(axis=0)
+    weights /= weights.sum(axis=0)
+    learner = (weights[:, :-1] * losses).sum(axis=0)
+    total = losses.sum(axis=1)
     regret = float(learner.sum() - total.min())
     bound = math.sqrt(2 * t_rounds * math.log(m)) if m > 1 else 0.0
 
     shadow_regret = None
     shadow_certified = None
     if shadow:
-        shadow_regret = _shadow_regret(losses, eta)
+        shadow_regret = _shadow_regret(losses.T, eta)
         shadow_certified = shadow_regret <= _sqrt_lower_bound(
             2 * t_rounds, m
         )
     return ExpertGameTranscript(
-        weights=weights,
-        losses=losses,
+        weights=weights.T,
+        losses=losses.T,
         learner=learner,
         regret=regret,
         regret_bound=bound,
@@ -442,6 +453,11 @@ def forced_gamma_good_check(
     inconsistent with the dataset even though every round was gamma-good —
     the implication the theory says cannot fail.
 
+    All P = 2^universe labelings are listed, and the prefix matrix holds
+    P x P float64 entries, 8 * 4^universe bytes, so a universe above
+    `DEFAULT_CAPS`' pattern cap raises ResourceLimitError before either is
+    built.
+
     Each block of rounds takes its uniforms from one `rng.random((k, B))`
     call; row i of that C-order array is the i-th successive
     `rng.random(B)`, so the picks are those of a round-by-round loop.  A run
@@ -466,10 +482,12 @@ def forced_gamma_good_check(
         raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
+    DEFAULT_CAPS.check_universe(universe)
     m = len(dataset)
     rng = np.random.default_rng(seed)
     pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]
-    agree = _example_losses(dataset, pats)  # (P, m): 1 where pattern agrees
+    # (P, m): 1 where the pattern agrees with the example
+    agree = np.ascontiguousarray(_example_losses(dataset, pats).T)
     inconsistent = (agree < 1).any(axis=1).astype(np.float64)
     n_pats = len(pats)
     t_rounds = config.T
