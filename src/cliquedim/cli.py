@@ -7,7 +7,8 @@ class text, mistake trees and certificates round-trip through their
 parsers.  Exit codes: 0 all checks passed, 1 a verification check or an
 internal invariant failed, 2 usage or input error, 3 a resource cap was hit
 or memory refused (the message names the limiting dimension).  A command
-takes only the resource caps its code reads.
+takes only the resource caps its code reads.  `main` reads the class,
+writes the header and picks stdout or `--out`; a handler returns the rest.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from dataclasses import asdict
 from functools import lru_cache
 
 from .boosting import (
@@ -93,31 +95,28 @@ def _caps(args) -> Caps:
 
 
 def _load_class(path: str):
-    if path in ("-", None):
+    if path == "-":
         return parse_class_text(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return parse_class_text(fh.read())
 
 
-def _header(args) -> str:
-    return f"# seed={args.seed}"
+# ─── command handlers: each takes the parsed args and the class `main` read
+# (None for a command without CLASS) and returns (exit_code, body), the
+# output without its header line ───────────────────────────────────────────
 
 
-# ─── command handlers: each returns (exit_code, output_text) ─────────────
+def _cmd_gen(args, _cls):
+    generated = generate(args.family, universe=args.universe, count=args.count, seed=args.seed)
+    return 0, format_class_text(generated)
 
 
-def _cmd_gen(args):
-    cls = generate(args.family, universe=args.universe, count=args.count, seed=args.seed)
-    return 0, _header(args) + "\n" + format_class_text(cls)
-
-
-def _cmd_graph(args):
+def _cmd_graph(args, cls):
     if args.prune_nonmaximal and not args.sets:
         raise InvalidParamsError("--prune-nonmaximal prunes the --sets listing: give --sets too")
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
+    caps = _caps(args)
     g = cached_graph(cls, args.m, caps)
-    lines = [_header(args), export_edge_list(g, verbose=args.verbose).rstrip("\n")]
+    lines = [export_edge_list(g, verbose=args.verbose).rstrip("\n")]
     if args.sets:
         fam = independent_sets(g, maximal_only=args.prune_nonmaximal, caps=caps)
         for pattern, mask in zip(fam.patterns, fam.masks):
@@ -128,12 +127,11 @@ def _cmd_graph(args):
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_omega(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
+def _cmd_omega(args, cls):
+    caps = _caps(args)
     g = cached_graph(cls, args.m, caps)
     c = max_clique(g, caps)
-    lines = [_header(args), f"omega={c.size}"]
+    lines = [f"omega={c.size}"]
     if args.verbose:
         lines.append("members=" + ",".join(str(i) for i in c.members))
         for i in c.members:
@@ -141,72 +139,46 @@ def _cmd_omega(args):
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_omega_star(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
-    cert = cached_omega_star(cls, args.m, caps)
-    if args.verbose:
-        return 0, _header(args) + "\n" + format_certificate(cert)
-    return 0, _header(args) + "\n" + frac_str(cert.value) + "\n"
+def _cmd_omega_star(args, cls):
+    cert = cached_omega_star(cls, args.m, _caps(args))
+    return 0, format_certificate(cert) if args.verbose else frac_str(cert.value) + "\n"
 
 
-def _cmd_vc(args):
-    cls = _load_class(args.cls)
-    return 0, _header(args) + f"\nvc={vc_dimension(cls)}\n"
+def _cmd_vc(args, cls):
+    return 0, f"vc={vc_dimension(cls)}\n"
 
 
-def _cmd_ld(args):
-    cls = _load_class(args.cls)
+def _cmd_ld(args, cls):
     if args.verbose:
         tree = littlestone_witness(cls)
         # verbose output stays parseable as a mistake tree, value commented
-        return 0, _header(args) + f"\n# ld={max_depth(tree)}\n" + serialize_tree(tree)
-    return 0, _header(args) + f"\nld={littlestone_dimension(cls)}\n"
+        return 0, f"# ld={max_depth(tree)}\n" + serialize_tree(tree)
+    return 0, f"ld={littlestone_dimension(cls)}\n"
 
 
-def _cmd_cd(args):
-    cls = _load_class(args.cls)
-    dv = clique_dimension(cls, args.m_max, _caps(args))
-    return 0, _header(args) + f"\ncd{dv}\n"
+def _cmd_cd(args, cls):
+    return 0, f"cd{clique_dimension(cls, args.m_max, _caps(args))}\n"
 
 
-def _cmd_cd_star(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
-    dv = fractional_clique_dimension(cls, args.m_max, caps)
-    return 0, _header(args) + f"\ncd_star{dv}\n"
+def _cmd_cd_star(args, cls):
+    return 0, f"cd_star{fractional_clique_dimension(cls, args.m_max, _caps(args))}\n"
 
 
-def _cmd_balanced(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
+def _cmd_balanced(args, cls):
+    caps = _caps(args)
     g = cached_graph(cls, args.m, caps)
     rep = find_balanced_point(g, max_clique(g, caps))
-    lines = [
-        _header(args),
-        f"point={rep.point}",
-        f"count_zero={rep.count_zero}",
-        f"count_one={rep.count_one}",
-        f"threshold={frac_str(rep.threshold)}",
-        f"clique_size={rep.clique_size}",
-        f"iterations={rep.iterations}",
-        f"deletions={rep.deletions}",
-        f"edges_dropped={rep.edges_dropped}",
-        f"surviving_edges={rep.surviving_edges}",
-    ]
-    return 0, "\n".join(lines) + "\n"
+    values = {**asdict(rep), "threshold": frac_str(rep.threshold)}
+    return 0, "".join(f"{name}={value}\n" for name, value in values.items())
 
 
-def _cmd_tree_from_clique(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, node_budget=args.node_budget)
+def _cmd_tree_from_clique(args, cls):
+    caps = _caps(args)
     g = cached_graph(cls, args.m, caps)
-    tree = tree_from_clique(g, max_clique(g, caps))
-    return 0, _header(args) + "\n" + serialize_tree(tree)
+    return 0, serialize_tree(tree_from_clique(g, max_clique(g, caps)))
 
 
-def _cmd_clique_from_tree(args):
-    cls = _load_class(args.cls)
+def _cmd_clique_from_tree(args, cls):
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = parse_tree(fh.read())
     depth = max_depth(tree)
@@ -215,14 +187,8 @@ def _cmd_clique_from_tree(args):
         raise InvalidParamsError("tree has depth 0: it must query at least one point")
     if not is_complete(tree, depth):
         raise NotCompleteError(f"tree is not complete at depth m={depth}")
-    g = cached_graph(cls, depth, Caps(max_vertices=args.vertex_cap))
-    c = clique_from_tree(g, tree)
-    lines = [
-        _header(args),
-        f"size={c.size}",
-        "members=" + ",".join(str(i) for i in c.members),
-    ]
-    return 0, "\n".join(lines) + "\n"
+    c = clique_from_tree(cached_graph(cls, depth, _caps(args)), tree)
+    return 0, f"size={c.size}\nmembers=" + ",".join(str(i) for i in c.members) + "\n"
 
 
 # a decimal with an exponent, in the syntax `Fraction` reads
@@ -281,20 +247,18 @@ def _parse_gamma(text):
         ) from None
 
 
-def _cmd_boost(args):
-    cls = _load_class(args.cls)
-    caps = Caps(max_vertices=args.vertex_cap, max_pattern_universe=args.pattern_cap)
+def _cmd_boost(args, cls):
+    caps = _caps(args)
     gamma = _parse_gamma(args.gamma)
     m0 = args.m0 if args.m0 is not None else smallest_separating_m0(cls, caps)
     try:
         config = boost_config(cls, m0, args.m, gamma, caps)
     except NoSeparationError:
-        text = _header(args) + f"\nSKIP no separation at m0={m0}\n"
-        return 0, text
+        return 0, f"SKIP no separation at m0={m0}\n"
     report = verify_sspfcd_bound(
         cls, config, trials=args.trials, master_seed=args.seed, caps=caps
     )
-    text = _header(args) + "\n" + format_boost_report(report)
+    text = format_boost_report(report)
     if args.shadow:
         g = cached_graph(cls, config.m, caps)
         rng = random.Random(args.seed)
@@ -306,17 +270,18 @@ def _cmd_boost(args):
     return (0 if report.all_pass else 1), text
 
 
-def _check_lines(checks: list) -> tuple:
-    lines = []
-    failures = 0
-    for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        failures += 0 if passed else 1
-        lines.append(f"{status} {name} {detail}".rstrip())
-    return lines, failures
+def _verdict(checks: list) -> tuple:
+    """(exit_code, body) of a verify command: a PASS or FAIL line per
+    (name, passed, detail) check, then the summary."""
+    lines = [
+        f"{'PASS' if passed else 'FAIL'} {name} {detail}".rstrip() for name, passed, detail in checks
+    ]
+    failures = sum(1 for _, passed, _ in checks if not passed)
+    lines.append(f"summary: {len(checks)} checks, {failures} failures")
+    return (1 if failures else 0), "\n".join(lines) + "\n"
 
 
-def _cmd_verify_lemmas(args):
+def _cmd_verify_lemmas(args, _cls):
     caps = _caps(args)
     checks = []
     for name, cls in corpus(args.seed):
@@ -348,13 +313,10 @@ def _cmd_verify_lemmas(args):
                     )
                 )
     checks.extend(numeric_lemma_checks())
-    lines, failures = _check_lines(checks)
-    lines.insert(0, _header(args))
-    lines.append(f"summary: {len(checks)} checks, {failures} failures")
-    return (1 if failures else 0), "\n".join(lines) + "\n"
+    return _verdict(checks)
 
 
-def _cmd_verify_dichotomy(args):
+def _cmd_verify_dichotomy(args, _cls):
     caps = _caps(args)
     checks = []
     for name, cls in corpus(args.seed):
@@ -385,24 +347,17 @@ def _cmd_verify_dichotomy(args):
                         f"first separation at m={first_sep}",
                     )
                 )
-    lines, failures = _check_lines(checks)
-    lines.insert(0, _header(args))
-    lines.append(f"summary: {len(checks)} checks, {failures} failures")
-    return (1 if failures else 0), "\n".join(lines) + "\n"
+    return _verdict(checks)
 
 
-def _cmd_curves(args):
-    cls = _load_class(args.cls)
+def _cmd_curves(args, cls):
     caps = _caps(args)
     if args.m_max is not None:
         mc, ml = args.m_max, args.m_max
     else:
         mc, ml = 4, 3
     report = dimension_report(cls, m_max_clique=mc, m_max_lp=ml, caps=caps)
-    lines = [
-        _header(args),
-        "m,num_vertices,omega,omega_exact,omega_star_num,omega_star_den,two_pow_m",
-    ]
+    lines = ["m,num_vertices,omega,omega_exact,omega_star_num,omega_star_den,two_pow_m"]
     for row in report.rows:
         omega = "" if row.omega is None else str(row.omega)
         exact = "" if row.omega_exact is None else ("true" if row.omega_exact else "false")
@@ -464,6 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     on_search = [common, vertex_cap, node_budget, cls_arg]
 
     p = argparse.ArgumentParser(prog="cliquedim", description=__doc__)
+    # a command without a cap's flag gets the default, which its code never reads
+    p.set_defaults(
+        vertex_cap=DEFAULT_CAPS.max_vertices,
+        pattern_cap=DEFAULT_CAPS.max_pattern_universe,
+        node_budget=DEFAULT_CAPS.node_budget,
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", parents=[common], help="emit a generated concept class")
@@ -521,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code, text = HANDLERS[args.command](args)
+        cls = _load_class(args.cls) if "cls" in args else None
+        code, body = HANDLERS[args.command](args, cls)
     except (ResourceLimitError, MemoryError) as exc:  # MemoryError: say, a huge --trials
         print(exc if isinstance(exc, ResourceLimitError) else f"resource limit (memory): {exc}", file=sys.stderr)
         return 3
@@ -535,6 +496,7 @@ def main(argv=None) -> int:
     except (CliquedimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = f"# seed={args.seed}\n{body}"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -33,17 +33,26 @@ class MistakeNode:
 MistakeTree = Union[MistakeLeaf, MistakeNode]
 
 
-def _leaf_depths(tree: MistakeTree):
-    """The depth of every leaf, 0-child first, walked with an explicit stack
-    so that no tree is too deep for it."""
-    stack = [(tree, 0)]
+def _walk(tree: MistakeTree):
+    """Every node with its root path of (point, label) pairs, in pre-order,
+    0-child first, walked with an explicit stack so that no tree is too deep
+    for it.  The path is one list that the walk rewrites as it moves, so a
+    step costs O(1) however deep the node: copy the path to keep it."""
+    path: list = []
+    stack = [(tree, 0, None)]  # (node, its parent's depth, edge into it)
     while stack:
-        t, d = stack.pop()
-        if isinstance(t, MistakeLeaf):
-            yield d
-        else:
-            stack.append((t.one, d + 1))
-            stack.append((t.zero, d + 1))
+        t, cut, edge = stack.pop()
+        del path[cut:]
+        if edge is not None:
+            path.append(edge)
+        yield t, path
+        if isinstance(t, MistakeNode):
+            stack.append((t.one, len(path), (t.point, 1)))
+            stack.append((t.zero, len(path), (t.point, 0)))
+
+
+def _leaf_depths(tree: MistakeTree):
+    return (len(path) for t, path in _walk(tree) if isinstance(t, MistakeLeaf))
 
 
 def min_depth(tree: MistakeTree) -> int:
@@ -60,18 +69,8 @@ def is_complete(tree: MistakeTree, depth: int) -> bool:
 
 
 def branches(tree: MistakeTree) -> list:
-    """All root-to-leaf paths as lists of (point, label) pairs, 0-edge
-    first, walked with an explicit stack so that no tree is too deep."""
-    out: list[list] = []
-    stack = [(tree, ())]
-    while stack:
-        t, path = stack.pop()
-        if isinstance(t, MistakeLeaf):
-            out.append(list(path))
-        else:
-            stack.append((t.one, path + ((t.point, 1),)))
-            stack.append((t.zero, path + ((t.point, 0),)))
-    return out
+    """All root-to-leaf paths as lists of (point, label) pairs, 0-edge first."""
+    return [list(path) for t, path in _walk(tree) if isinstance(t, MistakeLeaf)]
 
 
 def serialize_tree(tree: MistakeTree) -> str:
@@ -79,20 +78,8 @@ def serialize_tree(tree: MistakeTree) -> str:
 
         n <point>   internal node
         l           leaf
-
-    Walked with an explicit stack, so that no tree is too deep for it.
     """
-    lines: list[str] = []
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, MistakeLeaf):
-            lines.append("l")
-        else:
-            lines.append(f"n {t.point}")
-            stack.append(t.one)
-            stack.append(t.zero)
-    return "\n".join(lines) + "\n"
+    return "".join("l\n" if isinstance(t, MistakeLeaf) else f"n {t.point}\n" for t, _ in _walk(tree))
 
 
 def _node_point(line: str) -> int:

@@ -48,6 +48,8 @@ def write_class(tmp_path, name="cls.txt", family="paper_example_sec6", universe=
 
 def test_every_command_emits_seed_header(capsys, tmp_path):
     path = write_class(tmp_path)
+    tree = tmp_path / "witness.tree"
+    tree.write_text(serialize_tree(littlestone_witness(generate("paper_example_sec6"))))
     for argv in [
         ("gen", "full", "--universe", "2"),
         ("graph", path, "--m", "1"),
@@ -59,6 +61,10 @@ def test_every_command_emits_seed_header(capsys, tmp_path):
         ("cd-star", path),
         ("balanced", path, "--m", "2"),
         ("tree-from-clique", path, "--m", "2"),
+        ("clique-from-tree", path, "--tree", str(tree)),
+        ("boost", path, "--trials", "10"),
+        ("verify-lemmas",),
+        ("verify-dichotomy",),
         ("curves", path, "--m-max", "1"),
     ]:
         code, out, err = run(capsys, *argv)
@@ -938,6 +944,12 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[-1] == "vc=2"
+    # the file gets exactly the bytes stdout would, header included
+    for argv in [("vc", path), ("curves", path, "--m-max", "2"), ("boost", path, "--trials", "10")]:
+        code, out, _ = run(capsys, *argv)
+        assert out.startswith("# seed=0\n"), argv
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", ""), argv
+        assert target.read_bytes() == out.encode("utf-8"), argv
 
 
 def test_corpus_is_stable():

@@ -1,11 +1,11 @@
 """No CLI option without a reader.
 
 Every argument a subcommand's parser defines must be read as `args.<dest>`
-by that subcommand's handler, by a helper the handler calls (`_caps`,
-`_header`), or by `main`.  A flag nobody reads would be accepted and then
-silently ignored.  The lint checks this with the standard library only; a
-spy on `Caps` checks that the library reads every resource cap a command
-takes, and no other.
+by that subcommand's handler, by a helper the handler calls (`_caps`), or
+by `main`.  A flag nobody reads would be accepted and then silently
+ignored.  The lint checks this with the standard library only; a spy on
+`Caps` checks that the library reads every resource cap a command takes,
+and no other.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import pytest
 
 from cliquedim import cli, clear_caches, format_class_text, generate, littlestone_witness, serialize_tree
 
-HELPERS = ("_caps", "_header")
+HELPERS = ("_caps",)
 
 
 def _function_tree(fn) -> ast.AST:
@@ -84,11 +84,8 @@ def test_flag_lint_reports_unread_flags(tmp_path):
         "def _caps(args):\n"
         "    return args.budget\n"
         "\n"
-        "def _header(args):\n"
-        "    return args.seed\n"
-        "\n"
         "def _cmd_a(args):\n"
-        "    return _header(args), args.cls\n"
+        "    return args.seed, args.cls\n"
         "\n"
         "def _cmd_b(args):\n"
         "    return _caps(args)\n"
