@@ -39,8 +39,8 @@ and `getrandbits(64 k)` holds k such pairs lowest word first: a block of
 up to `_DRAW_BLOCK` draws is one `getrandbits` call and one numpy
 `searchsorted`, with the same picks and final generator state as calls to
 `random()`.  Other generators (subclasses overriding either method,
-`SystemRandom`) are asked by `random()` per draw, and values off the grid,
-as they may return, are compared with the Fractions.
+`SystemRandom`) are asked by `random()` per draw, and each value is
+bisected into the cumulative Fractions.
 
 The forced gamma-good check settles a run once every gamma-good pattern
 at its weights is consistent with the whole dataset.  Such a pick agrees
@@ -74,9 +74,7 @@ first and last trial is then checked against numpy's own seeding.  Either
 failure raises InvariantError.
 
 Natural logarithms throughout.  Weight arithmetic is floating point with
-per-round renormalization; a rational shadow mode replays the game with the
-exact rational value of the float update factor and certifies the regret
-comparison with conservative rational bounds.
+per-round renormalization.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -260,25 +257,19 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
     `searchsorted`; the picks and the generator's final state equal those
     of `count` calls to `random()`.  Any other generator (a subclass that
     overrides either method, `SystemRandom`) is asked for each draw by
-    `random()`, which bisects the thresholds held as floats (every integer
-    up to 2^53 is one); a value whose u * 2^53 is not an integer, as such a
-    generator may return, is compared with the exact cumulative Fractions.
+    `random()`, whose value is bisected into the cumulative Fractions;
+    Python compares a float or a Fraction with a Fraction exactly.
     """
     if count < 0:
         raise InvalidParamsError(f"count must be >= 0, got {count}")
-    cum = []
-    acc = Fraction(0)
-    for p in mu.probs:
-        acc += p
-        cum.append(acc)
-    last = len(cum) - 1
-    limits = [-(-c.numerator * _SCALE // c.denominator) for c in cum[:last]]
+    cum = list(itertools.accumulate(mu.probs))[:-1]  # cum_k of all but the last pattern
     patterns = mu.patterns
-    draws = []
     kind = type(rng)
     if kind.random is random.Random.random and kind.getrandbits is random.Random.getrandbits:
+        limits = [-(-c.numerator * _SCALE // c.denominator) for c in cum]
         bounds = np.array(limits, dtype=np.uint64)
         table = np.fromiter(patterns, dtype=object)
+        draws = []
         for start in range(0, count, _DRAW_BLOCK):
             n = min(_DRAW_BLOCK, count - start)
             # word pairs (a, b) as a + b 2^32; j = (a >> 5) 2^26 + (b >> 6)
@@ -286,18 +277,7 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
             j = (pairs & _MASK32) >> 5 << 26 | pairs >> 38
             draws += table[bounds.searchsorted(j, "right")].tolist()
         return draws
-    thresholds = [float(t) for t in limits]
-    for _ in range(count):
-        u = rng.random()
-        # exact: scaling a float by a power of two (an overflow gives inf)
-        if isinstance(u, float) and (j := u * _SCALE).is_integer():
-            k = bisect_right(thresholds, j)
-        else:
-            k = 0
-            while k < last and u >= cum[k]:
-                k += 1
-        draws.append(patterns[k])
-    return draws
+    return [patterns[bisect_right(cum, rng.random())] for _ in range(count)]
 
 
 # ─── the inverted expert game ────────────────────────────────────────────
@@ -323,8 +303,6 @@ class ExpertGameTranscript:
     learner: np.ndarray  # (T,)
     regret: float
     regret_bound: float  # sqrt(2 T ln m)
-    shadow_regret: Optional[Fraction] = None
-    shadow_certified: Optional[bool] = None
 
 
 def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) -> np.ndarray:
@@ -352,7 +330,6 @@ def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) ->
 def run_expert_game(
     dataset: Dataset,
     instances: Sequence[HypothesisPattern],
-    shadow: bool = False,
 ) -> ExpertGameTranscript:
     """Hedge over the dataset's examples against the given instance sequence.
 
@@ -362,14 +339,6 @@ def run_expert_game(
     w_t ~ exp(-eta * cumulative loss before t),
     computed as a renormalized softmax per round, in the expert-major
     layout the module docstring describes.
-
-    `shadow` replays the run in exact rationals (update factor = the exact
-    value of float exp(-eta)) and certifies regret <= sqrt(2 T ln m) with
-    conservative rational bounds; certification can only strengthen a float
-    PASS, never fake one.  The replay's rationals grow with every round, so
-    its cost grows faster than T^2: on paper_example_sec6's dataset
-    (0:1);(2:1);(2:1);(3:1) with mu~ draws it took 0.8 s, 5.6 s and 46 s at
-    T = 563, 1000 and 2000 (one run each, 2-core Xeon VM).
     """
     losses = _example_losses(dataset, instances)  # (m, T)
     m, t_rounds = losses.shape
@@ -388,51 +357,13 @@ def run_expert_game(
     total = losses.sum(axis=1)
     regret = float(learner.sum() - total.min())
     bound = math.sqrt(2 * t_rounds * math.log(m)) if m > 1 else 0.0
-
-    shadow_regret = None
-    shadow_certified = None
-    if shadow:
-        shadow_regret = _shadow_regret(losses.T, eta)
-        shadow_certified = shadow_regret <= _sqrt_lower_bound(
-            2 * t_rounds, m
-        )
     return ExpertGameTranscript(
         weights=weights.T,
         losses=losses.T,
         learner=learner,
         regret=regret,
         regret_bound=bound,
-        shadow_regret=shadow_regret,
-        shadow_certified=shadow_certified,
     )
-
-
-def _shadow_regret(losses: np.ndarray, eta: float) -> Fraction:
-    """Replay the game with exact rational weights; the update factor is the
-    exact rational value of the float exp(-eta)."""
-    u = Fraction(math.exp(-eta))
-    t_rounds, m = losses.shape
-    w = [Fraction(1, m)] * m
-    learner_total = Fraction(0)
-    for t in range(t_rounds):
-        row = losses[t]
-        learner_total += sum(w[j] for j in range(m) if row[j])
-        w = [w[j] * (u if row[j] else 1) for j in range(m)]
-        s = sum(w)
-        w = [x / s for x in w]
-    totals = [Fraction(int(losses[:, j].sum())) for j in range(m)]
-    return learner_total - min(totals)
-
-
-def _sqrt_lower_bound(factor: int, m: int) -> Fraction:
-    """A rational s with s <= sqrt(factor * ln m), via a safe rational lower
-    bound on ln m and integer square root at 10^12 scaling."""
-    if m <= 1:
-        return Fraction(0)
-    ln_lo = Fraction(math.nextafter(math.nextafter(math.log(m), 0.0), 0.0))
-    target = factor * ln_lo  # <= factor * ln m
-    scaled = (target.numerator * 10**24) // target.denominator
-    return Fraction(isqrt(scaled), 10**12)
 
 
 # ─── gamma-goodness checks ───────────────────────────────────────────────

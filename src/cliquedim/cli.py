@@ -14,7 +14,6 @@ writes the header and picks stdout or `--out`; a handler returns the rest.
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from fractions import Fraction
@@ -23,10 +22,8 @@ from functools import lru_cache
 
 from .boosting import (
     boost_config,
-    draw_patterns,
     format_boost_report,
     numeric_lemma_checks,
-    run_expert_game,
     small_pop_err_check,
     verify_sspfcd_bound,
 )
@@ -258,16 +255,7 @@ def _cmd_boost(args, cls):
     report = verify_sspfcd_bound(
         cls, config, trials=args.trials, master_seed=args.seed, caps=caps
     )
-    text = format_boost_report(report)
-    if args.shadow:
-        g = cached_graph(cls, config.m, caps)
-        rng = random.Random(args.seed)
-        tr = run_expert_game(g.vertices[0], draw_patterns(config.mu, config.T, rng), shadow=True)
-        text += (
-            f"shadow S={g.vertices[0].render()} regret={float(tr.shadow_regret):.6f} "
-            f"bound={tr.regret_bound:.6f} certified={tr.shadow_certified}\n"
-        )
-    return (0 if report.all_pass else 1), text
+    return (0 if report.all_pass else 1), format_boost_report(report)
 
 
 def _verdict(checks: list) -> tuple:
@@ -470,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=3, help="target dataset length")
     sp.add_argument("--gamma", default=None, help="margin as num/den (default epsilon/4)")
     sp.add_argument("--trials", type=int, default=10**5)
-    sp.add_argument("--shadow", action="store_true", help="append one rational-shadow transcript check")
 
     sub.add_parser("verify-lemmas", parents=[common, *all_caps], help="inequality/duality/quantile/numeric checks over the corpus")
     sub.add_parser("verify-dichotomy", parents=[common, *all_caps], help="desk-scale dichotomy scans over the corpus")

@@ -165,11 +165,15 @@ def test_draw_patterns_is_exact_off_the_2_53_grid():
     values = []
     for c in (1 / 3, 1 / 2, 5 / 6):
         values += [c, math.nextafter(c, 0), math.nextafter(c, 1), c / 7, c / 2**60]
-    values += [F(1, 3), F(1, 2), F(5, 6), F(1, 3) - F(1, 10**30), 0.0]
+    # NaN is below no cumulative weight, so it takes the last pattern; the
+    # linear scan stops at the first and is compared up to it
+    values += [F(1, 3), F(1, 2), F(5, 6), F(1, 3) - F(1, 10**30), 0.0, float("nan")]
     assert any(isinstance(u, float) and not (u * 2**53).is_integer() for u in values)
     got = draw_patterns(mu, len(values), Scripted(values))
-    assert got == reference_draw_patterns(mu, len(values), Scripted(values))
-    assert got[-5:] == [mu.patterns[1], mu.patterns[3], mu.patterns[4], mu.patterns[0], mu.patterns[0]]
+    assert got[:-1] == reference_draw_patterns(mu, len(values) - 1, Scripted(values))
+    assert got[-6:] == [
+        mu.patterns[1], mu.patterns[3], mu.patterns[4], mu.patterns[0], mu.patterns[0], mu.patterns[-1]
+    ]
 
     class Cubed(random.Random):
         def random(self):
@@ -509,17 +513,6 @@ def test_expert_game_label_distribution_sums_to_one():
     assert tr.weights.shape == (3, 3)
     for row in tr.weights:
         assert row.sum() == pytest.approx(1.0)
-
-
-def test_expert_game_shadow_certifies_regret():
-    ds = Dataset([(0, 0), (1, 1), (1, 1)])
-    rng = random.Random(7)
-    instances = [tuple(rng.randrange(2) for _ in range(2)) for _ in range(31)]
-    tr = run_expert_game(ds, instances, shadow=True)
-    assert tr.shadow_regret is not None
-    assert tr.shadow_certified is True
-    # the exact replay should track the float run closely
-    assert abs(float(tr.shadow_regret) - tr.regret) < 1e-6
 
 
 def test_expert_game_majority_consistency_under_gamma_goodness():

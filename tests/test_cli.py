@@ -220,14 +220,13 @@ def test_boost_skip_when_no_separation(capsys, monkeypatch):
 def test_boost_small_run_passes(capsys, tmp_path):
     path = write_class(tmp_path, family="disjoint_pairs", universe=2)
     code, out, _ = run(
-        capsys, "boost", path, "--m0", "2", "--m", "3", "--trials", "200", "--shadow"
+        capsys, "boost", path, "--m0", "2", "--m", "3", "--trials", "200"
     )
     assert code == 0
     assert out.splitlines()[0] == "# seed=0"
     assert "T=563" in out.splitlines()[1]
     assert "epsilon=1/4" in out.splitlines()[1]
     assert out.count(" PASS") == 8
-    assert any(l.startswith("shadow ") for l in out.splitlines())
 
 
 def test_boost_solves_each_lp_and_builds_each_graph_once(capsys, monkeypatch):
@@ -437,6 +436,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ["omega", path, "--m", "1", "--pattern-cap", "5"],
         ["curves", path, "--verbose"],
         ["gen", "full", "--verbose"],
+        ["boost", path, "--shadow"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -736,8 +736,7 @@ def test_exit_code_contract_holds_on_corrupted_tree_text(tmp_path_factory, case)
         assert err.getvalue().startswith(("error: ", "internal error: ")), err.getvalue()
 
 
-# `boost --gamma` texts by kind; --shadow replays T rounds in exact
-# rationals, so it rides only along margins with a small T or none at all
+# `boost --gamma` texts by kind
 BOOST_GAMMAS = {
     "default": st.just(None),
     "malformed": st.text(alphabet="0123456789/.-+e x", max_size=6),
@@ -758,8 +757,6 @@ def boost_flags(draw):
         argv.append(f"--m0={m0}")
     if gamma is not None:
         argv.append(f"--gamma={gamma}")
-    if kind in ("default", "zero", "wide") and draw(st.booleans()):
-        argv.append("--shadow")
     return argv
 
 
@@ -867,27 +864,27 @@ def test_omega_verbose_members_are_frozen(capsys, monkeypatch):
     assert got == OMEGA_VERBOSE_SHA256
 
 
-# sha256 of `boost - --seed S --trials 2000 --shadow` stdout, as produced by
-# the per-draw Fraction scan and the per-trial Monte Carlo loop
-BOOST_SHADOW_SHA256 = {
-    ("disjoint_pairs", 2, 0): "9acede360e8fcfcfe5e43d98a0509a02a44f9149d3cfcddc4a10728bf94b4d3a",
-    ("disjoint_pairs", 2, 5): "c385a726101765ce18126d99c99fddcb78151e6523b34c350db0da99b2da1b9e",
-    ("paper_example_sec6", 4, 0): "06c2ca040b483720b16ccb396d5a8aedf51b225f4aeb62f0f22957f78de38a38",
-    ("paper_example_sec6", 4, 5): "80c964ea0d87bcdb554efaa3f4758dd31715e7addbe21537bbafcd5e5173dfef",
+# sha256 of `boost - --seed S --trials 2000` stdout, as produced by the
+# per-draw Fraction scan and the per-trial Monte Carlo loop
+BOOST_REPORT_SHA256 = {
+    ("disjoint_pairs", 2, 0): "a50aa0b49d46d4e8a058e7647aaa5dd45014aedbe229e337cac5cb256582c357",
+    ("disjoint_pairs", 2, 5): "769aadce877aced046f267d3f634efe1a8157af9dd948d121e1ec9b20f1fe77d",
+    ("paper_example_sec6", 4, 0): "5b0cf4f4969b768e5af0c501476255068c71dfc4b9d6da0570b9e318d914336c",
+    ("paper_example_sec6", 4, 5): "d2913368a6ef92f433abfe955a80c99f56d3a45c17139a72536a9c6b9ec4eb9b",
 }
 
 
-def test_boost_shadow_output_is_frozen(capsys, monkeypatch):
+def test_boost_report_output_is_frozen(capsys, monkeypatch):
     from cliquedim import format_class_text
 
     got = {}
-    for family, universe, seed in BOOST_SHADOW_SHA256:
+    for family, universe, seed in BOOST_REPORT_SHA256:
         text = format_class_text(generate(family, universe=universe))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "boost", "-", "--seed", str(seed), "--trials", "2000", "--shadow")
+        code, out, _ = run(capsys, "boost", "-", "--seed", str(seed), "--trials", "2000")
         assert code == 0
         got[family, universe, seed] = hashlib.sha256(out.encode()).hexdigest()
-    assert got == BOOST_SHADOW_SHA256
+    assert got == BOOST_REPORT_SHA256
 
 
 def test_boost_m1_checks_the_proven_floor(capsys, monkeypatch):
