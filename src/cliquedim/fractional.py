@@ -145,10 +145,8 @@ def omega_star(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> DualityCerti
     fc = FractionalClique(
         weights={v: w for v, w in enumerate(primal) if w}, size=value
     )
-    col = FractionalColoring(
-        weights={fam.patterns[i]: w for i, w in enumerate(dual) if w},
-        colors=sum(dual, Fraction(0)),
-    )
+    weights = {fam.patterns[i]: w for i, w in enumerate(dual) if w}
+    col = FractionalColoring(weights=weights, colors=sum(weights.values(), Fraction(0)))
     if col.colors != value:
         raise InvariantError(f"strong duality mismatch: dual total {col.colors} != value {value}")
     try:

@@ -45,6 +45,8 @@ every j at once.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -89,8 +91,9 @@ DEFAULT_CAPS = Caps()
 class ContradictionGraph:
     """Vertices in canonical dataset order.  `holders[2p + l]` masks the
     vertices that hold the example (p, l); the edges `adj` and the sets V_h
-    of `consistent` both come from it.  `realizers[i]` has bit k set iff
-    row k of the class is consistent with vertex i."""
+    of `consistent` both come from it.  `adj` is built on its first read,
+    since the LP path never reads it.  `realizers[i]` has bit k set iff row
+    k of the class is consistent with vertex i."""
 
     def __init__(self, cls: ConceptClass, m: int, vertices: tuple, realizers: tuple):
         self.cls = cls
@@ -104,14 +107,18 @@ class ContradictionGraph:
             for p, l in v.examples:
                 holders[2 * p + l] |= 1 << i
         self.holders = tuple(holders)
-        # two datasets are adjacent iff one holds (p, l) and the other (p, 1 - l)
+
+    @functools.cached_property
+    def adj(self) -> tuple:
+        """`adj[i]` masks the neighbours of vertex i: two datasets are
+        adjacent iff one holds (p, l) and the other (p, 1 - l)."""
         adj = []
-        for v in vertices:
+        for v in self.vertices:
             row = 0
             for p, l in v.examples:
-                row |= holders[2 * p + 1 - l]
+                row |= self.holders[2 * p + 1 - l]
             adj.append(row)
-        self.adj = tuple(adj)
+        return tuple(adj)
 
     def consistent(self, hm: int) -> int:
         """V_h as a vertex mask, for the labeling h with bit p of `hm` set
@@ -296,7 +303,12 @@ def independent_sets(
 ) -> IndependentSetFamily:
     """All distinct V_h over h in {0,1}^X (first witness kept), optionally
     pruned to inclusion-maximal sets.  Every realizable dataset lies in the
-    V_h of its realizing row, so coverage holds even after pruning."""
+    V_h of its realizing row, so coverage holds even after pruning.
+
+    The prune tests each set only against the strictly larger sets kept
+    before it, largest first: a distinct set holding another is larger, and
+    a set that is not maximal lies in a maximal one, which comes earlier and
+    is kept.  The kept sets stay in witness order."""
     n = g.cls.universe_size
     caps.check_universe(n)
     seen: dict[int, int] = {}  # vertex-mask -> witness pattern mask
@@ -307,7 +319,11 @@ def independent_sets(
             seen[vm] = hm
             order.append(vm)
     if maximal_only:
-        order = [vm for vm in order if not any(o != vm and vm & ~o == 0 for o in order)]
+        kept: set[int] = set()
+        by_size = itertools.groupby(sorted(order, key=int.bit_count, reverse=True), int.bit_count)
+        for _, same_size in by_size:
+            kept |= {vm for vm in same_size if all(vm & o != vm for o in kept)}
+        order = [vm for vm in order if vm in kept]
     full = (1 << g.num_vertices) - 1
     covered = 0
     for vm in order:

@@ -19,12 +19,17 @@ under the same tie-break.  The pivot sequence, the final basis and hence the
 returned (value, x, y) are exactly those of the rational tableau.
 
 The whole tableau, objective row last, is one numpy array, and a pivot is
-one vectorised update.  While every entry M satisfies |M| < 2^31 the array
+one vectorised update; it skips the multiplication when p = 1 and the
+division when D = 1.  While every entry M satisfies |M| < 2^31 the array
 is int64: then |T[i]*p - T[i][e]*T[r]| <= 2 * (2^31 - 1)^2 < 2^63, so no
-intermediate overflows.  An explicit check before each pivot switches the
-array to dtype=object (Python integers) once an entry reaches 2^31, and the
-same expression keeps running.  Either way every entry is the same integer,
-so the dtype changes no pivot.
+intermediate overflows.  A running bound B >= max |M| starts at 1 (the
+input is 0/1) and becomes 2B^2 // D + 1 after each pivot, since a new
+entry is at most 2B^2 / D in absolute value.  Only once B reaches 2^31 is
+the array itself read: it switches to dtype=object (Python integers) if an
+entry has reached 2^31, and B drops to the true maximum otherwise.  So the
+switch comes before exactly the pivot that a check before every pivot would
+make it at, and the same expression keeps running.  Either way every entry
+is the same integer, so the dtype changes no pivot.
 
 The result is checked explicitly before it is returned (x, y >= 0 and
 sum(x) == value == sum(y)), with InvariantError on failure, so the checks
@@ -39,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleModelError, InvariantError
+from .errors import InfeasibleModelError, InvalidParamsError, InvariantError
 
 # Entries below this bound in absolute value keep a pivot's products and
 # differences inside int64 (see the module docstring).
@@ -50,8 +55,8 @@ def _tableau(n, row_masks):
     """[A | I | 1] over the objective row [1 ... 1 | 0 ... 0 | 0], as int64."""
     m = len(row_masks)
     tab = np.zeros((m + 1, n + m + 1), dtype=np.int64)
-    full, nbytes = (1 << n) - 1, (n + 7) // 8
-    raw = b"".join((mask & full).to_bytes(nbytes, "little") for mask in row_masks)
+    nbytes = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in row_masks)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(m, nbytes)
     tab[:m, :n] = np.unpackbits(bits, axis=1, count=n, bitorder="little")
     tab[np.arange(m), n + np.arange(m)] = 1
@@ -74,15 +79,15 @@ def _bland(n, row_masks):
     denominator den > 0."""
     m = len(row_masks)
     tab = _tableau(n, row_masks)
-    obj = tab[m]
     basis = list(range(n, n + m))
     den = 1
+    bound = 1  # >= every |entry| while the tableau is int64, None after
 
     while True:
-        positive = np.flatnonzero(obj[:-1] > 0)
-        if not positive.size:
+        positive = tab[m, :-1] > 0
+        enter = int(positive.argmax())
+        if not positive[enter]:
             break
-        enter = int(positive[0])
         # min b_i / a_i over a_i > 0, compared as b_i * a_best < b_best * a_i
         col, rhs_col = tab[:m, enter].tolist(), tab[:m, -1].tolist()
         leave = -1
@@ -99,15 +104,20 @@ def _bland(n, row_masks):
                     leave, best_b, best_a = i, bi, a
         if leave < 0:
             raise InfeasibleModelError("LP is unbounded")
-        tab = _widened(tab)
-        obj = tab[m]
+        if bound is not None and bound >= INT64_ENTRY_LIMIT:
+            tab = _widened(tab)
+            bound = None if tab.dtype == object else max(int(tab.max()), -int(tab.min()))
         piv = tab[leave].copy()
         p = best_a
-        factors = tab[:, enter].copy()
-        tab *= p
-        tab -= np.outer(factors, piv)
-        tab //= den
+        update = tab[:, enter, None].copy() * piv
+        if p != 1:
+            tab *= p
+        tab -= update
+        if den != 1:
+            tab //= den
         tab[leave] = piv
+        if bound is not None:
+            bound = 2 * bound * bound // den + 1
         den = p
         basis[leave] = enter
 
@@ -116,8 +126,8 @@ def _bland(n, row_masks):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = rhs_col[i]
-    y = [-v for v in obj[n:n + m].tolist()]
-    return den, -int(obj[-1]), x, y
+    y = [-v for v in tab[m, n:n + m].tolist()]
+    return den, -int(tab[m, -1]), x, y
 
 
 def _check_optimal(den, value, x, y) -> None:
@@ -137,12 +147,17 @@ def solve_packing_lp(n_vars: int, row_masks):
     """max sum(x) s.t. sum_{j in mask} x_j <= 1 per mask, x >= 0.
 
     Returns (value, primal, dual) as Fractions, with dual parallel to
-    row_masks.
+    row_masks.  A mask that is negative or names a variable at or past
+    n_vars raises InvalidParamsError.
     """
+    for mask in row_masks:
+        if mask < 0 or mask >> n_vars:
+            raise InvalidParamsError(f"row mask {mask} is not a set of the variables 0..{n_vars - 1}")
     den, value, x, y = _bland(n_vars, row_masks)
     _check_optimal(den, value, x, y)
+    zero = Fraction(0)
     return (
         Fraction(value, den),
-        [Fraction(v, den) for v in x],
-        [Fraction(v, den) for v in y],
+        [Fraction(v, den) if v else zero for v in x],
+        [Fraction(v, den) if v else zero for v in y],
     )

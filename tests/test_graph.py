@@ -1,16 +1,21 @@
 """Contradiction-graph construction checked against independent enumeration."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from cliquedim import (
+    ContradictionGraph,
     Caps,
     ConceptClass,
     Dataset,
     FractionalClique,
     InvalidParamsError,
     LabeledExample,
+    clear_caches,
+    fractional_clique_dimension,
     ResourceLimitError,
     build_graph,
     export_edge_list,
@@ -19,6 +24,7 @@ from cliquedim import (
     is_consistent,
     max_clique,
     omega_star,
+    parse_class_text,
     parse_dataset,
     validate_cover,
     validate_packing,
@@ -174,6 +180,70 @@ def test_maximal_only_prunes_subsets():
     assert set(pruned.masks) <= set(full_fam.masks)
     for vm in pruned.masks:
         assert not any(o != vm and vm & ~o == 0 for o in pruned.masks)
+
+
+def maximal_by_pairs(g):
+    """Referee: the inclusion-maximal V_h by testing every pair of distinct
+    sets, in witness order."""
+    fam = independent_sets(g)
+    keep = [
+        k for k, vm in enumerate(fam.masks) if not any(o != vm and vm & ~o == 0 for o in fam.masks)
+    ]
+    return tuple(fam.patterns[k] for k in keep), tuple(fam.masks[k] for k in keep)
+
+
+@st.composite
+def full_graphs_and_cores(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12))
+    build = draw(st.sampled_from([build_graph, build_core]))
+    return build(ConceptClass(n, rows), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_graphs_and_cores())
+def test_sorted_prune_keeps_the_pairwise_maximal_sets(g):
+    fam = independent_sets(g, maximal_only=True)
+    assert (fam.patterns, fam.masks) == maximal_by_pairs(g)
+
+
+def test_sorted_prune_drops_the_sets_inside_another():
+    # the one row 10 at m = 1: V_h for h = 00, 10, 11 are {(1:0)},
+    # {(0:1), (1:0)} and {(0:1)}, and only the middle one is maximal
+    g = build_graph(parse_class_text("points 2\nhypotheses 1\n10\n"), 1)
+    assert len(independent_sets(g)) == 3
+    fam = independent_sets(g, maximal_only=True)
+    assert len(fam) == 1
+    assert (fam.patterns, fam.masks) == maximal_by_pairs(g)
+
+
+@pytest.fixture
+def adjacency_builds(monkeypatch):
+    """The graphs whose `adj` gets built while the test runs."""
+    built = []
+    build = ContradictionGraph.adj.func
+
+    def spy(g):
+        built.append(g)
+        return build(g)
+
+    lazy = functools.cached_property(spy)
+    lazy.__set_name__(ContradictionGraph, "adj")
+    monkeypatch.setattr(ContradictionGraph, "adj", lazy)
+    return built
+
+
+def test_the_lp_path_never_builds_the_adjacency(adjacency_builds):
+    omega_star(build_graph(generate("thresholds", universe=5), 3))
+    clear_caches()
+    fractional_clique_dimension(generate("random", universe=5, count=8, seed=2), 3)
+    assert adjacency_builds == []
+
+
+def test_the_clique_search_builds_the_adjacency_once(adjacency_builds):
+    g = build_graph(generate("thresholds", universe=4), 2)
+    assert max_clique(g) == max_clique(g)
+    assert adjacency_builds == [g]
 
 
 def test_witness_patterns_are_consistent_with_members():

@@ -15,7 +15,7 @@ import oracles
 import cliquedim.simplex as simplex
 from cliquedim import build_graph, format_class_text, generate
 from cliquedim.cli import corpus, main
-from cliquedim.errors import InfeasibleModelError
+from cliquedim.errors import InfeasibleModelError, InvalidParamsError
 from cliquedim.graph import independent_sets
 from cliquedim.simplex import solve_packing_lp
 
@@ -34,6 +34,14 @@ def test_fractional_optimum_stays_exact():
     value, x, y = solve_packing_lp(3, [0b011, 0b110, 0b101])
     assert value == F(3, 2)
     assert x == [F(1, 2)] * 3
+
+
+@pytest.mark.parametrize("mask", [0b111, -1])
+def test_masks_outside_the_variables_are_refused(mask):
+    # a bit at position n_vars or above, or a negative mask, names no
+    # variable of the LP; cutting it down would answer another LP
+    with pytest.raises(InvalidParamsError):
+        solve_packing_lp(2, [mask])
 
 
 def test_unbounded_detected():
@@ -116,8 +124,10 @@ def test_packing_lp_matches_fraction_tableau(lp):
 
 
 def widened_dtypes(monkeypatch, limit):
-    """Set the int64 entry limit to `limit` and record the dtype of the
-    tableau each pivot runs on."""
+    """Set the int64 entry limit to `limit` and record the dtype that each
+    read of the tableau's entries leaves it in.  The solver reads them only
+    once its running bound on |entry| reaches the limit, so there is one
+    record per such check, not one per pivot."""
     dtypes = []
     widened = simplex._widened
 
@@ -139,6 +149,57 @@ def test_promotion_mid_solve_keeps_the_pivot_path(lp, limit):
     n, masks = lp
     with mock.patch.object(simplex, "INT64_ENTRY_LIMIT", limit):
         assert solve_packing_lp(n, masks) == oracles.reference_simplex(n, masks)
+
+
+class PivotDtypes(np.ndarray):
+    """A tableau that records the dtype of each pivot it runs: a pivot
+    subtracts its update from the whole tableau exactly once."""
+
+    dtypes: list = []
+
+    def __isub__(self, other):
+        PivotDtypes.dtypes.append(self.dtype)
+        return super().__isub__(other)
+
+
+def int64_pivots_checking_every_pivot(n, masks, limit):
+    """Referee: the pivots that Bland's rule runs on int64 when max |entry|
+    is read before every pivot, and the tableau switches to Python integers
+    once it reaches `limit`.  Returns (int64 pivots, all pivots)."""
+    m = len(masks)
+    tab = simplex._tableau(n, masks)
+    basis = list(range(n, n + m))
+    den = 1
+    int64_pivots = pivots = 0
+    while True:
+        positive = np.flatnonzero(tab[m, :-1] > 0)
+        if not positive.size:
+            return int64_pivots, pivots
+        enter = int(positive[0])
+        rows = [i for i in range(m) if tab[i, enter] > 0]
+        leave = min(rows, key=lambda i: (F(int(tab[i, -1]), int(tab[i, enter])), basis[i]))
+        if tab.dtype != object and max(tab.max(), -tab.min()) >= limit:
+            tab = tab.astype(object)
+        int64_pivots += tab.dtype != object
+        pivots += 1
+        p, piv = int(tab[leave, enter]), tab[leave].copy()
+        tab = (tab * p - np.outer(tab[:, enter], piv)) // den
+        tab[leave] = piv
+        den, basis[leave] = p, enter
+
+
+@settings(max_examples=150, deadline=None)
+@given(packing_lps(), st.integers(2, 4))
+def test_the_bound_gated_check_widens_at_the_same_pivot(lp, limit):
+    n, masks = lp
+    build = simplex._tableau
+    PivotDtypes.dtypes = []
+    with mock.patch.object(simplex, "INT64_ENTRY_LIMIT", limit), mock.patch.object(
+        simplex, "_tableau", lambda n, masks: build(n, masks).view(PivotDtypes)
+    ):
+        solve_packing_lp(n, masks)
+    int64_pivots = sum(dt == np.int64 for dt in PivotDtypes.dtypes)
+    assert (int64_pivots, len(PivotDtypes.dtypes)) == int64_pivots_checking_every_pivot(n, masks, limit)
 
 
 def test_lp_crossing_the_limit_ends_on_python_integers(monkeypatch):
