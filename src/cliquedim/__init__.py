@@ -125,6 +125,7 @@ from .boosting import (
     numeric_lemma_checks,
     run_expert_game,
     small_pop_err_check,
+    small_pop_verdicts,
     verify_sspfcd_bound,
 )
 

@@ -874,6 +874,53 @@ def format_boost_report(report: BoostVerifyReport) -> str:
 # ─── realizable-distribution quantile check ──────────────────────────────
 
 
+def _loss_tally(table, ones: int, zeros: int, layers: dict) -> dict:
+    """mu*'s integer weights in `table`, summed by the integer loss of their
+    pattern on a realizable distribution.  The distribution puts integer
+    weight a on each point of the mask `layers[a]`, labeled 1 on `ones` and
+    0 on `zeros`; a pattern's loss is the weight of the points it
+    mislabels."""
+    tally = {}
+    for h, w in zip(table.masks, table.weights):
+        wrong = (h & zeros) | (ones & ~h)
+        loss = 0
+        for a, points in layers.items():
+            loss += a * (wrong & points).bit_count()
+        tally[loss] = tally.get(loss, 0) + w
+    return tally
+
+
+def _theta_tests(table, scale: int) -> list:
+    """One (cut, den, num) per theta in THETAS, for a distribution of total
+    integer weight `scale`: a pattern of integer loss `loss` has
+    loss / scale <= theta exactly when loss <= cut = floor(theta * scale),
+    and mass / table.denominator >= bound exactly when mass * den >= num."""
+    return [
+        (theta.numerator * scale // theta.denominator, bound.denominator, bound.numerator * table.denominator)
+        for theta, bound in zip(THETAS, table.bounds)
+    ]
+
+
+def _theta_verdicts(tally: dict, tests: list) -> list:
+    """(mass, passed) per test of `_theta_tests`: the tallied weight of the
+    losses at most its cut, and whether that mass meets its bound."""
+    out = []
+    for cut, den, num in tests:
+        mass = 0
+        for loss, w in tally.items():
+            if loss <= cut:
+                mass += w
+        out.append((mass, mass * den >= num))
+    return out
+
+
+def _require_realizable(cls: ConceptClass, ones: int, zeros: int) -> None:
+    if not any(ones & ~r == 0 and zeros & r == 0 for r in cls.row_masks):
+        raise NotRealizableDistributionError(
+            "no hypothesis has zero loss on the distribution"
+        )
+
+
 def small_pop_err_check(
     cls: ConceptClass, m: int, dist: dict, caps: Caps = DEFAULT_CAPS
 ) -> list:
@@ -885,9 +932,11 @@ def small_pop_err_check(
     for each theta in THETAS.  Returns [(theta, probability, bound, passed)]
     in Fractions.  mu* and the four bounds come from
     `cached_small_pop_table`, one integer table per (class, m), so sweeps
-    over many distributions solve the LP and normalize mu* once.  Each call
-    scales D's weights to integers over their least common denominator and
-    compares every pattern's loss with theta in integers.
+    over many distributions solve the LP and normalize mu* once.  D's
+    weights are scaled to integers over their least common denominator,
+    and mu*'s integer weights are tallied by each pattern's integer loss
+    (`_loss_tally`, the engine `small_pop_verdicts` shares), so every theta
+    is compared in integers.
     """
     total = sum(dist.values(), Fraction(0))
     if total != 1:
@@ -901,27 +950,55 @@ def small_pop_err_check(
                 ones |= 1 << p
             else:
                 zeros |= 1 << p
-    if not any(ones & ~r == 0 and zeros & r == 0 for r in cls.row_masks):
-        raise NotRealizableDistributionError(
-            "no hypothesis has zero loss on the distribution"
-        )
+    _require_realizable(cls, ones, zeros)
     table = cached_small_pop_table(cls, m, caps)
-    support = [(p, l, Fraction(w)) for (p, l), w in dist.items() if w > 0]
-    scale = math.lcm(*(w.denominator for _, _, w in support))
-    entries = [(p, l, w.numerator * (scale // w.denominator)) for p, l, w in support]
-    # loss_D(h) * scale, one integer per pattern of mu*
-    losses = [
-        sum(a for p, l, a in entries if (hm >> p) & 1 != l) for hm in table.masks
+    # realizable, so each point of the support carries one label
+    support = [(p, Fraction(w)) for (p, _), w in dist.items() if w > 0]
+    scale = math.lcm(*(w.denominator for _, w in support))
+    layers = defaultdict(int)
+    for p, w in support:
+        layers[w.numerator * (scale // w.denominator)] |= 1 << p
+    tally = _loss_tally(table, ones, zeros, layers)
+    verdicts = _theta_verdicts(tally, _theta_tests(table, scale))
+    return [
+        (theta, Fraction(mass, table.denominator), bound, passed)
+        for theta, bound, (mass, passed) in zip(THETAS, table.bounds, verdicts)
     ]
-    out = []
-    for theta, bound in zip(THETAS, table.bounds):
-        cut = theta.numerator * scale
-        mass = sum(
-            n for loss, n in zip(losses, table.weights) if loss * theta.denominator <= cut
-        )
-        prob = Fraction(mass, table.denominator)
-        out.append((theta, prob, bound, prob >= bound))
-    return out
+
+
+def small_pop_verdicts(
+    cls: ConceptClass, m: int, datasets: Sequence[Dataset], caps: Caps = DEFAULT_CAPS
+) -> list:
+    """For each dataset S, whether `small_pop_err_check` passes at every
+    theta for D uniform over S's examples, counted with multiplicity: D puts
+    weight c / |S| on an example that S holds c times.  Reads
+    `cached_small_pop_table` once for all of them.  A pattern's loss on D
+    is the number of examples it mislabels over |S|, so mu*'s integer
+    weights are tallied by that number and each theta is decided in
+    integers.  Every dataset is checked first: an empty one or one with a
+    point outside the class's universe raises InvalidParamsError, and one
+    that no row labels correctly raises NotRealizableDistributionError.
+    """
+    inputs = []
+    for ds in datasets:
+        ones, zeros = ds.ones_mask, ds.zeros_mask
+        if not ds.examples:
+            raise InvalidParamsError("an empty dataset has no uniform distribution")
+        if (ones | zeros) >> cls.universe_size:
+            raise InvalidParamsError(
+                f"dataset {ds.render()} has a point outside the universe of {cls.universe_size} points"
+            )
+        _require_realizable(cls, ones, zeros)
+        layers = defaultdict(int)
+        for p, group in itertools.groupby(ex.point for ex in ds.examples):
+            layers[sum(1 for _ in group)] |= 1 << p
+        inputs.append((ones, zeros, layers, len(ds.examples)))
+    table = cached_small_pop_table(cls, m, caps)
+    tests = {n: _theta_tests(table, n) for n in {n for *_, n in inputs}}
+    return [
+        all(passed for _, passed in _theta_verdicts(_loss_tally(table, ones, zeros, layers), tests[n]))
+        for ones, zeros, layers, n in inputs
+    ]
 
 
 # ─── exact numeric lemma grids ───────────────────────────────────────────

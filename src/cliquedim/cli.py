@@ -24,7 +24,7 @@ from .boosting import (
     boost_config,
     format_boost_report,
     numeric_lemma_checks,
-    small_pop_err_check,
+    small_pop_verdicts,
     verify_sspfcd_bound,
 )
 from .cliques import find_balanced_point, max_clique, tree_from_clique, clique_from_tree
@@ -35,6 +35,7 @@ from .concepts import (
     parse_class_text,
 )
 from .dimensions import (
+    THETAS,
     cached_graph,
     cached_omega_star,
     check_inequalities,
@@ -286,20 +287,9 @@ def _cmd_verify_lemmas(args, _cls):
                 )
             )
         for m in range(1, 3):
-            for v in cached_graph(cls, m, caps).vertices:
-                dist = {}
-                for ex in v:
-                    key = (ex.point, ex.label)
-                    dist[key] = dist.get(key, Fraction(0)) + Fraction(1, m)
-                rows = small_pop_err_check(cls, m, dist, caps)
-                bad = [r for r in rows if not r[3]]
-                checks.append(
-                    (
-                        f"{name}:small_pop_err@m={m}:{v.render()}",
-                        not bad,
-                        f"{len(rows)} thetas",
-                    )
-                )
+            vertices = cached_graph(cls, m, caps).vertices
+            for v, passed in zip(vertices, small_pop_verdicts(cls, m, vertices, caps)):
+                checks.append((f"{name}:small_pop_err@m={m}:{v.render()}", passed, f"{len(THETAS)} thetas"))
     checks.extend(numeric_lemma_checks())
     return _verdict(checks)
 

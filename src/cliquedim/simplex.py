@@ -25,8 +25,9 @@ is int64: then |T[i]*p - T[i][e]*T[r]| <= 2 * (2^31 - 1)^2 < 2^63, so no
 intermediate overflows.  A running bound B >= max |M| starts at 1 (the
 input is 0/1) and becomes 2B^2 // D + 1 after each pivot, since a new
 entry is at most 2B^2 / D in absolute value.  Only once B reaches 2^31 is
-the array itself read: it switches to dtype=object (Python integers) if an
-entry has reached 2^31, and B drops to the true maximum otherwise.  So the
+the array itself read, by one pass each for its maximum and minimum: it
+switches to dtype=object (Python integers) if an entry has reached 2^31,
+and B drops to the true maximum otherwise.  So the
 switch comes before exactly the pivot that a check before every pivot would
 make it at, and the same expression keeps running.  Either way every entry
 is the same integer, so the dtype changes no pivot.
@@ -66,11 +67,13 @@ def _tableau(n, row_masks):
 
 
 def _widened(tab):
-    """`tab` itself, or a dtype=object copy once an entry of the int64 array
-    reaches INT64_ENTRY_LIMIT in absolute value."""
-    if tab.dtype != object and (tab.max() >= INT64_ENTRY_LIMIT or tab.min() <= -INT64_ENTRY_LIMIT):
-        return tab.astype(object)
-    return tab
+    """(tab, bound) for an int64 tableau, from one read of its extremes:
+    `tab` itself and bound = max |entry|, or a dtype=object copy and None
+    once an entry reaches INT64_ENTRY_LIMIT in absolute value."""
+    bound = max(int(tab.max()), -int(tab.min()))
+    if bound >= INT64_ENTRY_LIMIT:
+        return tab.astype(object), None
+    return tab, bound
 
 
 def _bland(n, row_masks):
@@ -105,8 +108,7 @@ def _bland(n, row_masks):
         if leave < 0:
             raise InfeasibleModelError("LP is unbounded")
         if bound is not None and bound >= INT64_ENTRY_LIMIT:
-            tab = _widened(tab)
-            bound = None if tab.dtype == object else max(int(tab.max()), -int(tab.min()))
+            tab, bound = _widened(tab)
         piv = tab[leave].copy()
         p = best_a
         update = tab[:, enter, None].copy() * piv

@@ -7,8 +7,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +55,7 @@ from cliquedim.boosting import (
     format_boost_report,
     numeric_lemma_checks,
     small_pop_err_check,
+    small_pop_verdicts,
 )
 
 F = Fraction
@@ -1121,6 +1124,90 @@ def test_small_pop_table_follows_the_certificate_after_clear_caches(monkeypatch)
         assert after == oracles.reference_small_pop_err_check(ANCHOR, 2, dist)
     finally:
         clear_caches()
+
+
+def uniform_on(ds: Dataset) -> dict:
+    """The label distribution uniform over the examples of `ds`, counted
+    with multiplicity."""
+    return {(ex.point, ex.label): F(k, len(ds)) for ex, k in Counter(ds.examples).items()}
+
+
+@st.composite
+def small_classes(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=1 << n))
+    return ConceptClass(n, rows), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_classes(), st.data())
+def test_batched_verdicts_match_the_per_distribution_rows(case, data):
+    cls, m = case
+    vertices = build_graph(cls, m).vertices
+    verdicts = small_pop_verdicts(cls, m, vertices)
+    assert len(verdicts) == len(vertices)
+    for ds, verdict in zip(vertices, verdicts):
+        dist = uniform_on(ds)
+        rows = small_pop_err_check(cls, m, dist)
+        assert rows == oracles.reference_small_pop_err_check(cls, m, dist)
+        assert verdict == all(r[3] for r in rows)
+    # the real bounds hold on every vertex; bounds set to the masses of one
+    # vertex put it exactly at them and the others on either side.  Datasets
+    # of other sizes than m, drawn from the class's rows, join the vertices.
+    row = data.draw(st.sampled_from(cls.hypotheses))
+    points = st.lists(st.integers(0, cls.universe_size - 1), min_size=1, max_size=4)
+    extra = [Dataset((p, row[p]) for p in ps) for ps in data.draw(st.lists(points, max_size=4))]
+    datasets = list(vertices) + extra
+    pick = data.draw(st.sampled_from(datasets))
+    table = cached_small_pop_table(cls, m, DEFAULT_CAPS)
+    bounds = tuple(r[1] for r in small_pop_err_check(cls, m, uniform_on(pick)))
+    with mock.patch.object(
+        boosting, "cached_small_pop_table", lambda *_: dataclasses.replace(table, bounds=bounds)
+    ):
+        verdicts = small_pop_verdicts(cls, m, datasets)
+        assert verdicts[datasets.index(pick)]
+        for ds, verdict in zip(datasets, verdicts):
+            assert verdict == all(r[3] for r in small_pop_err_check(cls, m, uniform_on(ds)))
+
+
+def test_batched_verdicts_read_the_table_once(monkeypatch):
+    reads = []
+
+    def counting(cls, m, caps):
+        reads.append(m)
+        return cached_small_pop_table(cls, m, caps)
+
+    monkeypatch.setattr(boosting, "cached_small_pop_table", counting)
+    vertices = build_graph(ANCHOR, 2).vertices
+    assert small_pop_verdicts(ANCHOR, 2, vertices) == [True] * len(vertices)
+    assert len(vertices) > 1 and reads == [2]
+
+
+def test_batched_verdicts_refuse_bad_datasets():
+    good = Dataset([(0, 0), (1, 0)])
+    with pytest.raises(InvalidParamsError):
+        small_pop_verdicts(ANCHOR, 2, [good, Dataset([])])
+    with pytest.raises(InvalidParamsError):
+        small_pop_verdicts(ANCHOR, 2, [good, Dataset([(0, 0), (2, 0)])])
+    with pytest.raises(NotRealizableDistributionError):
+        small_pop_verdicts(ANCHOR, 2, [good, Dataset([(0, 0), (1, 1)])])
+
+
+def test_a_mass_exactly_at_the_bound_passes(monkeypatch):
+    # mu* half on the all-zero labeling and half on the all-one labeling:
+    # on D uniform over (0:0), (1:0) the mass of loss <= theta is 1/2 up to
+    # theta = 1/2 and 1 at theta = 1
+    at = (F(1, 2), F(1, 2), F(1, 2), F(1))
+    above = tuple(b + F(1, 10**9) for b in at)
+    ds = Dataset([(0, 0), (1, 0)])
+    for bounds, passed in ((at, True), (above, False)):
+        table = cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS)
+        table = dataclasses.replace(table, masks=(0b00, 0b11), weights=(1, 1), denominator=2, bounds=bounds)
+        monkeypatch.setattr(boosting, "cached_small_pop_table", lambda cls, m, caps, t=table: t)
+        rows = small_pop_err_check(ANCHOR, 2, uniform_on(ds))
+        assert [r[1] for r in rows] == [F(1, 2), F(1, 2), F(1, 2), F(1)]
+        assert [r[3] for r in rows] == [passed] * 4
+        assert small_pop_verdicts(ANCHOR, 2, [ds]) == [passed]
 
 
 # ─── numeric lemma grids ───────────────────────────────────────────────────

@@ -421,6 +421,27 @@ def test_verify_lemmas_summary(capsys):
     assert not any(l.startswith("FAIL") for l in out.splitlines())
 
 
+def test_verify_lemmas_fails_small_population_bounds_above_one(capsys, monkeypatch):
+    # every corpus row passes, so only a table whose bounds no mass can
+    # reach shows that a failed verdict reaches the output and exit code
+    import cliquedim.boosting as boosting
+
+    real = boosting.cached_small_pop_table
+
+    def unreachable(cls, m, caps):
+        table = real(cls, m, caps)
+        return dataclasses.replace(table, bounds=(Fraction(3, 2),) * len(table.bounds))
+
+    monkeypatch.setattr(boosting, "cached_small_pop_table", unreachable)
+    code, out, _ = run(capsys, "verify-lemmas")
+    lines = out.splitlines()
+    small_pop = [l for l in lines if ":small_pop_err@m=" in l]
+    assert code == 1
+    assert small_pop and all(l.startswith("FAIL ") for l in small_pop)
+    assert any(l.startswith("FAIL singleton:small_pop_err@m=1:") for l in lines), small_pop[:3]
+    assert lines[-1] == f"summary: {len(lines) - 2} checks, {len(small_pop)} failures"
+
+
 def test_exit_codes(capsys, tmp_path, monkeypatch):
     # usage error from argparse
     with pytest.raises(SystemExit) as exc:

@@ -132,9 +132,9 @@ def widened_dtypes(monkeypatch, limit):
     widened = simplex._widened
 
     def recording(tab):
-        tab = widened(tab)
+        tab, bound = widened(tab)
         dtypes.append(tab.dtype)
-        return tab
+        return tab, bound
 
     monkeypatch.setattr(simplex, "INT64_ENTRY_LIMIT", limit)
     monkeypatch.setattr(simplex, "_widened", recording)
@@ -209,6 +209,32 @@ def test_lp_crossing_the_limit_ends_on_python_integers(monkeypatch):
     dtypes = widened_dtypes(monkeypatch, 4)
     assert solve_packing_lp(g.num_vertices, masks) == expected
     assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+class ExtremeReads(np.ndarray):
+    """A tableau that counts the reads of its maximum and minimum."""
+
+    reads: list = []
+
+    def max(self, *args, **kwargs):
+        ExtremeReads.reads.append("max")
+        return super().max(*args, **kwargs)
+
+    def min(self, *args, **kwargs):
+        ExtremeReads.reads.append("min")
+        return super().min(*args, **kwargs)
+
+
+def test_each_gated_check_reads_the_extremes_once(monkeypatch):
+    g = build_graph(generate("thresholds", universe=4), 3)
+    masks = list(independent_sets(g, maximal_only=True).masks)
+    build = simplex._tableau
+    monkeypatch.setattr(simplex, "_tableau", lambda n, masks: build(n, masks).view(ExtremeReads))
+    dtypes = widened_dtypes(monkeypatch, 4)
+    ExtremeReads.reads = []
+    assert solve_packing_lp(g.num_vertices, masks) == oracles.reference_simplex(g.num_vertices, masks)
+    assert len(dtypes) > 1
+    assert ExtremeReads.reads == ["max", "min"] * len(dtypes)
 
 
 def test_default_limit_keeps_entries_int64(monkeypatch):
