@@ -99,6 +99,7 @@ from .errors import (
     LengthMismatchError,
     NoSeparationError,
     NotRealizableDistributionError,
+    ResourceLimitError,
 )
 from .dimensions import (
     LN2_HI,
@@ -116,6 +117,7 @@ _SCALE = 1 << 53  # random.random() returns multiples of 2^-53
 # Small blocks and chunks keep peak memory at the round-by-round loops' level.
 _DRAW_BLOCK = 1 << 11  # doubles per forced-round block; mu~ draws per getrandbits call
 _SEED_CHUNK = 4096  # Monte Carlo trials seeded per vectorised pass
+_FORCED_UNIVERSE = 12  # the forced check's 8 * 4^universe-byte prefix matrix: 128 MiB at 12
 
 # numpy's SeedSequence hash (bit_generator.pyx) and the PCG64 LCG multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -385,9 +387,9 @@ def forced_gamma_good_check(
     the implication the theory says cannot fail.
 
     All P = 2^universe labelings are listed, and the prefix matrix holds
-    P x P float64 entries, 8 * 4^universe bytes, so a universe above
-    `DEFAULT_CAPS`' pattern cap raises ResourceLimitError before either is
-    built.
+    P x P float64 entries, 8 * 4^universe bytes.  A universe above
+    `DEFAULT_CAPS`' pattern cap, and then one above 12 (a 128 MiB matrix),
+    raises ResourceLimitError before any labeling is listed.
 
     Each block of rounds takes its uniforms from one `rng.random((k, B))`
     call; row i of that C-order array is the i-th successive
@@ -414,6 +416,12 @@ def forced_gamma_good_check(
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     DEFAULT_CAPS.check_universe(universe)
+    if universe > _FORCED_UNIVERSE:
+        raise ResourceLimitError(
+            "prefix-matrix",
+            f"universe size {universe} exceeds the forced check's cap {_FORCED_UNIVERSE} "
+            f"(a {1 << universe} x {1 << universe} float64 prefix matrix)",
+        )
     m = len(dataset)
     rng = np.random.default_rng(seed)
     pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]

@@ -2,13 +2,15 @@
 
 Every command reads a concept class from a positional path ('-' or omitted
 means stdin) except `gen`, which writes one.  Every output begins with a
-`# seed=<seed>` header line; all emitted formats treat '#' as a comment, so
-class text, mistake trees and certificates round-trip through their
-parsers.  Exit codes: 0 all checks passed, 1 a verification check or an
-internal invariant failed, 2 usage or input error, 3 a resource cap was hit
-or memory refused (the message names the limiting dimension).  A command
-takes only the resource caps its code reads.  `main` reads the class,
-writes the header and picks stdout or `--out`; a handler returns the rest.
+`# seed=<seed>` header line; only `gen`, `boost`, `verify-lemmas` and
+`verify-dichotomy` take `--seed`, and the rest print `# seed=0`.  All
+emitted formats treat '#' as a comment, so class text, mistake trees and
+certificates round-trip through their parsers.  Exit codes: 0 all checks
+passed, 1 a verification check or an internal invariant failed, 2 usage or
+input error, 3 a resource cap was hit or memory refused (the message names
+the limiting dimension).  A command takes only the resource caps its code
+reads.  `main` reads the class, writes the header and picks stdout or
+`--out`; a handler returns the rest.
 """
 
 from __future__ import annotations
@@ -374,8 +376,9 @@ HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing never changes it, and
     building it (about 3 ms) costs as much as a small command."""
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master seed, echoed in output")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed, echoed in output")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     verbose = argparse.ArgumentParser(add_help=False)
@@ -397,15 +400,17 @@ def _build_parser() -> argparse.ArgumentParser:
     on_search = [common, vertex_cap, node_budget, cls_arg]
 
     p = argparse.ArgumentParser(prog="cliquedim", description=__doc__)
-    # a command without a cap's flag gets the default, which its code never reads
+    # a command without a cap's flag gets the default, which its code never
+    # reads, and one without --seed echoes seed 0 in its header
     p.set_defaults(
+        seed=0,
         vertex_cap=DEFAULT_CAPS.max_vertices,
         pattern_cap=DEFAULT_CAPS.max_pattern_universe,
         node_budget=DEFAULT_CAPS.node_budget,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gen", parents=[common], help="emit a generated concept class")
+    sp = sub.add_parser("gen", parents=[seed, common], help="emit a generated concept class")
     sp.add_argument("family", choices=FAMILIES)
     sp.add_argument("--universe", type=int, default=2)
     sp.add_argument("--count", type=int, default=4, help="rows for the random family")
@@ -443,14 +448,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("clique-from-tree", parents=[common, vertex_cap, cls_arg], help="clique of G_depth from a complete shattered tree")
     sp.add_argument("--tree", required=True, help="mistake-tree text file")
 
-    sp = sub.add_parser("boost", parents=on_lp, help="boosting pipeline consistency verification")
+    sp = sub.add_parser("boost", parents=[seed, *on_lp], help="boosting pipeline consistency verification")
     sp.add_argument("--m0", type=int, default=None, help="anchor length (default: smallest separating)")
     sp.add_argument("--m", type=int, default=3, help="target dataset length")
     sp.add_argument("--gamma", default=None, help="margin as num/den (default epsilon/4)")
     sp.add_argument("--trials", type=int, default=10**5)
 
-    sub.add_parser("verify-lemmas", parents=[common, *all_caps], help="inequality/duality/quantile/numeric checks over the corpus")
-    sub.add_parser("verify-dichotomy", parents=[common, *all_caps], help="desk-scale dichotomy scans over the corpus")
+    sub.add_parser("verify-lemmas", parents=[seed, common, *all_caps], help="inequality/duality/quantile/numeric checks over the corpus")
+    sub.add_parser("verify-dichotomy", parents=[seed, common, *all_caps], help="desk-scale dichotomy scans over the corpus")
 
     sp = sub.add_parser("curves", parents=[common, *all_caps, cls_arg], help="per-m omega/omega*/2^m table as CSV")
     sp.add_argument("--m-max", type=int, default=None, help="horizon for both engines (default 4 clique / 3 LP)")

@@ -74,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_clique
@@ -127,13 +127,20 @@ class _Record:
     cls: ConceptClass
     m: int
     order: int
-    core: Optional[ContradictionGraph] = None
-    graph: Optional[ContradictionGraph] = None
     omega: Optional[int] = None
     omega_star: Optional[Fraction] = None
     solved: bool = False
     cert: Optional[DualityCertificate] = None
     pop_table: Optional[SmallPopTable] = None
+
+    @cached_property
+    def core(self) -> ContradictionGraph:
+        return build_core(self.cls, self.m)
+
+    @cached_property
+    def graph(self) -> ContradictionGraph:
+        # `_record` has applied the caller's vertex cap to the exact order
+        return build_graph(self.cls, self.m, Caps(max_vertices=math.inf))
 
 
 def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
@@ -149,18 +156,6 @@ def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
     return rec
 
 
-def _core(rec: _Record) -> ContradictionGraph:
-    if rec.core is None:
-        rec.core = build_core(rec.cls, rec.m)
-    return rec.core
-
-
-def _graph(rec: _Record, caps: Caps) -> ContradictionGraph:
-    if rec.graph is None:
-        rec.graph = build_graph(rec.cls, rec.m, caps)
-    return rec.graph
-
-
 def _settle(rec: _Record, name: str, value) -> None:
     """Record the exact value `name` ('omega' or 'omega_star') of G_m; a
     value settled before must be the same."""
@@ -174,7 +169,7 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
     """The LP certificate of the full G_m, solved under `caps` on the first
     call, with the LP's pattern cap applied on every later one."""
     if rec.cert is None:
-        cert = omega_star(_graph(rec, caps), caps)
+        cert = omega_star(rec.graph, caps)
         _settle(rec, "omega_star", cert.value)
         rec.cert, rec.solved = cert, True
     else:
@@ -187,7 +182,7 @@ def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
     when nothing settled it; a value an LP gave is read with the LP's
     caps."""
     if rec.omega_star is None:
-        _settle(rec, "omega_star", omega_star(_core(rec), caps).value)
+        _settle(rec, "omega_star", omega_star(rec.core, caps).value)
         rec.solved = True
     elif rec.solved:
         caps.check_universe(rec.cls.universe_size)
@@ -197,7 +192,7 @@ def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
 def cached_graph(cls: ConceptClass, m: int, caps: Caps):
     """G_m of `cls`, built once until `clear_caches()`, with `caps` applied
     on every call."""
-    return _graph(_record(cls, m, caps), caps)
+    return _record(cls, m, caps).graph
 
 
 def cached_omega_star(cls: ConceptClass, m: int, caps: Caps) -> DualityCertificate:
@@ -395,7 +390,7 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
         if rec.omega is not None:
             return rec.omega == 1 << m
         try:
-            return has_clique_of_size(_core(rec), 1 << m, caps)
+            return has_clique_of_size(rec.core, 1 << m, caps)
         except ResourceLimitError:
             if _settled_omega_star(rec, caps) == 1 << m:
                 raise
@@ -504,7 +499,7 @@ def dimension_report(
             _settle(rec, "omega", 1 << m)
             _settle(rec, "omega_star", Fraction(1 << m))
         elif m <= m_max_clique and rec.omega is None:
-            g = _core(rec)
+            g = rec.core
             try:
                 clique = max_clique(g, caps)
             except ResourceLimitError as exc:

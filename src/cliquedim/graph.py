@@ -140,13 +140,9 @@ class ContradictionGraph:
         """Vertex index of a dataset, or None if it is not a vertex."""
         return self._index.get(dataset)
 
-    @property
+    @functools.cached_property
     def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.vertices)}
-            self._index_cache = idx
-        return idx
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def __repr__(self) -> str:
         return (

@@ -677,8 +677,8 @@ def test_forced_check_raises_when_no_labeling_is_gamma_good():
 
 
 def test_forced_check_refuses_a_universe_above_the_pattern_cap(monkeypatch):
-    # 2^21 labelings and an 8 * 4^21-byte prefix matrix: refused before
-    # the first labeling is listed
+    # 2^21 labelings and an 8 * 4^21-byte prefix matrix: refused by the
+    # pattern cap before the first labeling is listed
     def listed(*_):
         raise AssertionError("a labeling was listed")
 
@@ -688,6 +688,11 @@ def test_forced_check_refuses_a_universe_above_the_pattern_cap(monkeypatch):
     refused = r"^resource limit \(pattern-cap\): universe size 21 exceeds pattern enumeration cap 20$"
     with pytest.raises(ResourceLimitError, match=refused):
         forced_gamma_good_check(Dataset([(0, 0)]), 21, cfg, 1, seed=0)
+    # within the pattern cap, a universe of 13 would need a 2 GiB prefix
+    # matrix, above the forced check's own cap of 12 (128 MiB)
+    refused = r"^resource limit \(prefix-matrix\): universe size 13 exceeds the forced check's cap 12 "
+    with pytest.raises(ResourceLimitError, match=refused):
+        forced_gamma_good_check(Dataset([(0, 0)]), 13, cfg, 1, seed=0)
 
 
 def test_boosting_rejects_negative_counts_and_seeds():

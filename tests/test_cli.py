@@ -46,36 +46,58 @@ def write_class(tmp_path, name="cls.txt", family="paper_example_sec6", universe=
     return str(path)
 
 
-def test_every_command_emits_seed_header(capsys, tmp_path):
+# the four commands that draw from a seed; the other eleven are deterministic
+SEEDED = ("gen", "boost", "verify-lemmas", "verify-dichotomy")
+
+
+def command_argvs(tmp_path) -> dict:
+    """One argv per subcommand that exits 0 on the class of paper_example_sec6."""
     path = write_class(tmp_path)
     tree = tmp_path / "witness.tree"
     tree.write_text(serialize_tree(littlestone_witness(generate("paper_example_sec6"))))
-    for argv in [
-        ("gen", "full", "--universe", "2"),
-        ("graph", path, "--m", "1"),
-        ("omega", path, "--m", "1"),
-        ("omega-star", path, "--m", "1"),
-        ("vc", path),
-        ("ld", path),
-        ("cd", path),
-        ("cd-star", path),
-        ("balanced", path, "--m", "2"),
-        ("tree-from-clique", path, "--m", "2"),
-        ("clique-from-tree", path, "--tree", str(tree)),
-        ("boost", path, "--trials", "10"),
-        ("verify-lemmas",),
-        ("verify-dichotomy",),
-        ("curves", path, "--m-max", "1"),
-    ]:
+    return {
+        "gen": ("gen", "full", "--universe", "2"),
+        "graph": ("graph", path, "--m", "1"),
+        "omega": ("omega", path, "--m", "1"),
+        "omega-star": ("omega-star", path, "--m", "1"),
+        "vc": ("vc", path),
+        "ld": ("ld", path),
+        "cd": ("cd", path),
+        "cd-star": ("cd-star", path),
+        "balanced": ("balanced", path, "--m", "2"),
+        "tree-from-clique": ("tree-from-clique", path, "--m", "2"),
+        "clique-from-tree": ("clique-from-tree", path, "--tree", str(tree)),
+        "boost": ("boost", path, "--trials", "10"),
+        "verify-lemmas": ("verify-lemmas",),
+        "verify-dichotomy": ("verify-dichotomy",),
+        "curves": ("curves", path, "--m-max", "1"),
+    }
+
+
+def test_every_command_emits_seed_header(capsys, tmp_path):
+    for argv in command_argvs(tmp_path).values():
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert out.startswith("# seed=0\n"), argv
 
 
-def test_seed_is_echoed(capsys, tmp_path):
-    path = write_class(tmp_path, family="full", universe=2)
-    _, out, _ = run(capsys, "vc", path, "--seed", "17")
+def test_seed_is_echoed(capsys):
+    _, out, _ = run(capsys, "gen", "full", "--universe", "2", "--seed", "17")
     assert out.startswith("# seed=17\n")
+
+
+def test_only_the_seeded_commands_take_seed(capsys, tmp_path):
+    argvs = command_argvs(tmp_path)
+    deterministic = sorted(set(argvs) - set(SEEDED))
+    assert len(deterministic) == 11
+    for command in deterministic:
+        with pytest.raises(SystemExit) as exc:
+            main([*argvs[command], "--seed", "1"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err, command
+        code, out, err = run(capsys, *argvs[command])
+        assert code == 0, (command, err)
+        assert out.startswith("# seed=0\n"), command
 
 
 def test_gen_round_trips_through_parser(capsys):
@@ -481,6 +503,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "omega", str(bad), "--m", "1")
     assert code == 2
     assert err.startswith("error:")
+
+    # input error: a class of one hypothesis over no points
+    bad.write_text("points 0\nhypotheses 1\n\n")
+    code, out, err = run(capsys, "omega", str(bad), "--m", "1")
+    assert (code, out, err) == (2, "", "error: universe must contain at least one point\n")
 
     # input error: a header is its keyword and one integer, given once
     for text in (

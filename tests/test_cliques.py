@@ -80,6 +80,7 @@ def test_example_class_m4_stays_at_8():
 
 def test_has_clique_of_size_is_monotone():
     g = build_graph(generate("paper_example_sec6"), 2)
+    assert has_clique_of_size(g, 0)
     assert has_clique_of_size(g, 1)
     assert has_clique_of_size(g, 4)
     assert not has_clique_of_size(g, 5)

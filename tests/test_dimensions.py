@@ -259,6 +259,31 @@ def test_memo_applies_caps_on_every_call():
     clear_caches()
 
 
+def test_memo_evicts_its_oldest_record_at_memo_size(monkeypatch):
+    # with room for two records, reading m = 3 drops m = 1, the oldest: its
+    # next read counts G_1 again, while m = 3 stays
+    import cliquedim.dimensions as dims
+    from cliquedim import Caps, cached_graph
+
+    counted = []
+    count = dims.count_vertices
+    monkeypatch.setattr(dims, "MEMO_SIZE", 2)
+    monkeypatch.setattr(dims, "count_vertices", lambda cls, m, caps: counted.append(m) or count(cls, m, caps))
+    cls = generate("thresholds", universe=3)
+    clear_caches()
+    try:
+        for m in (1, 2, 3):
+            cached_graph(cls, m, Caps())
+        assert counted == [1, 2, 3]
+        g3 = cached_graph(cls, 3, Caps())
+        assert counted == [1, 2, 3]
+        cached_graph(cls, 1, Caps())
+        assert counted == [1, 2, 3, 1]
+        assert cached_graph(cls, 3, Caps()) is g3 and counted == [1, 2, 3, 1]
+    finally:
+        clear_caches()
+
+
 def test_clique_dimension_needs_no_graph_when_ld_reaches_log2_rows(monkeypatch):
     # ld = 3 = floor(log2 12): m <= 3 pass by the mistake tree, m >= 4 fail
     # by the row bound omega_m <= |H| = 12 < 16, so no G_m is built
