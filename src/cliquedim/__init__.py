@@ -94,10 +94,8 @@ from .dimensions import (
     EXACT,
     LOWER_BOUND,
     PerMRow,
-    SmallPopTable,
     cached_graph,
     cached_omega_star,
-    cached_small_pop_table,
     check_inequalities,
     clear_caches,
     clique_dimension,

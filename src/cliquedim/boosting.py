@@ -92,7 +92,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern
+from .concepts import ConceptClass, Dataset, HypothesisPattern, mask_to_pattern, pattern_to_mask
 from .errors import (
     InvalidParamsError,
     InvariantError,
@@ -101,14 +101,7 @@ from .errors import (
     NotRealizableDistributionError,
     ResourceLimitError,
 )
-from .dimensions import (
-    LN2_HI,
-    LN2_LO,
-    THETAS,
-    cached_graph,
-    cached_omega_star,
-    cached_small_pop_table,
-)
+from .dimensions import LN2_HI, LN2_LO, cached_graph, cached_omega_star
 from .fractional import coloring_to_distribution
 from .graph import Caps, DEFAULT_CAPS
 
@@ -132,6 +125,28 @@ _PCG_MULT_HI, _PCG_MULT_LO = divmod(_PCG_MULT, 1 << 64)
 
 
 @dataclass(frozen=True)
+class _MuStar:
+    """mu*, the normalized optimal coloring of G_m, in integers: sorted
+    pattern `patterns[i]` has mass `weights[i] / denominator`."""
+
+    value: Fraction  # omega*_m
+    patterns: tuple
+    weights: tuple
+    denominator: int
+
+
+def _mu_star(cls: ConceptClass, m: int, caps: Caps) -> _MuStar:
+    """mu* of `cached_omega_star(cls, m, caps)`, the one place it is
+    normalized; mu~ and the small-population checks read it."""
+    cert = cached_omega_star(cls, m, caps)
+    dist = coloring_to_distribution(cert.coloring)
+    den = math.lcm(*(w.denominator for w in dist.values()))
+    patterns = tuple(sorted(dist))
+    weights = tuple(dist[h].numerator * (den // dist[h].denominator) for h in patterns)
+    return _MuStar(cert.value, patterns, weights, den)
+
+
+@dataclass(frozen=True)
 class MuTilde:
     """Normalized optimal coloring of G_{m0}: a pattern distribution giving
     every realizable m0-dataset consistency probability >= 1/omega*_{m0}."""
@@ -146,22 +161,20 @@ class MuTilde:
 def mu_tilde(cls: ConceptClass, m0: int, caps: Caps = DEFAULT_CAPS) -> MuTilde:
     if m0 < 1:
         raise InvalidParamsError(f"m0 must be >= 1, got {m0}")
-    cert = cached_omega_star(cls, m0, caps)
-    if cert.value == 1 << m0:
+    mu = _mu_star(cls, m0, caps)
+    if mu.value == 1 << m0:
         raise NoSeparationError(
             f"omega*_{m0} = 2^{m0}: no separation, boosting has no margin"
         )
-    dist = coloring_to_distribution(cert.coloring)
-    patterns = tuple(sorted(dist))
-    eps = Fraction(1) / cert.value - Fraction(1, 1 << m0)
+    eps = Fraction(1) / mu.value - Fraction(1, 1 << m0)
     if eps <= 0:
-        raise InvariantError(f"omega*_{m0} = {cert.value} leaves no positive margin")
+        raise InvariantError(f"omega*_{m0} = {mu.value} leaves no positive margin")
     return MuTilde(
         m0=m0,
-        omega_star=cert.value,
+        omega_star=mu.value,
         epsilon=eps,
-        patterns=patterns,
-        probs=tuple(dist[h] for h in patterns),
+        patterns=mu.patterns,
+        probs=tuple(Fraction(w, mu.denominator) for w in mu.weights),
     )
 
 
@@ -882,14 +895,23 @@ def format_boost_report(report: BoostVerifyReport) -> str:
 # ─── realizable-distribution quantile check ──────────────────────────────
 
 
-def _loss_tally(table, ones: int, zeros: int, layers: dict) -> dict:
-    """mu*'s integer weights in `table`, summed by the integer loss of their
-    pattern on a realizable distribution.  The distribution puts integer
+# the losses theta at which the small-population bound is checked
+THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
+def _pop_bounds(omega_star: Fraction, m: int) -> tuple:
+    """1/omega*_m - (1 - theta)^m for each theta in THETAS."""
+    return tuple(1 / omega_star - (1 - theta) ** m for theta in THETAS)
+
+
+def _loss_tally(masks: list, weights: tuple, ones: int, zeros: int, layers: dict) -> dict:
+    """mu*'s integer weights, summed by the integer loss of their pattern
+    mask on a realizable distribution.  The distribution puts integer
     weight a on each point of the mask `layers[a]`, labeled 1 on `ones` and
     0 on `zeros`; a pattern's loss is the weight of the points it
     mislabels."""
     tally = {}
-    for h, w in zip(table.masks, table.weights):
+    for h, w in zip(masks, weights):
         wrong = (h & zeros) | (ones & ~h)
         loss = 0
         for a, points in layers.items():
@@ -898,14 +920,14 @@ def _loss_tally(table, ones: int, zeros: int, layers: dict) -> dict:
     return tally
 
 
-def _theta_tests(table, scale: int) -> list:
+def _theta_tests(bounds: tuple, denominator: int, scale: int) -> list:
     """One (cut, den, num) per theta in THETAS, for a distribution of total
     integer weight `scale`: a pattern of integer loss `loss` has
     loss / scale <= theta exactly when loss <= cut = floor(theta * scale),
-    and mass / table.denominator >= bound exactly when mass * den >= num."""
+    and mass / denominator >= bound exactly when mass * den >= num."""
     return [
-        (theta.numerator * scale // theta.denominator, bound.denominator, bound.numerator * table.denominator)
-        for theta, bound in zip(THETAS, table.bounds)
+        (theta.numerator * scale // theta.denominator, bound.denominator, bound.numerator * denominator)
+        for theta, bound in zip(THETAS, bounds)
     ]
 
 
@@ -938,11 +960,11 @@ def small_pop_err_check(
         Pr_{h~mu*}[loss_D(h) <= theta] >= 1/omega*_m - (1-theta)^m
 
     for each theta in THETAS.  Returns [(theta, probability, bound, passed)]
-    in Fractions.  mu* and the four bounds come from
-    `cached_small_pop_table`, one integer table per (class, m), so sweeps
-    over many distributions solve the LP and normalize mu* once.  D's
-    weights are scaled to integers over their least common denominator,
-    and mu*'s integer weights are tallied by each pattern's integer loss
+    in Fractions.  mu* comes in integers from `_mu_star`, the builder
+    `mu_tilde` shares, and is normalized on every call; `small_pop_verdicts`
+    normalizes it once for a whole list of datasets.  D's weights are
+    scaled to integers over their least common denominator, and mu*'s
+    integer weights are tallied by each pattern's integer loss
     (`_loss_tally`, the engine `small_pop_verdicts` shares), so every theta
     is compared in integers.
     """
@@ -959,18 +981,19 @@ def small_pop_err_check(
             else:
                 zeros |= 1 << p
     _require_realizable(cls, ones, zeros)
-    table = cached_small_pop_table(cls, m, caps)
+    mu = _mu_star(cls, m, caps)
+    bounds = _pop_bounds(mu.value, m)
     # realizable, so each point of the support carries one label
     support = [(p, Fraction(w)) for (p, _), w in dist.items() if w > 0]
     scale = math.lcm(*(w.denominator for _, w in support))
     layers = defaultdict(int)
     for p, w in support:
         layers[w.numerator * (scale // w.denominator)] |= 1 << p
-    tally = _loss_tally(table, ones, zeros, layers)
-    verdicts = _theta_verdicts(tally, _theta_tests(table, scale))
+    tally = _loss_tally(list(map(pattern_to_mask, mu.patterns)), mu.weights, ones, zeros, layers)
+    verdicts = _theta_verdicts(tally, _theta_tests(bounds, mu.denominator, scale))
     return [
-        (theta, Fraction(mass, table.denominator), bound, passed)
-        for theta, bound, (mass, passed) in zip(THETAS, table.bounds, verdicts)
+        (theta, Fraction(mass, mu.denominator), bound, passed)
+        for theta, bound, (mass, passed) in zip(THETAS, bounds, verdicts)
     ]
 
 
@@ -979,13 +1002,13 @@ def small_pop_verdicts(
 ) -> list:
     """For each dataset S, whether `small_pop_err_check` passes at every
     theta for D uniform over S's examples, counted with multiplicity: D puts
-    weight c / |S| on an example that S holds c times.  Reads
-    `cached_small_pop_table` once for all of them.  A pattern's loss on D
-    is the number of examples it mislabels over |S|, so mu*'s integer
-    weights are tallied by that number and each theta is decided in
-    integers.  Every dataset is checked first: an empty one or one with a
-    point outside the class's universe raises InvalidParamsError, and one
-    that no row labels correctly raises NotRealizableDistributionError.
+    weight c / |S| on an example that S holds c times.  Reads `_mu_star`
+    once for all of them.  A pattern's loss on D is the number of examples
+    it mislabels over |S|, so mu*'s integer weights are tallied by that
+    number and each theta is decided in integers.  Every dataset is
+    checked first: an empty one or one with a point outside the class's
+    universe raises InvalidParamsError, and one that no row labels
+    correctly raises NotRealizableDistributionError.
     """
     inputs = []
     for ds in datasets:
@@ -1001,10 +1024,12 @@ def small_pop_verdicts(
         for p, group in itertools.groupby(ex.point for ex in ds.examples):
             layers[sum(1 for _ in group)] |= 1 << p
         inputs.append((ones, zeros, layers, len(ds.examples)))
-    table = cached_small_pop_table(cls, m, caps)
-    tests = {n: _theta_tests(table, n) for n in {n for *_, n in inputs}}
+    mu = _mu_star(cls, m, caps)
+    masks = list(map(pattern_to_mask, mu.patterns))
+    bounds = _pop_bounds(mu.value, m)
+    tests = {n: _theta_tests(bounds, mu.denominator, n) for n in {n for *_, n in inputs}}
     return [
-        all(passed for _, passed in _theta_verdicts(_loss_tally(table, ones, zeros, layers), tests[n]))
+        all(passed for _, passed in _theta_verdicts(_loss_tally(masks, mu.weights, ones, zeros, layers), tests[n]))
         for ones, zeros, layers, n in inputs
     ]
 

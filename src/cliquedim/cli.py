@@ -7,15 +7,16 @@ means stdin) except `gen`, which writes one.  Every output begins with a
 emitted formats treat '#' as a comment, so class text, mistake trees and
 certificates round-trip through their parsers.  Exit codes: 0 all checks
 passed, 1 a verification check or an internal invariant failed, 2 usage or
-input error, 3 a resource cap was hit or memory refused (the message names
-the limiting dimension).  A command takes only the resource caps its code
-reads.  `main` reads the class, writes the header and picks stdout or
-`--out`; a handler returns the rest.
+input error or a closed stdout, 3 a resource cap was hit or memory refused
+(the message names the limiting dimension).  A command takes only the
+resource caps its code reads.  `main` reads the class, writes the header
+and picks stdout or `--out`; a handler returns the rest.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from dataclasses import asdict
 from functools import lru_cache
 
 from .boosting import (
+    THETAS,
     boost_config,
     format_boost_report,
     numeric_lemma_checks,
@@ -37,7 +39,6 @@ from .concepts import (
     parse_class_text,
 )
 from .dimensions import (
-    THETAS,
     cached_graph,
     cached_omega_star,
     check_inequalities,
@@ -487,7 +488,15 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: what is still buffered goes to devnull at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print("error: stdout closed before the output was written", file=sys.stderr)
+            return 2
     return code
 
 

@@ -38,26 +38,26 @@ Whatever remains in (m_max, cutoff] is searched directly when the graphs
 fit under the caps; otherwise the flag honestly degrades to
 lower-bound-at-m-max.  No m past the cutoff is tried.
 
-Each (cls, m) has one record.  It holds the order |V(G_m)|, counted
-without a build; the core of G_m (its vertices with min(m, |X|) distinct
-points, which has the same omega_m and omega*_m: `graph` module docstring)
-and the full G_m, each built on first read; omega_m and omega*_m once
-exact; and the full graph's LP certificate and its mu* table once solved.
-Values are settled in this order.  `dimension_report` settles each row
-first: m <= ld gives omega_m = omega*_m = 2^m with no search, otherwise an
-exact `max_clique` on the core gives omega_m, and a clique at the ceiling
-gives omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd*
-and the report's omega* column read what is settled and search or solve
-only what is not, on the core: the LP there settles the value only.  The
-full graph is built only by the readers of its vertices or of a full LP
-certificate: `cached_graph`, `cached_omega_star`, `cached_small_pop_table`
-and `smallest_separating_m0`, which solves an open omega*_m0 on the full
-graph because boost reads that certificate for the m0 it finds.  A value
-settled twice must agree, or InvariantError is raised, so a core LP that a
-later full LP contradicts is an internal error.  Every read applies its
-caps: the vertex cap to the counted order whenever G_m is read (and to the
-count's table while it counts), the LP's pattern cap whenever the value
-comes from an LP.
+Each (cls, m) has one record.  It holds the order |V(G_m)|, counted without
+a build; the core of G_m (its vertices with min(m, |X|) distinct points,
+which has the same omega_m and omega*_m: `graph` module docstring) and the
+full G_m, each built on first read; omega_m and omega*_m once exact; and
+the full graph's LP certificate once solved, and nothing derived from it:
+`boosting` normalizes mu* where it reads it.  Values are settled in this
+order.  `dimension_report` settles each row first: m <= ld gives omega_m =
+omega*_m = 2^m with no search, otherwise an exact `max_clique` on the core
+gives omega_m, and a clique at the ceiling gives omega*_m as well.  An LP
+settles omega*_m wherever it runs.  cd, cd* and the report's omega* column
+read what is settled and search or solve only what is not, on the core: the
+LP there settles the value only.  The full graph is built only by the
+readers of its vertices or of a full LP certificate: `cached_graph`,
+`cached_omega_star` and `smallest_separating_m0`, which solves an open
+omega*_m0 on the full graph because boost reads that certificate for the m0
+it finds.  A value settled twice must agree, or InvariantError is raised,
+so a core LP that a later full LP contradicts is an internal error.  Every
+read applies its caps: the vertex cap to the counted order whenever G_m is
+read (and to the count's table while it counts), the LP's pattern cap
+whenever the value comes from an LP.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -78,9 +78,9 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .cliques import clique_ceiling, has_clique_of_size, max_clique, validate_clique
-from .concepts import ConceptClass, pattern_to_mask
+from .concepts import ConceptClass
 from .errors import InvariantError, ResourceLimitError
-from .fractional import DualityCertificate, coloring_to_distribution, omega_star
+from .fractional import DualityCertificate, omega_star
 from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, build_core, build_graph, count_vertices
 from .trees import MistakeLeaf, MistakeNode, MistakeTree
 
@@ -100,29 +100,13 @@ LN2_HI = Fraction(693148, 10**6)
 MEMO_SIZE = 256
 _records: dict = {}
 
-# the losses theta at which the small-population bound is checked
-THETAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-
-
-@dataclass(frozen=True, eq=False)
-class SmallPopTable:
-    """mu*, the normalized optimal coloring of G_m, in integers: pattern
-    mask `masks[i]` has mass `weights[i] / denominator`.  `bounds[j]` is
-    1/omega*_m - (1 - THETAS[j])^m."""
-
-    masks: tuple
-    weights: tuple
-    denominator: int
-    bounds: tuple
-
 
 @dataclass(eq=False)
 class _Record:
     """What is known of G_m of one class: its order |V(G_m)|, counted
     without a build; its core and the full graph, each built on first read;
     omega_m / omega*_m once exact, with `solved` set when an LP gave
-    omega*_m; and the full graph's LP certificate and its mu* table once
-    solved."""
+    omega*_m; and the full graph's LP certificate once solved."""
 
     cls: ConceptClass
     m: int
@@ -131,7 +115,6 @@ class _Record:
     omega_star: Optional[Fraction] = None
     solved: bool = False
     cert: Optional[DualityCertificate] = None
-    pop_table: Optional[SmallPopTable] = None
 
     @cached_property
     def core(self) -> ContradictionGraph:
@@ -200,23 +183,6 @@ def cached_omega_star(cls: ConceptClass, m: int, caps: Caps) -> DualityCertifica
     `caps` applied on every call as `omega_star` would apply them.  The LP
     runs even when omega*_m is already settled, and must agree with it."""
     return _certificate(_record(cls, m, caps), caps)
-
-
-def cached_small_pop_table(cls: ConceptClass, m: int, caps: Caps) -> SmallPopTable:
-    """The SmallPopTable of `cached_omega_star(cls, m, caps)`, built once
-    until `clear_caches()`."""
-    rec = _record(cls, m, caps)
-    cert = _certificate(rec, caps)
-    if rec.pop_table is None:
-        mu = coloring_to_distribution(cert.coloring)
-        denominator = math.lcm(*(w.denominator for w in mu.values()))
-        rec.pop_table = SmallPopTable(
-            masks=tuple(pattern_to_mask(h) for h in mu),
-            weights=tuple(w.numerator * (denominator // w.denominator) for w in mu.values()),
-            denominator=denominator,
-            bounds=tuple(Fraction(1) / cert.value - (1 - theta) ** m for theta in THETAS),
-        )
-    return rec.pop_table
 
 
 def vc_dimension(cls: ConceptClass) -> int:

@@ -30,7 +30,7 @@ from cliquedim import (
     ResourceLimitError,
     boost_config,
     build_graph,
-    cached_small_pop_table,
+    cached_omega_star,
     clear_caches,
     coloring_to_distribution,
     draw_patterns,
@@ -1121,10 +1121,10 @@ def test_small_pop_table_follows_the_certificate_after_clear_caches(monkeypatch)
         assert small_pop_err_check(ANCHOR, 2, dist) == before
         clear_caches()
         after = small_pop_err_check(ANCHOR, 2, dist)
-        table = cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS)
-        assert (table.masks, table.weights, table.denominator) == ((0,), (1,), 1)
+        mu = boosting._mu_star(ANCHOR, 2, DEFAULT_CAPS)
+        assert (mu.patterns, mu.weights, mu.denominator) == (((0, 0),), (1,), 1)
         # 1/3 - (1 - theta)^2 at theta = 0, 1/4, 1/2, 1
-        assert table.bounds == (F(-2, 3), F(-11, 48), F(1, 12), F(1, 3))
+        assert boosting._pop_bounds(mu.value, 2) == (F(-2, 3), F(-11, 48), F(1, 12), F(1, 3))
         assert after[0] == (F(0), F(1), F(1, 3) - 1, True)
         assert after == oracles.reference_small_pop_err_check(ANCHOR, 2, dist)
     finally:
@@ -1142,6 +1142,20 @@ def small_classes(draw):
     n = draw(st.integers(1, 4))
     rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=1 << n))
     return ConceptClass(n, rows), draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_classes())
+@example((ANCHOR, 1))
+@example((generate("paper_example_sec6"), 1))
+def test_mu_tilde_is_the_normalized_optimal_coloring(case):
+    # every class separates at its smallest separating m0
+    cls, _ = case
+    m0 = smallest_separating_m0(cls)
+    mu = mu_tilde(cls, m0)
+    dist = coloring_to_distribution(cached_omega_star(cls, m0, DEFAULT_CAPS).coloring)
+    assert mu.patterns == tuple(sorted(dist))
+    assert mu.probs == tuple(dist[h] for h in mu.patterns)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1164,11 +1178,8 @@ def test_batched_verdicts_match_the_per_distribution_rows(case, data):
     extra = [Dataset((p, row[p]) for p in ps) for ps in data.draw(st.lists(points, max_size=4))]
     datasets = list(vertices) + extra
     pick = data.draw(st.sampled_from(datasets))
-    table = cached_small_pop_table(cls, m, DEFAULT_CAPS)
     bounds = tuple(r[1] for r in small_pop_err_check(cls, m, uniform_on(pick)))
-    with mock.patch.object(
-        boosting, "cached_small_pop_table", lambda *_: dataclasses.replace(table, bounds=bounds)
-    ):
+    with mock.patch.object(boosting, "_pop_bounds", lambda *_: bounds):
         verdicts = small_pop_verdicts(cls, m, datasets)
         assert verdicts[datasets.index(pick)]
         for ds, verdict in zip(datasets, verdicts):
@@ -1177,12 +1188,13 @@ def test_batched_verdicts_match_the_per_distribution_rows(case, data):
 
 def test_batched_verdicts_read_the_table_once(monkeypatch):
     reads = []
+    real = boosting._mu_star
 
     def counting(cls, m, caps):
         reads.append(m)
-        return cached_small_pop_table(cls, m, caps)
+        return real(cls, m, caps)
 
-    monkeypatch.setattr(boosting, "cached_small_pop_table", counting)
+    monkeypatch.setattr(boosting, "_mu_star", counting)
     vertices = build_graph(ANCHOR, 2).vertices
     assert small_pop_verdicts(ANCHOR, 2, vertices) == [True] * len(vertices)
     assert len(vertices) > 1 and reads == [2]
@@ -1205,10 +1217,11 @@ def test_a_mass_exactly_at_the_bound_passes(monkeypatch):
     at = (F(1, 2), F(1, 2), F(1, 2), F(1))
     above = tuple(b + F(1, 10**9) for b in at)
     ds = Dataset([(0, 0), (1, 0)])
+    mu = boosting._mu_star(ANCHOR, 2, DEFAULT_CAPS)
+    mu = dataclasses.replace(mu, patterns=((0, 0), (1, 1)), weights=(1, 1), denominator=2)
+    monkeypatch.setattr(boosting, "_mu_star", lambda cls, m, caps: mu)
     for bounds, passed in ((at, True), (above, False)):
-        table = cached_small_pop_table(ANCHOR, 2, DEFAULT_CAPS)
-        table = dataclasses.replace(table, masks=(0b00, 0b11), weights=(1, 1), denominator=2, bounds=bounds)
-        monkeypatch.setattr(boosting, "cached_small_pop_table", lambda cls, m, caps, t=table: t)
+        monkeypatch.setattr(boosting, "_pop_bounds", lambda omega_star, m, b=bounds: b)
         rows = small_pop_err_check(ANCHOR, 2, uniform_on(ds))
         assert [r[1] for r in rows] == [F(1, 2), F(1, 2), F(1, 2), F(1)]
         assert [r[3] for r in rows] == [passed] * 4

@@ -356,6 +356,22 @@ def test_an_unbounded_m_max_ends_at_the_analytic_bound(tmp_path):
     assert done.stdout == "# seed=0\ncd=1 exact\n# seed=0\ncd_star=1 exact\n"
 
 
+def test_a_closed_stdout_is_an_input_error_without_a_traceback():
+    # the read end closes before the child writes; its output, about 240 kB,
+    # cannot fit in a pipe's buffer either way
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cliquedim.cli", "gen", "full", "--universe", "14"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -444,17 +460,12 @@ def test_verify_lemmas_summary(capsys):
 
 
 def test_verify_lemmas_fails_small_population_bounds_above_one(capsys, monkeypatch):
-    # every corpus row passes, so only a table whose bounds no mass can
-    # reach shows that a failed verdict reaches the output and exit code
+    # every corpus row passes, so only bounds that no mass can reach show
+    # that a failed verdict reaches the output and exit code
     import cliquedim.boosting as boosting
 
-    real = boosting.cached_small_pop_table
-
-    def unreachable(cls, m, caps):
-        table = real(cls, m, caps)
-        return dataclasses.replace(table, bounds=(Fraction(3, 2),) * len(table.bounds))
-
-    monkeypatch.setattr(boosting, "cached_small_pop_table", unreachable)
+    unreachable = (Fraction(3, 2),) * len(boosting.THETAS)
+    monkeypatch.setattr(boosting, "_pop_bounds", lambda omega_star, m: unreachable)
     code, out, _ = run(capsys, "verify-lemmas")
     lines = out.splitlines()
     small_pop = [l for l in lines if ":small_pop_err@m=" in l]
