@@ -23,12 +23,15 @@ learner's regret at most sqrt(2 T ln m).  Consequences verified here:
     (epsilon-2gamma)^(-2).  At m = 1 (T = 1) it checks the floor
     epsilon-2gamma itself.
 
-The game maps its instances to columns in one pass: each instance, as a
-tuple, looks up the column of its distinct pattern, and the (m, T) loss
-table is one gather of those columns.  Its arrays are expert-major, one
-contiguous row per example, so the cumulative losses run along rows and each
-round's max, normalizing sum and learner's loss are vector operations over
-the m rows; the transcript holds transposed views of them.
+`draw_patterns` returns its draws as indices into mu~'s patterns, a
+read-only sequence that yields mu~'s tuples.  The game reads those indices
+as column numbers, one column per pattern of mu~, and the (m, T) loss table
+is one gather of those columns; any other instance sequence is first mapped
+in one pass, each instance as a tuple looking up the column of its distinct
+pattern.  The game's arrays are expert-major, one contiguous row per
+example, so the cumulative losses run along rows and each round's max,
+normalizing sum and learner's loss are vector operations over the m rows;
+the transcript holds transposed views of them.
 
 Draws from mu~ are exact: `random.random()` returns j/2^53 for an integer
 j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw picks
@@ -257,9 +260,44 @@ def _hedge_rate(m: int, t_rounds: int) -> float:
     return math.sqrt(2 * math.log(m) / t_rounds) if m > 1 else 0.0
 
 
-def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
+class _PatternDraws(Sequence):
+    """Draws from mu~ held as indices: draw t is `patterns[index[t]]`.
+
+    `patterns` is mu~'s tuple of patterns and `index` a read-only np.intp
+    array.  Indexing by an int yields mu~'s own tuple, a slice is another
+    such sequence over a view of the index, and the draws compare equal to
+    a list of the same patterns."""
+
+    __slots__ = ("patterns", "index")
+
+    def __init__(self, patterns: tuple, index: np.ndarray):
+        index.flags.writeable = False
+        self.patterns = patterns
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _PatternDraws(self.patterns, self.index[i])
+        return self.patterns[self.index[i]]
+
+    def __iter__(self):
+        return map(self.patterns.__getitem__, self.index.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _PatternDraws)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> _PatternDraws:
     """`count` i.i.d. draws from mu~ by inverting the cumulative weights:
     a draw u picks the first pattern k with u < cum_k (the last one if none).
+    The draws are returned as their pattern indices k, in a read-only
+    sequence that yields `mu.patterns[k]` and that `run_expert_game` reads
+    without hashing a pattern.
 
     `random.random()` returns j / 2^53 for an integer j, and for integer j
     u >= cum_k exactly when j >= ceil(cum_k * 2^53).  So each draw picks
@@ -269,30 +307,30 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> list:
     successive 32-bit Mersenne Twister outputs a and b, and
     `getrandbits(64 k)` returns 2k outputs lowest word first.  Each block
     of up to `_DRAW_BLOCK` draws is one `getrandbits` call and one
-    `searchsorted`; the picks and the generator's final state equal those
-    of `count` calls to `random()`.  Any other generator (a subclass that
-    overrides either method, `SystemRandom`) is asked for each draw by
-    `random()`, whose value is bisected into the cumulative Fractions;
-    Python compares a float or a Fraction with a Fraction exactly.
+    `searchsorted`, written into the index; the picks and the generator's
+    final state equal those of `count` calls to `random()`.  Any other
+    generator (a subclass that overrides either method, `SystemRandom`) is
+    asked for each draw by `random()`, whose value is bisected into the
+    cumulative Fractions; Python compares a float or a Fraction with a
+    Fraction exactly.
     """
     if count < 0:
         raise InvalidParamsError(f"count must be >= 0, got {count}")
     cum = list(itertools.accumulate(mu.probs))[:-1]  # cum_k of all but the last pattern
-    patterns = mu.patterns
     kind = type(rng)
     if kind.random is random.Random.random and kind.getrandbits is random.Random.getrandbits:
         limits = [-(-c.numerator * _SCALE // c.denominator) for c in cum]
         bounds = np.array(limits, dtype=np.uint64)
-        table = np.fromiter(patterns, dtype=object)
-        draws = []
+        index = np.empty(count, dtype=np.intp)
         for start in range(0, count, _DRAW_BLOCK):
             n = min(_DRAW_BLOCK, count - start)
             # word pairs (a, b) as a + b 2^32; j = (a >> 5) 2^26 + (b >> 6)
             pairs = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
             j = (pairs & _MASK32) >> 5 << 26 | pairs >> 38
-            draws += table[bounds.searchsorted(j, "right")].tolist()
-        return draws
-    return [patterns[bisect_right(cum, rng.random())] for _ in range(count)]
+            index[start:start + n] = bounds.searchsorted(j, "right")
+    else:
+        index = np.fromiter((bisect_right(cum, rng.random()) for _ in range(count)), np.intp, count)
+    return _PatternDraws(mu.patterns, index)
 
 
 # ─── the inverted expert game ────────────────────────────────────────────
@@ -323,22 +361,33 @@ class ExpertGameTranscript:
 def _example_losses(dataset: Dataset, instances: Sequence[HypothesisPattern]) -> np.ndarray:
     """Expert-major (m, T) array: 1.0 where instance t agrees with example j.
 
-    Draws repeat few patterns, so one pass maps every instance, as a tuple,
-    to the column of its distinct pattern, numbered by first appearance,
-    and the array is one gather of those columns.  Lengths are checked once
-    per distinct pattern; the error names the first instance that is too
-    short."""
+    Draws repeat few patterns, so the array is one gather of per-pattern
+    columns by each instance's column number.  Draws from `draw_patterns`
+    carry both: mu~'s patterns are the columns and the draws' index gives
+    the numbers.  Any other sequence is mapped in one pass, each instance,
+    as a tuple, to the column of its distinct pattern, numbered by first
+    appearance.  Only patterns some instance takes are checked for length;
+    the error names the first instance that is too short."""
     m = len(dataset)
     if m < 1:
         raise InvalidParamsError("expert game needs a nonempty dataset")
     top = max(ex.point for ex in dataset)
-    col_of = defaultdict(itertools.count().__next__)
-    index = np.fromiter(map(col_of.__getitem__, map(tuple, instances)), np.intp)
-    for c, h in enumerate(col_of):
-        if len(h) <= top:
-            t = int((index == c).argmax())  # the pattern's first instance
-            raise LengthMismatchError(f"instance {t} has length {len(h)}, dataset uses point {top}")
-    columns = np.array([[1.0 if h[ex.point] == ex.label else 0.0 for h in col_of] for ex in dataset])
+    if isinstance(instances, _PatternDraws):
+        patterns, index = instances.patterns, instances.index
+    else:
+        col_of = defaultdict(itertools.count().__next__)
+        index = np.fromiter(map(col_of.__getitem__, map(tuple, instances)), np.intp)
+        patterns = tuple(col_of)
+    short = [c for c, h in enumerate(patterns) if len(h) <= top]
+    if short:
+        taken = np.isin(index, short)
+        if taken.any():
+            t = int(taken.argmax())
+            raise LengthMismatchError(f"instance {t} has length {len(patterns[index[t]])}, dataset uses point {top}")
+    # a short pattern no instance takes gets a column that is never gathered
+    columns = np.array(
+        [[1.0 if ex.point < len(h) and h[ex.point] == ex.label else 0.0 for h in patterns] for ex in dataset]
+    )
     return columns.take(index, axis=1)
 
 

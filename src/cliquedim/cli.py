@@ -487,6 +487,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    elif sys.stdout is None:
+        # Python starts with sys.stdout None when fd 1 is not open at all
+        print("error: stdout is not open", file=sys.stderr)
+        return 2
     else:
         try:
             sys.stdout.write(text)

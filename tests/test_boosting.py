@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -441,6 +441,108 @@ def test_example_losses_equal_the_per_instance_loop():
         for losses in (_example_losses, reference_example_losses):
             with pytest.raises(LengthMismatchError, match=rf"^{first}, dataset uses point 2$"):
                 losses(ds, instances)
+
+
+
+def test_draws_are_a_read_only_sequence_of_mu_tildes_tuples():
+    mu = distribution([F(1, 3), F(0), F(1, 2), F(1, 6)])
+    draws = draw_patterns(mu, 40, random.Random(8))
+    want = reference_draw_patterns(mu, 40, random.Random(8))
+    assert len(draws) == 40 and draws == want and want == draws
+    assert draws != want[:-1] and draws != want[::-1] and draws != tuple(want)
+    assert draws == draw_patterns(mu, 40, random.Random(8))
+    assert [draws[t] for t in range(-40, 40)] == want + want
+    with pytest.raises(IndexError):
+        draws[40]
+    for cut in (slice(3, 17), slice(None, None, -3), slice(-5, None), slice(9, 2)):
+        part = draws[cut]
+        assert part == want[cut] and len(part) == len(want[cut])
+        assert part.patterns is mu.patterns and not part.index.flags.writeable
+    # every pattern yielded, by iteration or by index, is mu~'s own tuple
+    assert all(h is mu.patterns[k] for h, k in zip(draws, draws.index))
+    assert all(draws[t] is mu.patterns[draws.index[t]] for t in range(40))
+    assert draws.index.dtype == np.intp and not draws.index.flags.writeable
+    with pytest.raises(ValueError):
+        draws.index[0] = 1
+    with pytest.raises(ValueError):
+        draws[2:5].index[0] = 1
+    custom = draw_patterns(mu, 40, Squared(8))
+    assert custom == reference_draw_patterns(mu, 40, Squared(8))
+    assert custom.index.dtype == np.intp and not custom.index.flags.writeable
+
+
+def transcripts_equal(a, b) -> bool:
+    return (
+        np.array_equal(a.weights, b.weights) and np.array_equal(a.losses, b.losses)
+        and np.array_equal(a.learner, b.learner) and a.regret == b.regret
+        and a.regret_bound == b.regret_bound
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weight_vectors,
+    st.integers(min_value=0, max_value=2**64),
+    st.sampled_from([1, 2, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3]),
+    st.sampled_from([random.Random, Squared]),
+    st.data(),
+)
+@example([F(1, 3), F(0), F(2, 3)], 7, _DRAW_BLOCK + 1, Squared, None)
+def test_the_game_on_draws_equals_the_game_on_their_list(weights, seed, count, kind, data):
+    mu = distribution(weights)
+    width = len(mu.patterns[0])
+    if data is None:
+        ds = Dataset([(0, 1), (width - 1, 1)])
+    else:
+        # repeated points, labeled by one full labeling
+        labeling = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+        points = data.draw(st.lists(st.integers(min_value=0, max_value=width - 1), min_size=1, max_size=9))
+        ds = Dataset([(x, labeling >> x & 1) for x in points])
+    draws = draw_patterns(mu, count, kind(seed))
+    assert transcripts_equal(run_expert_game(ds, draws), run_expert_game(ds, list(draws)))
+
+
+def test_only_drawn_patterns_are_checked_for_length():
+    ds = Dataset([(0, 1), (2, 0)])
+    full, shorter, short = (1, 0, 0), (1,), (0, 1)
+    never = MuTilde(
+        m0=1, omega_star=F(1), epsilon=F(0), patterns=(full, shorter, short), probs=(F(1), F(0), F(0))
+    )
+    draws = draw_patterns(never, 30, random.Random(4))
+    assert set(draws) == {full}
+    assert transcripts_equal(run_expert_game(ds, draws), run_expert_game(ds, list(draws)))
+    # both short patterns drawn: the error names the first short draw, as
+    # the list's does, whichever of them it is
+    drawn = dataclasses.replace(never, probs=(F(1, 2), F(1, 4), F(1, 4)))
+    for kind, seed in itertools.product((random.Random, Squared), (1, 3)):
+        draws = draw_patterns(drawn, 30, kind(seed))
+        first = next(t for t, h in enumerate(draws) if h != full)
+        assert first > 0 and {shorter, short} <= set(draws)
+        for instances in (draws, list(draws)):
+            with pytest.raises(
+                LengthMismatchError,
+                match=rf"^instance {first} has length {len(draws[first])}, dataset uses point 2$",
+            ):
+                run_expert_game(ds, instances)
+
+
+def test_the_game_reads_draws_without_the_tuple_map(monkeypatch):
+    built = []
+
+    def spy(factory):
+        built.append(factory)
+        return defaultdict(factory)
+
+    monkeypatch.setattr(boosting, "defaultdict", spy)
+    ds = Dataset([(0, 1), (1, 0)])
+    mu = mu_tilde(ANCHOR, 2)
+    for kind in (random.Random, Squared):
+        draws = draw_patterns(mu, 2 * _DRAW_BLOCK + 1, kind(5))
+        run_expert_game(ds, draws)
+        run_expert_game(ds, draws[5:])
+    assert built == []
+    run_expert_game(ds, list(draws))
+    assert len(built) == 1
 
 
 def reference_expert_game(dataset, instances):

@@ -372,6 +372,14 @@ def test_a_closed_stdout_is_an_input_error_without_a_traceback():
     assert "Traceback" not in err
 
 
+
+def test_an_unopened_stdout_is_an_input_error(capsys, monkeypatch):
+    # with fd 1 closed at start (`>&-`), Python sets sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["gen", "full", "--universe", "2"]) == 2
+    assert capsys.readouterr().err == "error: stdout is not open\n"
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [
