@@ -2,16 +2,24 @@
 
 The maximum-clique solver is a deterministic branch-and-bound over bitmask
 candidate sets with two upper bounds.  Vertices are ordered by descending
-degree (ties by index).  Each node first counts the rows of the class that
-realize some candidate: adjacent vertices share no realizing row, so a
-clique among the candidates has at most that many members.  It then
-color-sorts its candidates (greedy coloring, Tomita & Seki's MCQ) and prunes
-when the current clique plus the candidate's color cannot beat the incumbent
-(or reach the decision target).  Both prunes only cut branches that cannot
-beat the incumbent, which changes only on a strictly larger clique, so the
-row count changes the work and never the members returned.  A node budget
-caps the search; exhaustion raises ResourceLimitError carrying the best
-clique found, which remains a certified lower bound.
+degree (ties by index), and the search renames each vertex by its rank in
+that order, so the next candidate in the order is the lowest set bit of a
+mask.  The rank-space adjacency and sets V_h are ORed from the graph's 2|X|
+example-holder masks, each relabelled once.  Each node first counts the
+rows of the class that realize some candidate: adjacent vertices share no
+realizing row, so a clique among the candidates has at most that many
+members.  It then color-sorts its candidates (greedy coloring, Tomita &
+Seki's MCQ) and prunes when the current clique plus the candidate's color
+cannot beat the incumbent (or reach the decision target).  The coloring is
+built one class at a time with bit operations (San Segundo et al.'s BBMC):
+a class takes the lowest uncolored candidate, drops its neighbours, and
+repeats, which gives exactly the classes of first-fit over the order.
+Classes too low to be branched on are colored but not listed.  Both prunes
+only cut branches that cannot beat the incumbent, which changes only on a
+strictly larger clique, so the row count changes the work and never the
+members returned.  A node budget caps the search; exhaustion raises
+ResourceLimitError carrying the best clique found, which remains a
+certified lower bound.
 
 The search stops as soon as the incumbent reaches the ceiling
 min(2^m, |H|), since no clique of G_m is larger.  2^m: a dataset of m
@@ -38,6 +46,7 @@ the end, so no edge is tracked along the way.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,11 +96,13 @@ def _clique_order(adj) -> list:
 
 
 def _greedy_clique(adj, order) -> list:
+    """The ranks in `order` of the clique that takes each vertex of the
+    order that is adjacent to all it took before."""
     out = []
     p = (1 << len(adj)) - 1
-    for v in order:
+    for i, v in enumerate(order):
         if (p >> v) & 1:
-            out.append(v)
+            out.append(i)
             p &= adj[v]
     return out
 
@@ -101,26 +112,77 @@ def clique_ceiling(g: ContradictionGraph) -> int:
     return min(1 << g.m, len(g.cls.hypotheses))
 
 
-def _search(adj, covers, node_budget: int, target=None, ceiling=None, candidates=None):
-    """Core branch-and-bound.  Returns (best_members, nodes_used).
+def _rank_space(g: ContradictionGraph, order: list, candidates=None):
+    """`g` with vertex `order[i]` renamed i: (apart, covers, start).
 
-    `covers` holds one vertex mask per row h of the class: V_h, the
-    vertices that h realizes.  A clique has at most one member in each.  With
-    `target` set, stops as soon as a clique of that size is found and
+    `apart[i]` masks the vertices other than i that are not adjacent to it,
+    `covers` holds V_h for each row h of the class, and `start` is the
+    candidate mask (every vertex when `candidates` is None).  Each holder
+    mask is relabelled once, as a permutation of its binary digits, and the
+    rows and covers are ORed from the relabelled holders as
+    `ContradictionGraph.adj` and `.consistent` build them."""
+    n = len(order)
+    full = (1 << n) - 1
+    # digit j of a mask's n-digit binary string is bit n - 1 - j
+    digits = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
+
+    def relabel(mask: int) -> int:
+        return int("".join(digits(format(mask, "b").zfill(n))), 2)
+
+    holders = [relabel(h) for h in g.holders]
+    apart = []
+    for i, v in enumerate(order):
+        row = 0
+        for p, l in g.vertices[v].examples:
+            row |= holders[2 * p + 1 - l]
+        apart.append(full ^ row ^ (1 << i))
+    covers = []
+    for hm in g.cls.row_masks:
+        clash = 0
+        for p in range(g.cls.universe_size):
+            clash |= holders[2 * p + 1 - ((hm >> p) & 1)]
+        covers.append(full & ~clash)
+    return apart, covers, full if candidates is None else relabel(candidates)
+
+
+def _search(g: ContradictionGraph, node_budget: int, target=None, ceiling=None, candidates=None):
+    """Core branch-and-bound.  Returns (best_members, nodes_used), the
+    members in the order the search added them.
+
+    With `target` set, stops as soon as a clique of that size is found and
     prunes branches that cannot reach it.  `ceiling`, when given, must bound
     the clique number; the search stops once the incumbent reaches it.
     `candidates`, when given, is a vertex mask that must hold every clique
     the search has to find; the branching starts from it.  Raises
     ResourceLimitError carrying the incumbent when the budget runs out
     before the answer is certain.
+
+    The search runs in rank space (`_rank_space`): vertex i is the i-th of
+    the static order, so the next candidate in the order is the lowest set
+    bit of a mask.  The members, and the incumbent a ResourceLimitError
+    carries, are mapped back through the order.
+
+    A node colors its candidates one class at a time: class k starts from
+    the candidates no lower class took, and takes the lowest one left, drops
+    its neighbours, and repeats.  By induction over the order, a vertex
+    joins the first class that holds none of its earlier neighbours, which
+    is first-fit over the static order, so the classes, the branches, the
+    node count and the members are those of the first-fit loop.  The node
+    then branches from the highest color down, and stops at the first
+    vertex whose color cannot lift the current clique past the bound.  The
+    bound only rises, so a class whose color is at most `bound - len(r)` on
+    entry is never branched on: it is colored, since its vertices must not
+    join a later class, but not listed.
     """
+    adj = g.adj
     n = len(adj)
     stop = min(k for k in (target, ceiling, n) if k is not None)
     order = _clique_order(adj)
     best = _greedy_clique(adj, order)
-    nodes = 0
     if len(best) >= stop:
-        return best, nodes
+        return [order[i] for i in best], 0
+    apart, covers, start = _rank_space(g, order, candidates)
+    nodes = 0
 
     def expand(r: list, p: int) -> bool:
         nonlocal best, nodes
@@ -129,55 +191,66 @@ def _search(adj, covers, node_budget: int, target=None, ceiling=None, candidates
             raise ResourceLimitError(
                 "node-budget",
                 f"clique search exceeded {node_budget} nodes",
-                best=list(best),
+                best=[order[i] for i in best],
             )
         bound = len(best) if target is None else max(len(best), target - 1)
         if len(r) + sum(1 for c in covers if c & p) <= bound:
             return False  # one vertex per realizing row: nothing larger below
-        # color-sort candidates: first-fit color classes over the static order
-        class_masks: list[int] = []
-        class_verts: list[list[int]] = []
-        for v in order:
-            if not (p >> v) & 1:
-                continue
-            for ci in range(len(class_masks)):
-                if not (adj[v] & class_masks[ci]):
-                    class_masks[ci] |= 1 << v
-                    class_verts[ci].append(v)
-                    break
+        low = bound - len(r)
+        classes = []  # the listed classes, colors low + 1 up to `color`
+        color = 0
+        uncolored = p
+        while uncolored:
+            color += 1
+            q = uncolored
+            if color > low:
+                members = []
+                while q:
+                    b = q & -q
+                    v = b.bit_length() - 1
+                    members.append(v)
+                    uncolored ^= b
+                    q &= apart[v]
+                classes.append(members)
             else:
-                class_masks.append(1 << v)
-                class_verts.append([v])
-        seq = [(v, ci + 1) for ci, vs in enumerate(class_verts) for v in vs]
+                while q:
+                    b = q & -q
+                    uncolored ^= b
+                    q &= apart[b.bit_length() - 1]
         local = p
-        for v, color in reversed(seq):
-            bound = len(best) if target is None else max(len(best), target - 1)
-            if len(r) + color <= bound:
-                return False  # earlier entries have lower colors: all pruned
-            r.append(v)
-            if len(r) > len(best):
-                best = list(r)
-                if len(best) >= stop:
+        for members in reversed(classes):
+            for v in reversed(members):
+                bound = len(best) if target is None else max(len(best), target - 1)
+                if len(r) + color <= bound:
+                    return False  # earlier entries have lower colors: all pruned
+                r.append(v)
+                if len(r) > len(best):
+                    best = list(r)
+                    if len(best) >= stop:
+                        r.pop()
+                        return True
+                local ^= 1 << v
+                nxt = local - (local & apart[v])  # the neighbours of v in local
+                if nxt and expand(r, nxt):
                     r.pop()
                     return True
-            nxt = local & adj[v]
-            if nxt and expand(r, nxt):
                 r.pop()
-                return True
-            r.pop()
-            local &= ~(1 << v)
+            color -= 1
         return False
 
-    start = (1 << n) - 1 if candidates is None else candidates
-    if start:
-        expand([], start)
-    return best, nodes
+    try:
+        if start:
+            expand([], start)
+    finally:
+        # expand's closure holds expand: without this the tables stay
+        # alive until the next cyclic collection
+        del expand
+    return [order[i] for i in best], nodes
 
 
 def max_clique(g: ContradictionGraph, caps: Caps = DEFAULT_CAPS) -> Clique:
     """Exact maximum clique (deterministic membership)."""
-    covers = [g.consistent(rm) for rm in g.cls.row_masks]
-    best, _ = _search(g.adj, covers, caps.node_budget, ceiling=clique_ceiling(g))
+    best, _ = _search(g, caps.node_budget, ceiling=clique_ceiling(g))
     return Clique(tuple(sorted(best)))
 
 
@@ -197,8 +270,7 @@ def has_clique_of_size(g: ContradictionGraph, k: int, caps: Caps = DEFAULT_CAPS)
     for v, rows in enumerate(g.realizers):
         if rows.bit_count() <= room:
             candidates |= 1 << v
-    covers = [g.consistent(rm) for rm in g.cls.row_masks]
-    best, _ = _search(g.adj, covers, caps.node_budget, target=k, candidates=candidates)
+    best, _ = _search(g, caps.node_budget, target=k, candidates=candidates)
     return len(best) >= k
 
 

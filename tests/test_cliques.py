@@ -1,5 +1,7 @@
 """Exact clique search, balanced-example elimination, and tree conversions."""
 
+import ast
+import gc
 import re
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +31,9 @@ from cliquedim import (
     tree_from_clique,
     validate_clique,
 )
-from cliquedim.cliques import _search, clique_ceiling
+import cliquedim.cliques as cliques
+from cliquedim.cliques import _clique_order, _rank_space, _search, clique_ceiling
+from cliquedim.graph import build_core
 from cliquedim.trees import (
     MistakeLeaf,
     MistakeNode,
@@ -141,10 +145,12 @@ def test_random_graphs_match_both_oracles():
         assert found == oracles.max_clique_size_subsets(adj)
 
 
-def reference_search(adj, node_budget, target=None):
-    """Branch-and-bound with the coloring bound alone, without the bound by
-    realizing rows: the search whose members the clique solver must keep."""
+def first_fit_search(adj, covers, node_budget, target=None, ceiling=None, candidates=None):
+    """The clique search over vertex indices, coloring each node first-fit
+    with a loop over the color classes: the search whose members, branch
+    order and node count the rank-space search must keep."""
     n = len(adj)
+    stop = min(k for k in (target, ceiling, n) if k is not None)
     degs = [a.bit_count() for a in adj]
     order = sorted(range(n), key=lambda v: (-degs[v], v))
     best = []
@@ -154,7 +160,7 @@ def reference_search(adj, node_budget, target=None):
             best.append(v)
             p &= adj[v]
     nodes = 0
-    if target is not None and len(best) >= target:
+    if len(best) >= stop:
         return best, nodes
 
     def expand(r, p):
@@ -162,6 +168,9 @@ def reference_search(adj, node_budget, target=None):
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError("node-budget", "budget", best=list(best))
+        bound = len(best) if target is None else max(len(best), target - 1)
+        if len(r) + sum(1 for c in covers if c & p) <= bound:
+            return False
         class_masks, class_verts = [], []
         for v in order:
             if not (p >> v) & 1:
@@ -183,7 +192,7 @@ def reference_search(adj, node_budget, target=None):
             r.append(v)
             if len(r) > len(best):
                 best = list(r)
-                if target is not None and len(best) >= target:
+                if len(best) >= stop:
                     r.pop()
                     return True
             nxt = local & adj[v]
@@ -194,9 +203,18 @@ def reference_search(adj, node_budget, target=None):
             local &= ~(1 << v)
         return False
 
-    if n:
-        expand([], (1 << n) - 1)
+    start = (1 << n) - 1 if candidates is None else candidates
+    if start:
+        expand([], start)
     return best, nodes
+
+
+def reference_search(adj, node_budget, target=None):
+    """Branch-and-bound with the coloring bound alone, without the bound by
+    realizing rows: the search whose members the clique solver must keep.
+    n + 1 rows realizing every vertex bound no clique below n + 1."""
+    n = len(adj)
+    return first_fit_search(adj, [(1 << n) - 1] * (n + 1), node_budget, target=target)
 
 
 @st.composite
@@ -212,16 +230,106 @@ def test_row_bound_keeps_the_members_of_the_coloring_search(g):
     budget = 10**6
     best, nodes = reference_search(g.adj, budget)
     assert max_clique(g).members == tuple(sorted(best))
-    covers = [g.consistent(rm) for rm in g.cls.row_masks]
-    got, got_nodes = _search(g.adj, covers, budget)
+    got, got_nodes = _search(g, budget)
     assert got == best and got_nodes <= nodes  # the bound only prunes
     # the ceiling only stops the proof that nothing larger exists
-    got, got_nodes = _search(g.adj, covers, budget, ceiling=clique_ceiling(g))
+    got, got_nodes = _search(g, budget, ceiling=clique_ceiling(g))
     assert got == best and got_nodes <= nodes
     for k in range(1, len(best) + 2):
         expected, _ = reference_search(g.adj, budget, target=k)
-        assert _search(g.adj, covers, budget, target=k)[0] == expected
+        assert _search(g, budget, target=k)[0] == expected
         assert has_clique_of_size(g, k) == (len(expected) >= k)
+
+
+def first_fit(g, node_budget, **kw):
+    covers = [g.consistent(rm) for rm in g.cls.row_masks]
+    return first_fit_search(g.adj, covers, node_budget, **kw)
+
+
+def decision_candidates(g, k):
+    """The vertices `has_clique_of_size` branches on: at most |H| - k + 1
+    realizing rows."""
+    room = len(g.cls.hypotheses) - k + 1
+    return sum(1 << v for v, rows in enumerate(g.realizers) if rows.bit_count() <= room)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_rank_space_search_does_the_work_of_first_fit(g):
+    budget = 10**6
+    assert _search(g, budget) == first_fit(g, budget)
+    ceiling = clique_ceiling(g)
+    assert _search(g, budget, ceiling=ceiling) == first_fit(g, budget, ceiling=ceiling)
+    for k in range(1, g.num_vertices + 2):
+        assert _search(g, budget, target=k) == first_fit(g, budget, target=k)
+        cand = decision_candidates(g, k)
+        got = _search(g, budget, target=k, candidates=cand)
+        assert got == first_fit(g, budget, target=k, candidates=cand)
+        if k <= min(g.num_vertices, ceiling):
+            assert has_clique_of_size(g, k) == (len(got[0]) >= k)
+
+
+def test_search_work_is_pinned_on_the_clique_workload_graphs():
+    # the omega_3 query of the clique benchmark, and the core of G_4 of
+    # random(6,16,1), whose search proves that no 16-clique exists
+    g = build_graph(generate("random", universe=6, count=8, seed=2), 3)
+    best, nodes = _search(g, 10**6, ceiling=clique_ceiling(g))
+    assert (best, nodes) == first_fit(g, 10**6, ceiling=clique_ceiling(g))
+    assert nodes == 86
+    assert ",".join(map(str, sorted(best))) == "116,117,119,150,158,159,177,199"
+    core = build_core(generate("random", universe=6, count=16, seed=1), 4)
+    best, nodes = _search(core, 10**6, ceiling=clique_ceiling(core))
+    assert (len(best), nodes) == (15, 37334)
+    with pytest.raises(ResourceLimitError) as got:
+        max_clique(core, Caps(node_budget=1000))
+    with pytest.raises(ResourceLimitError) as expected:
+        first_fit(core, 1000, ceiling=clique_ceiling(core))
+    assert got.value.best == expected.value.best
+
+
+def test_the_search_frees_its_tables_on_return():
+    # the rank-space tables are the size of g.adj; no cycle may hold them
+    g = build_graph(generate("random", universe=6, count=8, seed=2), 3)
+    g.adj
+    gc.collect()
+    gc.disable()
+    try:
+        max_clique(g)
+        with pytest.raises(ResourceLimitError):
+            max_clique(g, Caps(node_budget=10))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def moved(mask, rank):
+    """`mask` with bit v moved to bit rank[v]."""
+    return sum(1 << rank[v] for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+@pytest.mark.parametrize("family,universe,m", [
+    ("paper_example_sec6", 4, 3), ("thresholds", 5, 2), ("full", 1, 1), ("singleton", 3, 2),
+])
+def test_rank_space_is_the_graph_relabelled_by_the_order(family, universe, m):
+    g = build_graph(generate(family, universe=universe), m)
+    order = _clique_order(g.adj)
+    rank = {v: i for i, v in enumerate(order)}
+    n = g.num_vertices
+    cand = decision_candidates(g, 2)
+    apart, covers, start = _rank_space(g, order, cand)
+    for i, v in enumerate(order):
+        assert ((1 << n) - 1) ^ apart[i] ^ (1 << i) == moved(g.adj[v], rank)
+    assert covers == [moved(g.consistent(rm), rank) for rm in g.cls.row_masks]
+    assert start == moved(cand, rank)
+    assert _rank_space(g, order)[2] == (1 << n) - 1
+
+
+def test_the_clique_module_does_not_import_numpy():
+    with open(cliques.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any(name.split(".")[0] == "numpy" for name in names)
 
 
 def test_row_bound_settles_g4_of_random_6_12_1():
@@ -244,8 +352,6 @@ def test_ceiling_ends_the_search_at_the_greedy_start():
 
 
 def test_no_search_above_the_ceiling(monkeypatch):
-    import cliquedim.cliques as cliques
-
     graphs = [
         build_graph(generate("paper_example_sec6"), 2),  # ceiling 2^2
         build_graph(generate("thresholds", universe=5), 3),  # ceiling |H| = 6
