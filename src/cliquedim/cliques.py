@@ -4,8 +4,9 @@ The maximum-clique solver is a deterministic branch-and-bound over bitmask
 candidate sets with two upper bounds.  Vertices are ordered by descending
 degree (ties by index), and the search renames each vertex by its rank in
 that order, so the next candidate in the order is the lowest set bit of a
-mask.  The rank-space adjacency and sets V_h are ORed from the graph's 2|X|
-example-holder masks, each relabelled once.  Each node first counts the
+mask.  The graph's builders make the rank-space adjacency and sets V_h
+from its 2|X| example-holder masks, each relabelled once, and a search holds
+one n^2/8-byte table at a time.  Each node first counts the
 rows of the class that realize some candidate: adjacent vertices share no
 realizing row, so a clique among the candidates has at most that many
 members.  It then color-sorts its candidates (greedy coloring, Tomita &
@@ -59,7 +60,7 @@ from .errors import (
     NotShatteredError,
     ResourceLimitError,
 )
-from .graph import Caps, ContradictionGraph, DEFAULT_CAPS
+from .graph import Caps, ContradictionGraph, DEFAULT_CAPS, consistency_mask, neighbour_rows
 from .trees import MistakeLeaf, MistakeNode, MistakeTree, branches, is_complete
 
 
@@ -75,36 +76,33 @@ class Clique:
 
 
 def validate_clique(g: ContradictionGraph, members) -> Clique:
+    """`members` as a Clique, each pair checked on its ones/zeros masks."""
     members = tuple(sorted(members))
     for i in members:
         if not 0 <= i < g.num_vertices:
             raise IndexError(f"vertex index {i} out of range")
     if len(set(members)) != len(members):
         raise ValueError("duplicate vertex in clique")
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not (g.adj[members[a]] >> members[b]) & 1:
-                raise ValueError(
-                    f"vertices {members[a]} and {members[b]} are not adjacent"
-                )
+    for a, u in enumerate(members):
+        for v in members[a + 1 :]:
+            if not (g.ones[u] & g.zeros[v] or g.zeros[u] & g.ones[v]):
+                raise ValueError(f"vertices {u} and {v} are not adjacent")
     return Clique(members)
 
 
-def _clique_order(adj) -> list:
-    degs = [a.bit_count() for a in adj]
-    return sorted(range(len(adj)), key=lambda v: (-degs[v], v))
-
-
-def _greedy_clique(adj, order) -> list:
-    """The ranks in `order` of the clique that takes each vertex of the
-    order that is adjacent to all it took before."""
-    out = []
+def _greedy_start(g: ContradictionGraph) -> tuple:
+    """(order, best): the vertices by descending degree, ties by index, and
+    the ranks in it of the clique that takes each vertex of the order that
+    is adjacent to all it took before.  Its neighbour rows die on return."""
+    adj = neighbour_rows(g.holders, g.vertices)
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    best = []
     p = (1 << len(adj)) - 1
     for i, v in enumerate(order):
         if (p >> v) & 1:
-            out.append(i)
+            best.append(i)
             p &= adj[v]
-    return out
+    return order, best
 
 
 def clique_ceiling(g: ContradictionGraph) -> int:
@@ -118,9 +116,9 @@ def _rank_space(g: ContradictionGraph, order: list, candidates=None):
     `apart[i]` masks the vertices other than i that are not adjacent to it,
     `covers` holds V_h for each row h of the class, and `start` is the
     candidate mask (every vertex when `candidates` is None).  Each holder
-    mask is relabelled once, as a permutation of its binary digits, and the
-    rows and covers are ORed from the relabelled holders as
-    `ContradictionGraph.adj` and `.consistent` build them."""
+    mask is relabelled once, as a permutation of its binary digits, for the
+    graph's builders; rows are complemented in place, so the search holds
+    one n^2/8-byte table."""
     n = len(order)
     full = (1 << n) - 1
     # digit j of a mask's n-digit binary string is bit n - 1 - j
@@ -130,18 +128,10 @@ def _rank_space(g: ContradictionGraph, order: list, candidates=None):
         return int("".join(digits(format(mask, "b").zfill(n))), 2)
 
     holders = [relabel(h) for h in g.holders]
-    apart = []
-    for i, v in enumerate(order):
-        row = 0
-        for p, l in g.vertices[v].examples:
-            row |= holders[2 * p + 1 - l]
-        apart.append(full ^ row ^ (1 << i))
-    covers = []
-    for hm in g.cls.row_masks:
-        clash = 0
-        for p in range(g.cls.universe_size):
-            clash |= holders[2 * p + 1 - ((hm >> p) & 1)]
-        covers.append(full & ~clash)
+    apart = neighbour_rows(holders, map(g.vertices.__getitem__, order))
+    for i, row in enumerate(apart):
+        apart[i] = full ^ row ^ (1 << i)
+    covers = [consistency_mask(holders, hm, full) for hm in g.cls.row_masks]
     return apart, covers, full if candidates is None else relabel(candidates)
 
 
@@ -160,7 +150,8 @@ def _search(g: ContradictionGraph, node_budget: int, target=None, ceiling=None, 
     The search runs in rank space (`_rank_space`): vertex i is the i-th of
     the static order, so the next candidate in the order is the lowest set
     bit of a mask.  The members, and the incumbent a ResourceLimitError
-    carries, are mapped back through the order.
+    carries, are mapped back through the order.  It holds one n^2/8-byte
+    table: `_greedy_start`'s rows die before the rank space is built.
 
     A node colors its candidates one class at a time: class k starts from
     the candidates no lower class took, and takes the lowest one left, drops
@@ -174,11 +165,8 @@ def _search(g: ContradictionGraph, node_budget: int, target=None, ceiling=None, 
     entry is never branched on: it is colored, since its vertices must not
     join a later class, but not listed.
     """
-    adj = g.adj
-    n = len(adj)
-    stop = min(k for k in (target, ceiling, n) if k is not None)
-    order = _clique_order(adj)
-    best = _greedy_clique(adj, order)
+    stop = min(k for k in (target, ceiling, g.num_vertices) if k is not None)
+    order, best = _greedy_start(g)
     if len(best) >= stop:
         return [order[i] for i in best], 0
     apart, covers, start = _rank_space(g, order, candidates)

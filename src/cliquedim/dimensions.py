@@ -187,12 +187,14 @@ def cached_omega_star(cls: ConceptClass, m: int, caps: Caps) -> DualityCertifica
 
 def vc_dimension(cls: ConceptClass) -> int:
     """Largest d such that some d point subset is shattered (all 2^d label
-    patterns realized).  d <= log2 |H| bounds the subset size searched."""
+    patterns realized).  d <= log2 |H| bounds the subset size searched, and
+    each point of a shattered d-set takes each label on 2^(d-1) rows or more."""
     cls.require_nonempty()
-    n = cls.universe_size
-    hi = min(n, len(cls.hypotheses).bit_length() - 1)
-    for d in range(hi, 0, -1):
-        for points in itertools.combinations(range(n), d):
+    rows = len(cls.hypotheses)
+    for d in range(min(cls.universe_size, _log2_rows(cls)), 0, -1):
+        half = 1 << (d - 1)
+        wide = [p for p, ones in enumerate(cls.point_masks) if half <= ones.bit_count() <= rows - half]
+        for points in itertools.combinations(wide, d):
             seen = {tuple(row[p] for p in points) for row in cls.hypotheses}
             if len(seen) == 1 << d:
                 return d

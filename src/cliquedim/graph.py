@@ -11,10 +11,10 @@ and weight 1 on each is a fractional coloring, so omega*_m <= |H| too.
 `build_graph` keeps each vertex's realizing rows as `realizers`; the clique
 search applies the same bound to every candidate set.
 
-Both relations come from one example-incidence table: `holders[2p + l]` is
-the mask of the vertices that hold the example (p, l).  A vertex is
-adjacent to every holder of the opposite label of one of its examples, and
-V_h is every vertex except the holders of some (p, 1 - h(p)).
+Both relations come from one example-incidence table, whose one reader is
+two builders: `holders[2p + l]` masks the vertices holding (p, l).  In
+`neighbour_rows` a vertex is adjacent to each holder of (p, 1 - l) for its
+examples (p, l); in `consistency_mask` V_h drops each holder of (p, 1 - h(p)).
 
 The core of G_m is its set of vertices with exactly k = min(m, |X|)
 distinct points, and `build_core` builds it as a graph of its own.  It has
@@ -90,10 +90,10 @@ DEFAULT_CAPS = Caps()
 
 class ContradictionGraph:
     """Vertices in canonical dataset order.  `holders[2p + l]` masks the
-    vertices that hold the example (p, l); the edges `adj` and the sets V_h
-    of `consistent` both come from it.  `adj` is built on its first read,
-    since the LP path never reads it.  `realizers[i]` has bit k set iff row
-    k of the class is consistent with vertex i."""
+    vertices that hold the example (p, l); the two builders make `adj` and
+    the V_h of `consistent` from it.  `adj` is built on its first read: the
+    LP path and the clique search never read it.  `realizers[i]` has bit k
+    set iff row k of the class is consistent with vertex i."""
 
     def __init__(self, cls: ConceptClass, m: int, vertices: tuple, realizers: tuple):
         self.cls = cls
@@ -110,23 +110,12 @@ class ContradictionGraph:
 
     @functools.cached_property
     def adj(self) -> tuple:
-        """`adj[i]` masks the neighbours of vertex i: two datasets are
-        adjacent iff one holds (p, l) and the other (p, 1 - l)."""
-        adj = []
-        for v in self.vertices:
-            row = 0
-            for p, l in v.examples:
-                row |= self.holders[2 * p + 1 - l]
-            adj.append(row)
-        return tuple(adj)
+        """`adj[i]` masks the neighbours of vertex i."""
+        return tuple(neighbour_rows(self.holders, self.vertices))
 
     def consistent(self, hm: int) -> int:
-        """V_h as a vertex mask, for the labeling h with bit p of `hm` set
-        iff h(p) = 1: every vertex but the holders of some (p, 1 - h(p))."""
-        clash = 0
-        for p in range(self.cls.universe_size):
-            clash |= self.holders[2 * p + 1 - ((hm >> p) & 1)]
-        return ((1 << len(self.vertices)) - 1) & ~clash
+        """V_h as a vertex mask, h(p) = bit p of `hm`."""
+        return consistency_mask(self.holders, hm, (1 << len(self.vertices)) - 1)
 
     @property
     def num_vertices(self) -> int:
@@ -149,6 +138,25 @@ class ContradictionGraph:
             f"ContradictionGraph(m={self.m}, vertices={self.num_vertices}, "
             f"edges={self.num_edges})"
         )
+
+
+def neighbour_rows(holders, datasets) -> list:
+    """Each dataset's neighbour mask, in the vertex labelling of `holders`."""
+    rows = []
+    for v in datasets:
+        row = 0
+        for p, l in v.examples:
+            row |= holders[2 * p + 1 - l]
+        rows.append(row)
+    return rows
+
+
+def consistency_mask(holders, hm: int, full: int) -> int:
+    """V_h within `full`, h(p) = bit p of `hm`, labelled as `holders` is."""
+    clash = 0
+    for p in range(len(holders) // 2):
+        clash |= holders[2 * p + 1 - ((hm >> p) & 1)]
+    return full & ~clash
 
 
 def _pair_masks(cls: ConceptClass, m: int) -> list:

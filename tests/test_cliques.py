@@ -32,7 +32,7 @@ from cliquedim import (
     validate_clique,
 )
 import cliquedim.cliques as cliques
-from cliquedim.cliques import _clique_order, _rank_space, _search, clique_ceiling
+from cliquedim.cliques import _greedy_start, _rank_space, _search, clique_ceiling
 from cliquedim.graph import build_core
 from cliquedim.trees import (
     MistakeLeaf,
@@ -312,7 +312,7 @@ def moved(mask, rank):
 ])
 def test_rank_space_is_the_graph_relabelled_by_the_order(family, universe, m):
     g = build_graph(generate(family, universe=universe), m)
-    order = _clique_order(g.adj)
+    order = _greedy_start(g)[0]
     rank = {v: i for i, v in enumerate(order)}
     n = g.num_vertices
     cand = decision_candidates(g, 2)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,21 +66,46 @@ def test_vc_and_ld_frozen(family, universe, vc, ld):
     assert littlestone_dimension(cls) == ld
 
 
-def test_vc_by_exhaustive_shattering():
-    # independent check: enumerate all point subsets directly
-    cls = generate("paper_example_sec6")
+def exhaustive_vc(cls):
+    """The size of the largest shattered point set, over every subset."""
     n = cls.universe_size
-
-    def shattered(points):
-        pats = {tuple(row[p] for p in points) for row in cls.hypotheses}
-        return len(pats) == 1 << len(points)
-
     best = 0
     for mask in range(1 << n):
         pts = [p for p in range(n) if (mask >> p) & 1]
-        if shattered(pts):
+        if len({tuple(row[p] for p in pts) for row in cls.hypotheses}) == 1 << len(pts):
             best = max(best, len(pts))
-    assert vc_dimension(cls) == best == 2
+    return best
+
+
+def test_vc_by_exhaustive_shattering():
+    # independent check: enumerate all point subsets directly
+    cls = generate("paper_example_sec6")
+    assert vc_dimension(cls) == exhaustive_vc(cls) == 2
+
+
+@st.composite
+def dense_classes(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=40))
+    return ConceptClass(n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_classes())
+def test_vc_equals_exhaustive_shattering_on_random_classes(cls):
+    assert vc_dimension(cls) == exhaustive_vc(cls)
+
+
+def test_vc_of_the_point_functions_is_quick():
+    # the zero row and every unit row over 300 points: no point takes label 1
+    # on two rows, so no pair of points is tried; the size bound log2 |H|
+    # alone would leave C(300, 8) ≈ 1.5e15 point sets to try first
+    n = 300
+    rows = [tuple(int(p == q) for p in range(n)) for q in range(-1, n)]
+    cls = ConceptClass(n, rows)
+    t0 = time.monotonic()
+    assert vc_dimension(cls) == 1
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_dimensions_reject_empty_class():

@@ -1,6 +1,7 @@
 """Contradiction-graph construction checked against independent enumeration."""
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,18 +19,24 @@ from cliquedim import (
     fractional_clique_dimension,
     ResourceLimitError,
     build_graph,
+    clique_from_tree,
+    dimension_report,
     export_edge_list,
     generate,
+    has_clique_of_size,
     independent_sets,
     is_consistent,
+    littlestone_witness,
     max_clique,
     omega_star,
     parse_class_text,
     parse_dataset,
+    validate_clique,
     validate_cover,
     validate_packing,
     wl_fingerprint,
 )
+from cliquedim import dimensions
 from cliquedim.concepts import mask_to_pattern
 from cliquedim.graph import build_core, count_vertices
 
@@ -240,10 +247,23 @@ def test_the_lp_path_never_builds_the_adjacency(adjacency_builds):
     assert adjacency_builds == []
 
 
-def test_the_clique_search_builds_the_adjacency_once(adjacency_builds):
-    g = build_graph(generate("thresholds", universe=4), 2)
-    assert max_clique(g) == max_clique(g)
-    assert adjacency_builds == [g]
+def test_no_clique_entry_point_builds_the_adjacency(adjacency_builds, monkeypatch):
+    cls = generate("thresholds", universe=4)
+    g = build_graph(cls, 2)
+    clique = max_clique(g)
+    assert has_clique_of_size(g, clique.size) and not has_clique_of_size(g, clique.size + 1)
+    assert validate_clique(g, clique.members) == clique
+    assert clique_from_tree(g, littlestone_witness(cls)).size == 4
+    # the report must reach its ceiling check: omega_3 of the core is |H| = 5
+    checked = []
+    validate = dimensions.validate_clique
+    monkeypatch.setattr(
+        dimensions, "validate_clique", lambda g, members: checked.append(g.m) or validate(g, members)
+    )
+    clear_caches()
+    dimension_report(cls, m_max_clique=3, m_max_lp=3)
+    assert checked == [3]
+    assert adjacency_builds == []
 
 
 def test_witness_patterns_are_consistent_with_members():
@@ -334,6 +354,27 @@ def test_vertices_equal_datasets_built_by_the_full_constructor(g):
         assert hash(v) == hash(full)
         assert (v.ones_mask, v.zeros_mask) == (full.ones_mask, full.zeros_mask)
         assert all(type(ex) is LabeledExample for ex in v.examples)
+
+
+@st.composite
+def graphs_and_member_lists(draw):
+    g = draw(small_graphs())
+    members = draw(st.lists(st.integers(0, g.num_vertices - 1), max_size=6))
+    return g, members
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_member_lists())
+def test_validate_clique_decides_as_the_adjacency_bits_do(case):
+    g, members = case
+    # a repeated member pairs with itself, and no vertex is its own neighbour
+    pairwise = all((g.adj[u] >> v) & 1 for u, v in itertools.combinations(members, 2))
+    try:
+        validate_clique(g, members)
+    except ValueError:
+        assert not pairwise
+    else:
+        assert pairwise
 
 
 @st.composite
