@@ -45,25 +45,34 @@ up to `_DRAW_BLOCK` draws is one `getrandbits` call and one numpy
 `SystemRandom`) are asked by `random()` per draw, and each value is
 bisected into the cumulative Fractions.
 
-The forced gamma-good check settles a run once every gamma-good pattern
-at its weights is consistent with the whole dataset.  Such a pick agrees
-with every example, so it multiplies every expert's weight by the same
-exp(-eta); after renormalization the weights, and with them the good set,
-are unchanged in exact arithmetic.  By induction every later pick is
-consistent too, and each remaining round adds 1 to every example's count,
-so the run's final counts are its counts so far plus the rounds left.  A
-settled run never runs out of good patterns: its good set was checked
-nonempty when it settled and does not change.
+The forced gamma-good check plays B runs at once, run-minor: weights are
+(m, B), and masses and prefix counts over the P labelings (P, B), so every
+elementwise step, the normalizing sum and the divide run along contiguous
+rows of B runs, and both products are `np.dot` on C-contiguous operands.
+The sum adds the m rows in order, which below 8 examples is a row-major
+loop's pairwise sum and from 8 can differ from it in the last ulp, as the
+game's sum can.  A +inf row under the prefix counts makes a run with no
+good labeling pick P, whose agreement column is 0 and update factor 1.
+
+It settles a run once every gamma-good pattern at its weights is
+consistent with the whole dataset.  Such a pick agrees with every example,
+so it multiplies every expert's weight by the same exp(-eta); after
+renormalization the weights, and with them the good set, are unchanged in
+exact arithmetic.  By induction every later pick is consistent too, and
+each remaining round adds 1 to every example's count, so the run's final
+counts are its counts so far plus the rounds left.  A settled run never
+runs out of good patterns: its good set was checked nonempty when it
+settled and does not change.
 
 It also drops a run once the run is decided: every example's count is
 above T/2.  Counts only grow, so the run's majority vote is already
 consistent and the run is no violation, whatever it picks later.  Dropping
-it skips the per-round check that some labeling is gamma-good in its
-remaining rounds.  `boost_config` guarantees gamma < epsilon/2 < 1/2, so a
-labeling consistent with the dataset (one exists among the 2^|X|
-patterns), whose mass sum(w) is 1 to rounding, is good in every round a
-decided run skips.  The rule only counts and does not use the regret bound,
-so the check does not assume the implication it tests.
+it skips the check that some labeling is gamma-good in its remaining
+rounds.  `boost_config` guarantees gamma < epsilon/2 < 1/2, so a labeling
+consistent with the dataset (one exists among the 2^|X| patterns), whose
+mass sum(w) is 1 to rounding, is good in every round a decided run skips.
+The rule only counts and does not use the regret bound, so the check does
+not assume the implication it tests.
 
 The Monte Carlo verifier gives trial i the stream of
 `np.random.default_rng(master_seed ^ i)` without building that generator:
@@ -72,12 +81,11 @@ trials at once, in uint32 arrays and then 64-bit limbs with carries, and
 each trial's state and inc words are written straight into the 32 state
 bytes of one reused PCG64.  Before the first write a guard checks that
 those bytes lie inside the PCG64 object and learns their word order from a
-state set through numpy's public setter.  The full state of every chunk's
-first and last trial is then checked against numpy's own seeding.  Either
-failure raises InvariantError.
+state set through numpy's public setter.  Before a chunk draws, the full
+state of its first and last trial is checked against numpy's own seeding.
+Either failure raises InvariantError.
 
-Natural logarithms throughout.  Weight arithmetic is floating point with
-per-round renormalization.
+Natural logarithms throughout; weights are floats, renormalized each round.
 """
 
 from __future__ import annotations
@@ -453,25 +461,25 @@ def forced_gamma_good_check(
     `DEFAULT_CAPS`' pattern cap, and then one above 12 (a 128 MiB matrix),
     raises ResourceLimitError before any labeling is listed.
 
-    Each block of rounds takes its uniforms from one `rng.random((k, B))`
-    call; row i of that C-order array is the i-th successive
-    `rng.random(B)`, so the picks are those of a round-by-round loop.  A run
-    with c good patterns and uniform r takes the floor(r c)-th good one
-    (from 0): the first index whose prefix count s exceeds floor(r c), and
-    for an integer s, s > floor(x) exactly when s > x.  The prefix counts
-    come from a float matmul with an upper-triangular ones matrix, exact on
-    integers this small.
+    The arrays are run-minor, with a +inf row under the prefix counts, and
+    from 8 examples the normalizing sum may be an ulp off a row-major loop's
+    (see the module docstring).  A block of k rounds takes its uniforms from
+    one `rng.random((k, B))` call; row i of that C-order array is the i-th
+    successive `rng.random(B)`, so the picks are a round-by-round loop's.  A
+    run with c good patterns and uniform r takes the floor(r c)-th good one
+    (from 0): the first index whose prefix count s exceeds floor(r c), so
+    the number of indices with s <= r c (for an integer s, s > floor(x)
+    exactly when s > x).  The prefix counts are a float product with a
+    lower-triangular ones matrix, exact on integers this small.  A pick of P
+    raises InvariantError when its block ends, before either exit below.
 
-    After each block, a run whose last good set holds only consistent
-    labelings is settled (see the module docstring): it leaves the loop,
-    and its final counts are its counts so far plus the rounds left.  A run
-    whose every count is above T/2 is decided and leaves too, adding no
-    violation: counts only grow, and at gamma < 1/2 a consistent labeling
-    (mass 1) is good in every round it skips.  The check that some labeling
-    is good stays per round and runs before either exit.  Later blocks are
+    After each block, settled and decided runs (see the module docstring)
+    leave the loop: a settled run's final counts are its counts so far plus
+    the rounds left, and a decided run adds no violation.  Later blocks are
     still drawn for all B runs and keep the live runs' columns, so every
     live run sees the uniforms, and makes the picks, it would have without
-    either exit.  Drawing stops once no run is live.
+    either exit; the live runs' buffers are views of their first allocation.
+    Drawing stops once no run is live.
     """
     if transcripts < 0:
         raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
@@ -487,61 +495,52 @@ def forced_gamma_good_check(
     m = len(dataset)
     rng = np.random.default_rng(seed)
     pats = [mask_to_pattern(hm, universe) for hm in range(1 << universe)]
-    # (P, m): 1 where the pattern agrees with the example
-    agree = np.ascontiguousarray(_example_losses(dataset, pats).T)
-    inconsistent = (agree < 1).any(axis=1).astype(np.float64)
     n_pats = len(pats)
+    agree = np.pad(_example_losses(dataset, pats), ((0, 0), (0, 1)))  # (m, P+1); P agrees with none
+    by_pattern = np.ascontiguousarray(agree[:, :n_pats].T)  # (P, m)
+    inconsistent = (by_pattern < 1).any(axis=1).astype(np.float64)
     t_rounds = config.T
     threshold = np.float64(0.5 + float(config.gamma) - 1e-12)  # loss 1-mass <= 1/2-gamma
-    factor = np.exp(-config.eta * agree)  # the per-round update, one row per pattern
-    upper = np.triu(np.ones((n_pats, n_pats)))  # good @ upper: prefix counts
-    w = np.full((transcripts, m), 1.0 / m)
-    total = np.empty((transcripts, 1))
-    mass = np.empty((transcripts, n_pats))  # then 1.0 where the pattern is good
-    seen = np.empty((transcripts, n_pats))
-    above = np.empty((transcripts, n_pats), dtype=bool)
-    pick = np.empty(transcripts, dtype=np.intp)
-    least = np.full(transcripts, np.inf)  # fewest good patterns seen per run
-    correct = np.zeros((transcripts, m))
-    live = np.arange(transcripts)  # each live run's column in a draw block
-    violations = 0
+    factor = np.exp(-config.eta * agree)  # the per-round update, one column per pattern
+    lower = np.tril(np.ones((n_pats, n_pats)))  # lower @ good: prefix counts
     per_block = max(1, _DRAW_BLOCK // max(transcripts, 1))
+    w, correct = np.full((m, transcripts), 1.0 / m), np.zeros((m, transcripts))
+    live = np.arange(transcripts)  # each live run's column in a draw block
+    # (rows, n) views for n live runs: mass (then 1.0 where good), prefix counts
+    # over a +inf row, those <= r c, the block's picks, update rows over sums
+    flats = [np.empty(size * transcripts, dtype) for size, dtype in (
+        (n_pats, float), (n_pats + 1, float), (n_pats + 1, bool), (per_block, np.intp), (m + 1, float))]
+    violations, n = 0, -1
     for start in range(0, t_rounds, per_block):
-        block = rng.random((min(per_block, t_rounds - start), transcripts))[:, live]
-        for r in block:
-            # mass the pattern agrees with, per transcript x pattern
-            np.matmul(w, agree.T, out=mass)
-            np.greater_equal(mass, threshold, out=mass)
-            np.matmul(mass, upper, out=seen)  # good patterns up to each index
-            count = seen[:, -1]
-            np.minimum(least, count, out=least)
-            # uniform choice among good patterns per row: the floor(r c)-th
-            # good pattern (from 0) is the first index where more are seen
-            np.multiply(r, count, out=r)
-            np.greater(seen, r[:, None], out=above)
-            above.argmax(axis=1, out=pick)
-            np.add(correct, agree.take(pick, axis=0), out=correct)
-            np.multiply(w, factor.take(pick, axis=0), out=w)
-            np.add.reduce(w, 1, None, total, True)  # w.sum(axis=1, keepdims=True)
-            np.divide(w, total, out=w)
-        if not least.all():  # some transcript had no good pattern
-            raise InvariantError("no gamma-good labeling available")
-        # a run whose last good set holds only consistent labelings is settled:
-        # every later round adds 1 to each of its examples' counts.  A run
-        # whose every count is above T/2 is decided: counts only grow, so its
-        # counts plus the rounds left are above T/2 too, and it adds 0
-        done = mass @ inconsistent == 0
-        done |= (correct > t_rounds / 2).all(axis=1)
-        if done.any():
-            left = t_rounds - start - len(block)
-            violations += int((correct[done] + left <= t_rounds / 2).any(axis=1).sum())
-            keep = ~done
-            live, w, least, correct = live[keep], w[keep], least[keep], correct[keep]
-            n = len(live)  # the first n rows of each buffer serve the live runs
+        if len(live) != n:
+            n = len(live)
             if not n:
                 break
-            total, mass, seen, above, pick = total[:n], mass[:n], seen[:n], above[:n], pick[:n]
-    violations += int((correct <= t_rounds / 2).any(axis=1).sum())
+            mass, seen, below, picks, step = (f[:f.size // transcripts * n].reshape(-1, n) for f in flats)
+            seen[n_pats] = np.inf
+            prefix, count, step, total = seen[:n_pats], seen[n_pats - 1], step[:m], step[m]
+        block = rng.random((min(per_block, t_rounds - start), transcripts))[:, live]
+        for r, pick in zip(block, picks):
+            np.dot(by_pattern, w, out=mass)  # mass each pattern agrees with, per pattern x run
+            np.greater_equal(mass, threshold, out=mass)
+            np.dot(lower, mass, out=prefix)  # good patterns up to each index
+            np.multiply(r, count, out=r)
+            np.less_equal(seen, r, out=below)
+            np.add.reduce(below, 0, np.intp, pick)  # the floor(r c)-th good pattern
+            np.multiply(w, factor.take(pick, 1, step), out=w)
+            np.add.reduce(w, 0, None, total)
+            np.divide(w, total, out=w)
+        taken = picks[:len(block)]
+        if (taken == n_pats).any():  # some run had no good pattern
+            raise InvariantError("no gamma-good labeling available")
+        correct += agree.take(taken, axis=1).sum(axis=1)
+        # settled: only consistent labelings good; decided: every count above T/2
+        done = (inconsistent @ mass == 0) | (correct > t_rounds / 2).all(axis=0)
+        if done.any():
+            left = t_rounds - start - len(block)
+            violations += int((correct[:, done] + left <= t_rounds / 2).any(axis=0).sum())
+            live, w, correct = live[~done], w[:, ~done], correct[:, ~done]
+    violations += int((correct <= t_rounds / 2).any(axis=0).sum())
     return violations, transcripts
 
 
@@ -880,11 +879,12 @@ def verify_sspfcd_bound(
         stop = min(trials, start + _SEED_CHUNK)
         words = np.ascontiguousarray(_pcg64_words(master_seed, start, stop)[:, order])
         rows = memoryview(words).cast("B")
-        for i in range(start, stop):
-            offset = 32 * (i - start)
-            state[:] = rows[offset:offset + 32]
-            if i in (start, stop - 1) and bitgen.state != np.random.PCG64(master_seed ^ i).state:
+        for i in (start, stop - 1):  # checked before the chunk draws
+            state[:] = rows[32 * (i - start):32 * (i - start + 1)]
+            if bitgen.state != np.random.PCG64(master_seed ^ i).state:
                 raise InvariantError(f"vectorised PCG64 seeding disagrees with numpy at trial {i}")
+        for i in range(start, stop):
+            state[:] = rows[32 * (i - start):32 * (i - start + 1)]
             counts[i] = gen.multinomial(t_rounds, probs)
     ones = counts @ pat_matrix  # per-point count of label-1 votes
     majs = (ones > t_rounds // 2).view(np.int8)  # 2 ones > T, on integers

@@ -96,7 +96,7 @@ LN2_HI = Fraction(693148, 10**6)
 # `build_core`, `build_graph` and `omega_star` are called through this
 # module's globals, so a wrapper installed on those names sees every miss.
 # ld is decided afresh on each call: a decision memoises only within that
-# call.
+# call, and `dimension_report` hands its one decision to the cd and cd* sweeps.
 MEMO_SIZE = 256
 _records: dict = {}
 
@@ -344,9 +344,13 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     fresh run gives.
     """
     cls.require_nonempty()
+    return _clique_dimension(cls, m_max, caps, littlestone_dimension(cls))
+
+
+def _clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
+    """`clique_dimension` of a nonempty class whose ld is known."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    ld = littlestone_dimension(cls)
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
@@ -377,9 +381,13 @@ def fractional_clique_dimension(
     other m, past m_max too, solves the LP of the core of G_m under `caps`.
     """
     cls.require_nonempty()
+    return _fractional_clique_dimension(cls, m_max, caps, littlestone_dimension(cls))
+
+
+def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
+    """`fractional_clique_dimension` of a nonempty class whose ld is known."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    ld = littlestone_dimension(cls)
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
@@ -484,8 +492,8 @@ def dimension_report(
             PerMRow(m=m, num_vertices=rec.order, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
         )
-    cd = clique_dimension(cls, m_max_clique, caps)
-    cd_star = fractional_clique_dimension(cls, m_max_lp, caps)
+    cd = _clique_dimension(cls, m_max_clique, caps, ld)
+    cd_star = _fractional_clique_dimension(cls, m_max_lp, caps, ld)
     return DimensionReport(cls=cls, vc=vc, ld=ld, cd=cd, cd_star=cd_star, rows=tuple(rows))
 
 

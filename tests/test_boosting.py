@@ -747,6 +747,65 @@ def test_runs_settling_partway_equal_the_loop():
     assert got == reference_forced_violations(ds, 4, cfg, 300, seed=78) == (156, 300)
 
 
+def test_forced_runs_leaving_in_two_blocks_keep_their_first_buffers(monkeypatch):
+    # 200 runs take blocks of 10 rounds: 34 runs leave after one block and 146
+    # after a later one, and the last 20 play all 51 rounds.  Each product
+    # writes into views of the buffer it wrote first
+    cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=F(-1, 8), T=51)
+    ds = Dataset([(0, 0), (1, 0), (1, 0), (1, 0)])
+    outs = defaultdict(list)
+    dot = np.dot
+
+    def spy(a, b, out=None):
+        if out is None:
+            return dot(a, b)
+        outs[a.shape].append(out)
+        return dot(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "dot", spy)
+        got = forced_gamma_good_check(ds, 3, cfg, 200, seed=17)
+    assert got == reference_forced_violations(ds, 3, cfg, 200, seed=17) == (17, 200)
+    assert sorted(outs) == [(8, 4), (8, 8)]  # mass, then prefix counts
+    for written in outs.values():
+        assert len(written) == 51
+        assert sorted({out.shape[1] for out in written}, reverse=True) == [200, 166, 20]
+        assert all(np.shares_memory(out, written[0]) for out in written)
+
+
+@pytest.mark.parametrize("transcripts", [0, 1, 2])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_forced_check_with_few_runs_and_rounds_equals_the_loop(transcripts, rounds):
+    # no run, or one or two runs; one round, an even round count, and three
+    for gamma in (F(-3, 8), F(1, 16)):
+        cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=gamma, T=rounds)
+        for ds in (Dataset([(0, 1), (1, 0), (1, 0)]), Dataset([(0, 0)])):
+            for seed in range(4):
+                got = forced_gamma_good_check(ds, 2, cfg, transcripts, seed)
+                assert got == reference_forced_violations(ds, 2, cfg, transcripts, seed)
+                assert got[1] == transcripts
+
+
+def test_forced_check_from_eight_examples_equals_the_loop():
+    # from 8 examples the normalizing sum over the examples may differ from
+    # the row-major loop's pairwise sum in the last ulp; the margin of 1e-12
+    # on gamma-goodness keeps the picks equal on these seeded datasets
+    base = boost_config(ANCHOR, m0=2, m=3)
+    violated = 0
+    for case in range(40):
+        rnd = random.Random(case)
+        universe = rnd.randint(1, 4)
+        labeling = rnd.getrandbits(universe)
+        dataset = Dataset([(x, labeling >> x & 1) for x in (rnd.randrange(universe) for _ in range(rnd.randint(8, 12)))])
+        gamma = rnd.choice((F(-3, 8), F(-1, 8), F(1, 32), F(1, 16)))
+        cfg = dataclasses.replace(base, gamma=gamma, T=rnd.randint(1, 41))
+        transcripts = rnd.randint(1, 300)
+        got = forced_gamma_good_check(dataset, universe, cfg, transcripts, case)
+        assert got == reference_forced_violations(dataset, universe, cfg, transcripts, case)
+        violated += 0 < got[0] < transcripts
+    assert violated > 10
+
+
 def test_decided_runs_equal_the_loop_at_the_configured_rounds(monkeypatch):
     # at least two labelings are always good on this vertex and at most one is
     # consistent, so no run settles; every run is decided before 0.7 T rounds
@@ -1018,6 +1077,31 @@ def test_seeding_check_survives_python_O():
     # a corrupted hash constant must be refused even with asserts compiled out
     lines = run_optimized(OPTIMIZED_SEEDING_PROBE)
     assert lines == ["raised: vectorised PCG64 seeding disagrees with numpy at trial 0"]
+
+
+def test_seeding_is_checked_before_the_chunk_draws(monkeypatch):
+    # a wrong state for a chunk's last trial is refused before the chunk's
+    # first trial draws
+    words = boosting._pcg64_words
+
+    def last_wrong(master_seed, start, stop):
+        rows = words(master_seed, start, stop)
+        rows[-1, 0] ^= 1
+        return rows
+
+    draws = []
+
+    class Counted(np.random.Generator):
+        def multinomial(self, *args):
+            draws.append(args)
+            return super().multinomial(*args)
+
+    monkeypatch.setattr(boosting, "_pcg64_words", last_wrong)
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    cfg = boost_config(ANCHOR, m0=2, m=3)
+    with pytest.raises(InvariantError, match="^vectorised PCG64 seeding disagrees with numpy at trial 9$"):
+        verify_sspfcd_bound(ANCHOR, cfg, trials=10)
+    assert draws == []
 
 
 OPTIMIZED_GUARD_PROBE = """

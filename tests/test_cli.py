@@ -402,6 +402,25 @@ def test_ld_verbose_runs_the_recursion_once(capsys, monkeypatch, name, expected)
     assert len(decisions) == 1
 
 
+def test_a_report_decides_ld_once(capsys, monkeypatch, tmp_path):
+    # dimension_report hands its ld to the cd and cd* sweeps: one decision
+    # per curves call and one per corpus class of verify-lemmas
+    import cliquedim.dimensions as dims
+
+    path = write_class(tmp_path)
+    want = run(capsys, "curves", path), run(capsys, "verify-lemmas")
+    decisions = []
+    decide = dims._ld_decision
+    monkeypatch.setattr(dims, "_ld_decision", lambda cls: decisions.append(cls) or decide(cls))
+    clear_caches()
+    assert run(capsys, "curves", path) == want[0]
+    assert len(decisions) == 1
+    decisions.clear()
+    clear_caches()
+    assert run(capsys, "verify-lemmas") == want[1]
+    assert len(decisions) == len(corpus()) == len(set(map(id, decisions)))
+
+
 def test_ld_of_point_functions_on_300_points(capsys, monkeypatch):
     # the zero row and the 300 unit rows: every split peels off one row, so
     # a recursion that deepens with each peeled row overflows the stack

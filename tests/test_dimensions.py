@@ -638,6 +638,18 @@ def test_report_rows_shape():
     assert by_m[4].two_pow_m == 16
 
 
+def test_sweeps_and_reports_refuse_an_m_max_below_one():
+    cls = generate("paper_example_sec6")
+    for call in (
+        lambda: clique_dimension(cls, 0),
+        lambda: fractional_clique_dimension(cls, 0),
+        lambda: dimension_report(cls, m_max_clique=0),
+        lambda: dimension_report(cls, m_max_lp=0),
+    ):
+        with pytest.raises(ValueError, match="^m_max must be >= 1$"):
+            call()
+
+
 def test_report_survives_node_budget_exhaustion():
     from cliquedim import Caps, clear_caches
 
