@@ -93,6 +93,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import operator
 import random
 import sys
 from bisect import bisect_right
@@ -655,7 +656,10 @@ def _beta_ppf(p: float, a: int, b: int) -> float:
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple:
     """Two-sided Clopper-Pearson interval at the given confidence (equal
     tails): the tail quantiles of Beta(k, n-k+1) and Beta(k+1, n-k).  The
-    acceptance test is one-sided: only the upper limit decides."""
+    acceptance test is one-sided: only the upper limit decides.  k
+    successes of n trials need 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise InvalidParamsError(f"need 0 <= k <= n successes of n trials, got k={k}, n={n}")
     if not 0 < confidence < 1:
         raise InvalidParamsError(f"confidence must be in (0, 1), got {confidence}")
     tail = (1 - confidence) / 2
@@ -953,44 +957,43 @@ def _pop_bounds(omega_star: Fraction, m: int) -> tuple:
     return tuple(1 / omega_star - (1 - theta) ** m for theta in THETAS)
 
 
-def _loss_tally(masks: list, weights: tuple, ones: int, zeros: int, layers: dict) -> dict:
-    """mu*'s integer weights, summed by the integer loss of their pattern
-    mask on a realizable distribution.  The distribution puts integer
-    weight a on each point of the mask `layers[a]`, labeled 1 on `ones` and
-    0 on `zeros`; a pattern's loss is the weight of the points it
-    mislabels."""
-    tally = {}
-    for h, w in zip(masks, weights):
-        wrong = (h & zeros) | (ones & ~h)
-        loss = 0
-        for a, points in layers.items():
-            loss += a * (wrong & points).bit_count()
-        tally[loss] = tally.get(loss, 0) + w
-    return tally
-
-
-def _theta_tests(bounds: tuple, denominator: int, scale: int) -> list:
-    """One (cut, den, num) per theta in THETAS, for a distribution of total
-    integer weight `scale`: a pattern of integer loss `loss` has
-    loss / scale <= theta exactly when loss <= cut = floor(theta * scale),
-    and mass / denominator >= bound exactly when mass * den >= num."""
-    return [
-        (theta.numerator * scale // theta.denominator, bound.denominator, bound.numerator * denominator)
+def _pop_masses(cls: ConceptClass, m: int, caps: Caps, inputs: list) -> tuple:
+    """The small-population engine: reads mu* and its bounds once and
+    returns (mu*'s denominator, the bounds, one [(mass, passed)] per input,
+    a pair per theta in THETAS).  An input (ones, zeros, layers, scale) is
+    a realizable distribution of total integer weight `scale`: weight a on
+    each point of the mask `layers[a]`, labeled 1 on `ones`, 0 on `zeros`.
+    mu*'s integer weights are tallied by the weight each pattern mislabels,
+    its integer loss; loss / scale <= theta exactly when loss <=
+    floor(theta * scale), and `mass` meets a bound exactly when
+    mass * bound.denominator >= bound.numerator * mu*'s denominator.
+    """
+    mu = _mu_star(cls, m, caps)
+    bounds = _pop_bounds(mu.value, m)
+    masks = list(map(pattern_to_mask, mu.patterns))
+    tests = [
+        (theta.numerator, theta.denominator, bound.denominator, bound.numerator * mu.denominator)
         for theta, bound in zip(THETAS, bounds)
     ]
-
-
-def _theta_verdicts(tally: dict, tests: list) -> list:
-    """(mass, passed) per test of `_theta_tests`: the tallied weight of the
-    losses at most its cut, and whether that mass meets its bound."""
     out = []
-    for cut, den, num in tests:
-        mass = 0
-        for loss, w in tally.items():
-            if loss <= cut:
-                mass += w
-        out.append((mass, mass * den >= num))
-    return out
+    for ones, zeros, layers, scale in inputs:
+        tally = {}
+        for h, w in zip(masks, mu.weights):
+            wrong = (h & zeros) | (ones & ~h)
+            loss = 0
+            for a, points in layers.items():
+                loss += a * (wrong & points).bit_count()
+            tally[loss] = tally.get(loss, 0) + w
+        verdicts = []
+        for theta_num, theta_den, den, num in tests:
+            cut = theta_num * scale // theta_den
+            mass = 0
+            for loss, w in tally.items():
+                if loss <= cut:
+                    mass += w
+            verdicts.append((mass, mass * den >= num))
+        out.append(verdicts)
+    return mu.denominator, bounds, out
 
 
 def _require_realizable(cls: ConceptClass, ones: int, zeros: int) -> None:
@@ -1009,39 +1012,36 @@ def small_pop_err_check(
         Pr_{h~mu*}[loss_D(h) <= theta] >= 1/omega*_m - (1-theta)^m
 
     for each theta in THETAS.  Returns [(theta, probability, bound, passed)]
-    in Fractions.  mu* comes in integers from `_mu_star`, the builder
-    `mu_tilde` shares, and is normalized on every call; `small_pop_verdicts`
-    normalizes it once for a whole list of datasets.  D's weights are
-    scaled to integers over their least common denominator, and mu*'s
-    integer weights are tallied by each pattern's integer loss
-    (`_loss_tally`, the engine `small_pop_verdicts` shares), so every theta
-    is compared in integers.
+    in Fractions.  D's keys are (point, label) with an integer point, and
+    its weights are scaled to integers over their least common denominator
+    for `_pop_masses`, the engine `small_pop_verdicts` shares, which reads
+    mu* once per call and decides every theta in integers.
     """
     total = sum(dist.values(), Fraction(0))
     if total != 1:
         raise InvalidParamsError(f"distribution weights sum to {total}, not 1")
+    scale = math.lcm(*(Fraction(w).denominator for w in dist.values()))
     ones = zeros = 0
-    for (p, l), w in dist.items():
+    layers = defaultdict(int)
+    for (point, l), w in dist.items():
+        try:
+            p = operator.index(point)
+        except TypeError:
+            p = -1  # out of range, refused below
         if w < 0 or l not in (0, 1) or not 0 <= p < cls.universe_size:
-            raise InvalidParamsError(f"bad distribution entry {(p, l)}: {w}")
+            raise InvalidParamsError(f"bad distribution entry {(point, l)}: {w}")
         if w > 0:
+            # realizable, so each point of the support carries one label
+            w = Fraction(w)
+            layers[w.numerator * (scale // w.denominator)] |= 1 << p
             if l:
                 ones |= 1 << p
             else:
                 zeros |= 1 << p
     _require_realizable(cls, ones, zeros)
-    mu = _mu_star(cls, m, caps)
-    bounds = _pop_bounds(mu.value, m)
-    # realizable, so each point of the support carries one label
-    support = [(p, Fraction(w)) for (p, _), w in dist.items() if w > 0]
-    scale = math.lcm(*(w.denominator for _, w in support))
-    layers = defaultdict(int)
-    for p, w in support:
-        layers[w.numerator * (scale // w.denominator)] |= 1 << p
-    tally = _loss_tally(list(map(pattern_to_mask, mu.patterns)), mu.weights, ones, zeros, layers)
-    verdicts = _theta_verdicts(tally, _theta_tests(bounds, mu.denominator, scale))
+    den, bounds, [verdicts] = _pop_masses(cls, m, caps, [(ones, zeros, layers, scale)])
     return [
-        (theta, Fraction(mass, mu.denominator), bound, passed)
+        (theta, Fraction(mass, den), bound, passed)
         for theta, bound, (mass, passed) in zip(THETAS, bounds, verdicts)
     ]
 
@@ -1051,13 +1051,11 @@ def small_pop_verdicts(
 ) -> list:
     """For each dataset S, whether `small_pop_err_check` passes at every
     theta for D uniform over S's examples, counted with multiplicity: D puts
-    weight c / |S| on an example that S holds c times.  Reads `_mu_star`
-    once for all of them.  A pattern's loss on D is the number of examples
-    it mislabels over |S|, so mu*'s integer weights are tallied by that
-    number and each theta is decided in integers.  Every dataset is
-    checked first: an empty one or one with a point outside the class's
-    universe raises InvalidParamsError, and one that no row labels
-    correctly raises NotRealizableDistributionError.
+    weight c / |S| on an example that S holds c times.  One `_pop_masses`
+    call, the engine `small_pop_err_check` shares, reads mu* once for all
+    of them.  Every dataset is checked first: an empty one or one with a
+    point outside the class's universe raises InvalidParamsError, and one
+    that no row labels correctly raises NotRealizableDistributionError.
     """
     inputs = []
     for ds in datasets:
@@ -1073,14 +1071,8 @@ def small_pop_verdicts(
         for p, group in itertools.groupby(ex.point for ex in ds.examples):
             layers[sum(1 for _ in group)] |= 1 << p
         inputs.append((ones, zeros, layers, len(ds.examples)))
-    mu = _mu_star(cls, m, caps)
-    masks = list(map(pattern_to_mask, mu.patterns))
-    bounds = _pop_bounds(mu.value, m)
-    tests = {n: _theta_tests(bounds, mu.denominator, n) for n in {n for *_, n in inputs}}
-    return [
-        all(passed for _, passed in _theta_verdicts(_loss_tally(masks, mu.weights, ones, zeros, layers), tests[n]))
-        for ones, zeros, layers, n in inputs
-    ]
+    _, _, verdicts = _pop_masses(cls, m, caps, inputs)
+    return [all(passed for _, passed in v) for v in verdicts]
 
 
 # ─── exact numeric lemma grids ───────────────────────────────────────────

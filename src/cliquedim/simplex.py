@@ -149,12 +149,17 @@ def solve_packing_lp(n_vars: int, row_masks):
     """max sum(x) s.t. sum_{j in mask} x_j <= 1 per mask, x >= 0.
 
     Returns (value, primal, dual) as Fractions, with dual parallel to
-    row_masks.  A mask that is negative or names a variable at or past
-    n_vars raises InvalidParamsError.
+    row_masks.  A negative n_vars, or a mask that is negative or names a
+    variable at or past n_vars, raises InvalidParamsError.  With no
+    variables and no rows the optimum is 0.
     """
+    if n_vars < 0:
+        raise InvalidParamsError(f"the LP needs n_vars >= 0, got {n_vars}")
     for mask in row_masks:
         if mask < 0 or mask >> n_vars:
             raise InvalidParamsError(f"row mask {mask} is not a set of the variables 0..{n_vars - 1}")
+    if not n_vars and not row_masks:
+        return Fraction(0), [], []
     den, value, x, y = _bland(n_vars, row_masks)
     _check_optimal(den, value, x, y)
     zero = Fraction(0)

@@ -905,6 +905,12 @@ def test_clopper_pearson_matches_scipy():
             clopper_pearson(5, 10, confidence)
 
 
+@pytest.mark.parametrize("k, n", [(3, -2), (0, -1), (5, 3), (-1, 3)])
+def test_clopper_pearson_refuses_counts_outside_the_trials(k, n):
+    with pytest.raises(InvalidParamsError, match="0 <= k <= n"):
+        clopper_pearson(k, n)
+
+
 def test_verify_report_anchor_small_run():
     cfg = boost_config(ANCHOR, m0=2, m=3)
     rep = verify_sspfcd_bound(ANCHOR, cfg, trials=400, master_seed=0)
@@ -1238,6 +1244,18 @@ def test_small_pop_err_rejects_bad_distributions():
         small_pop_err_check(ANCHOR, 2, {(0, 0): F(1, 2)})
     with pytest.raises(NotRealizableDistributionError):
         small_pop_err_check(ANCHOR, 2, {(0, 0): F(1, 2), (1, 1): F(1, 2)})
+
+
+@pytest.mark.parametrize("point", [0.5, "0", None])
+def test_small_pop_err_refuses_a_point_that_is_not_an_integer(point):
+    with pytest.raises(InvalidParamsError, match="bad distribution entry"):
+        small_pop_err_check(ANCHOR, 2, {(point, 1): F(1, 2), (1, 0): F(1, 2)})
+
+
+def test_small_pop_err_takes_numpy_integer_points():
+    dist = {(0, 0): F(1, 2), (1, 0): F(1, 2)}
+    numpy_dist = {(np.int64(p), l): w for (p, l), w in dist.items()}
+    assert small_pop_err_check(ANCHOR, 2, numpy_dist) == small_pop_err_check(ANCHOR, 2, dist)
 
 
 def test_small_pop_err_holds_across_thetas_and_classes():

@@ -44,6 +44,18 @@ def test_masks_outside_the_variables_are_refused(mask):
         solve_packing_lp(2, [mask])
 
 
+@pytest.mark.parametrize("masks", [[], [0]])
+def test_a_negative_variable_count_is_refused(masks):
+    with pytest.raises(InvalidParamsError, match="n_vars >= 0"):
+        solve_packing_lp(-1, masks)
+
+
+def test_the_empty_lp_has_optimum_zero():
+    assert solve_packing_lp(0, []) == (0, [], [])
+    # no variables but a row: the pivot loop finds no entering column
+    assert solve_packing_lp(0, [0]) == (0, [], [0])
+
+
 def test_unbounded_detected():
     # x_1 lies in no row set, so it can grow without bound
     with pytest.raises(InfeasibleModelError):
