@@ -49,7 +49,9 @@ omega*_m = 2^m with no search, otherwise an exact `max_clique` on the core
 gives omega_m, and a clique at the ceiling gives omega*_m as well.  An LP
 settles omega*_m wherever it runs.  cd, cd* and the report's omega* column
 read what is settled and search or solve only what is not, on the core: the
-LP there settles the value only.  The full graph is built only by the
+LP there settles the value only.  cd reads omega*_m before it searches,
+whenever |X| is within the pattern cap, since omega*_m < 2^m fails m with
+no search; past that cap it searches.  The full graph is built only by the
 readers of its vertices or of a full LP certificate: `cached_graph`,
 `cached_omega_star` and `smallest_separating_m0`, which solves an open
 omega*_m0 on the full graph because boost reads that certificate for the m0
@@ -316,6 +318,8 @@ def _sweep(m_max: int, upper: int, passes) -> DimensionValue:
     """The largest m <= m_max with passes(m), exact when no m in
     (m_max, upper] passes; a pass there or a cap hit anywhere leaves a lower
     bound.  Every m > upper must fail analytically, so none is tried."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     value = 0
     try:
         for m in range(1, min(m_max, upper) + 1):
@@ -334,13 +338,14 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
     An m is decided by the first of: the mistake-tree fast path (ld >= m
-    certifies a 2^m-clique; no graph is built), an omega*_m < 2^m settled in
-    the record of G_m (which fails m with no search), an omega_m settled
-    there (by a report's `max_clique`; compared with 2^m), then targeted
-    branch-and-bound on the core of G_m.  When it runs out of nodes,
-    omega*_m < 2^m still fails m exactly; otherwise the budget hit stands.
-    Facts (1) and (2) end the sweep, so 2^m <= |H|.  The record is read
-    under `caps`, so a value an earlier call settled gives the answer a
+    certifies a 2^m-clique; no graph is built), an omega_m settled in the
+    record of G_m (by a report's `max_clique`; compared with 2^m), then,
+    when |X| is within the pattern cap, omega*_m (read from the record, or
+    the LP of the core of G_m solved when open): omega*_m < 2^m fails m
+    with no search.  Only an m that is left runs targeted branch-and-bound
+    on the core, and a budget hit there stands.  Facts (1) and (2) end the
+    sweep, so 2^m <= |H|.  Under a pattern cap below |X| no omega*_m is
+    read, not even one an earlier call settled, so the answer is the one a
     fresh run gives.
     """
     cls.require_nonempty()
@@ -349,24 +354,17 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
 
 def _clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
     """`clique_dimension` of a nonempty class whose ld is known."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
         if ld >= m:
             return True
         rec = _record(cls, m, caps)
-        if rec.omega_star is not None and _settled_omega_star(rec, caps) < 1 << m:
-            return False
         if rec.omega is not None:
             return rec.omega == 1 << m
-        try:
-            return has_clique_of_size(rec.core, 1 << m, caps)
-        except ResourceLimitError:
-            if _settled_omega_star(rec, caps) == 1 << m:
-                raise
+        if cls.universe_size <= caps.max_pattern_universe and _settled_omega_star(rec, caps) < 1 << m:
             return False  # omega_m <= omega*_m < 2^m
+        return has_clique_of_size(rec.core, 1 << m, caps)
 
     return _sweep(m_max, min(top, tech_cd_cutoff(ld) - 1), passes)
 
@@ -386,8 +384,6 @@ def fractional_clique_dimension(
 
 def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
     """`fractional_clique_dimension` of a nonempty class whose ld is known."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:

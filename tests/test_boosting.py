@@ -401,6 +401,10 @@ def test_expert_game_weights_depend_only_on_past():
 def test_expert_game_rejects_short_instance():
     with pytest.raises(LengthMismatchError):
         run_expert_game(Dataset([(2, 1)]), [(0, 1)])
+    with pytest.raises(InvalidParamsError, match="^expert game needs a nonempty dataset$"):
+        run_expert_game(Dataset([]), [(0, 1)])
+    with pytest.raises(InvalidParamsError, match="^expert game needs at least one round$"):
+        run_expert_game(Dataset([(1, 1)]), [])
 
 
 def reference_example_losses(dataset, instances):

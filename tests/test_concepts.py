@@ -191,6 +191,8 @@ def test_is_realizable():
     assert is_realizable(cls, Dataset([(0, 0), (1, 0), (2, 0)]))
     # no row starts with 1,0,0,0
     assert not is_realizable(cls, Dataset([(0, 1), (1, 0), (2, 0), (3, 0)]))
+    with pytest.raises(InvalidParamsError, match="^dataset point 4 outside universe of size 4$"):
+        is_realizable(cls, Dataset([(0, 0), (4, 1)]))
 
 
 # ─── generators ────────────────────────────────────────────────────────────
@@ -251,6 +253,25 @@ def test_generate_example_class_rows():
 def test_generate_rejects_unknown_family():
     with pytest.raises(InvalidParamsError):
         generate("nope")
+
+
+@pytest.mark.parametrize(
+    "family, universe, count, message",
+    [
+        ("full", 0, 4, r"^full: universe size must be in 1\.\.20$"),
+        ("full", 21, 4, r"^full: universe size must be in 1\.\.20$"),
+        ("singleton", 0, 4, "^singleton: universe size must be >= 1$"),
+        ("thresholds", 0, 4, "^thresholds: universe size must be >= 1$"),
+        ("parities", 0, 4, "^parities: universe size must be >= 1$"),
+        ("disjoint_pairs", 0, 4, "^disjoint_pairs: universe size must be >= 1$"),
+        ("random", 21, 4, r"^random: universe size must be in 1\.\.20$"),
+        ("random", 3, 0, r"^random: count must be in 1\.\.2\^3 = 8$"),
+        ("random", 3, 9, r"^random: count must be in 1\.\.2\^3 = 8$"),
+    ],
+)
+def test_generate_refuses_a_size_outside_the_family_range(family, universe, count, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        generate(family, universe=universe, count=count)
 
 
 def test_red_clique_datasets_pairwise_contradict():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from cliquedim import (
     DEFAULT_CAPS,
+    Caps,
     ConceptClass,
     Dataset,
     EmptyClassError,
@@ -345,18 +346,18 @@ def test_clique_dimension_refutes_a_budget_hit_with_omega_star():
     clear_caches()
 
 
-def test_clique_dimension_refutes_m4_by_search_under_default_caps(monkeypatch):
-    # random(6,16,1) at m = 4: only the 244 vertices with a single realizing
-    # row can be in a 16-clique, and the search proves there is none, no LP
+def test_clique_dimension_refutes_m4_by_omega_star_without_search(monkeypatch):
+    # random(6,16,1): ld = 3 and |H| = 16 = 2^4, and omega*_4 = 47/3 < 16
+    # fails m = 4 before any clique search (the search takes 6,549 nodes)
     import cliquedim.dimensions as dims
     from cliquedim import clear_caches
 
     cls = generate("random", universe=6, count=16, seed=1)
     clear_caches()
-    monkeypatch.setattr(dims, "omega_star", lambda *a: pytest.fail("solved an LP"))
+    monkeypatch.setattr(dims, "has_clique_of_size", lambda *a: pytest.fail("searched"))
     got = clique_dimension(cls, 4)
-    assert (got.value, got.exactness) == (3, EXACT)
     clear_caches()
+    assert (got.value, got.exactness) == (3, EXACT)
 
 
 def test_cached_omega_star_below_two_pow_m_fails_m_without_search(monkeypatch):
@@ -373,21 +374,30 @@ def test_cached_omega_star_below_two_pow_m_fails_m_without_search(monkeypatch):
     assert (got.value, got.exactness) == (2, EXACT)
 
 
-def test_clique_dimension_answers_the_same_with_or_without_a_cached_omega_star():
-    # random(5,8,2): G_3 has more than 60 vertices, so cd under that cap
-    # stops at a lower bound, and an omega*_3 = 7 cached under the default
-    # caps must not read past the cap to make it exact
-    from cliquedim import Caps, cached_omega_star, clear_caches
-
+@pytest.mark.parametrize(
+    "caps, expected",
+    [
+        # G_3 has more than 60 vertices, so cd under that cap stops at a
+        # lower bound, and an omega*_3 = 7 cached under the default caps
+        # must not read past the cap to make it exact
+        (Caps(max_vertices=60), DimensionValue(2, LOWER_BOUND)),
+        # under a pattern cap below |X| = 5 no LP runs, so the search
+        # refutes m = 3, and an omega*_3 cached without the cap must not
+        # be read in its place
+        (Caps(max_pattern_universe=0), DimensionValue(2, EXACT)),
+    ],
+    ids=["vertex-cap", "pattern-cap"],
+)
+def test_clique_dimension_answers_the_same_with_or_without_a_cached_omega_star(caps, expected):
+    # random(5,8,2): ld = 2 < 3 = floor(log2 8)
     cls = generate("random", universe=5, count=8, seed=2)
-    caps = Caps(max_vertices=60)
     clear_caches()
     fresh = clique_dimension(cls, 4, caps)
     clear_caches()
     cached_omega_star(cls, 3, Caps())
     after = clique_dimension(cls, 4, caps)
     clear_caches()
-    assert fresh == after == DimensionValue(2, LOWER_BOUND)
+    assert fresh == after == expected
 
 
 def test_fractional_clique_dimension_needs_no_lp_when_ld_reaches_log2_rows(monkeypatch):

@@ -14,6 +14,7 @@ import oracles
 from cliquedim import (
     DualityCertificate,
     InvariantError,
+    ZeroColoringError,
     build_graph,
     coloring_to_distribution,
     format_certificate,
@@ -140,6 +141,38 @@ def test_validate_cover_rejects_entries_other_than_0_or_1():
         validate_cover(g, bad)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # G_1 of full(2) has 4 vertices, so vertex 4 is not one of them
+        ({4: F(1)}, r"^weight on unknown vertex 4$"),
+        ({0: F(-1), 1: F(2)}, r"^negative weight on vertex 0$"),
+    ],
+    ids=["unknown-vertex", "negative-weight"],
+)
+def test_validate_packing_refuses_a_weight_it_cannot_place(weights, message):
+    g = build_graph(generate("full", universe=2), 1)
+    assert g.num_vertices == 4
+    bad = FractionalClique(weights=weights, size=sum(weights.values()))
+    with pytest.raises(ValueError, match=message):
+        validate_packing(g, bad)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(0, 0): F(-1), (1, 1): F(2)}, r"^negative weight on pattern \(0, 0\)$"),
+        ({(0,): F(1)}, r"^pattern \(0,\) has wrong length$"),
+    ],
+    ids=["negative-weight", "short-pattern"],
+)
+def test_validate_cover_refuses_a_weight_it_cannot_place(weights, message):
+    g = build_graph(generate("full", universe=2), 1)
+    bad = FractionalColoring(weights=weights, colors=sum(weights.values()))
+    with pytest.raises(ValueError, match=message):
+        validate_cover(g, bad)
+
+
 def test_certificate_errors_show_the_exact_shortfall():
     g = build_graph(generate("full", universe=2), 1)
     half = FractionalColoring(weights={(0, 0): F(1, 2), (1, 1): F(1, 3)}, colors=F(5, 6))
@@ -248,6 +281,11 @@ def test_coloring_to_distribution_normalizes():
     dist = coloring_to_distribution(cert.coloring)
     assert sum(dist.values()) == 1
     assert all(w > 0 for w in dist.values())
+
+
+def test_coloring_to_distribution_refuses_a_zero_coloring():
+    with pytest.raises(ZeroColoringError, match="^cannot normalize a zero-weight coloring$"):
+        coloring_to_distribution(FractionalColoring(weights={(0, 1): F(0)}, colors=F(0)))
 
 
 def test_coloring_distribution_covers_every_vertex():
