@@ -35,15 +35,12 @@ the transcript holds transposed views of them.
 
 Draws from mu~ are exact: `random.random()` returns j/2^53 for an integer
 j, and u < cum_k exactly when j < ceil(cum_k 2^53), so each draw picks
-among integer thresholds built once per call.  For a generator whose
-`random` and `getrandbits` are `random.Random`'s own, j is
-(a >> 5) 2^26 + (b >> 6) for successive Mersenne Twister outputs a and b,
-and `getrandbits(64 k)` holds k such pairs lowest word first: a block of
-up to `_DRAW_BLOCK` draws is one `getrandbits` call and one numpy
-`searchsorted`, with the same picks and final generator state as calls to
-`random()`.  Other generators (subclasses overriding either method,
-`SystemRandom`) are asked by `random()` per draw, and each value is
-bisected into the cumulative Fractions.
+among integer thresholds built once per call.  j is (a >> 5) 2^26 + (b >> 6)
+for successive Mersenne Twister outputs a and b, and `getrandbits(64 k)`
+holds k such pairs lowest word first: a block of up to `_DRAW_BLOCK` draws
+is one `getrandbits` call and one numpy `searchsorted`, with the same picks
+and final state that calls to `random.Random.random()` give.  Every
+generator is read through its `getrandbits`, whatever its `random` does.
 
 The forced gamma-good check plays B runs at once, run-minor: weights are
 (m, B), and masses and prefix counts over the P labelings (P, B), so every
@@ -96,7 +93,6 @@ import math
 import operator
 import random
 import sys
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,35 +306,26 @@ def draw_patterns(mu: MuTilde, count: int, rng: random.Random) -> _PatternDraws:
 
     `random.random()` returns j / 2^53 for an integer j, and for integer j
     u >= cum_k exactly when j >= ceil(cum_k * 2^53).  So each draw picks
-    among integer thresholds.  For a generator whose `random` and
-    `getrandbits` are `random.Random`'s own, j comes without a call per
-    draw: `random()` is ((a >> 5) 2^26 + (b >> 6)) / 2^53 for two
-    successive 32-bit Mersenne Twister outputs a and b, and
-    `getrandbits(64 k)` returns 2k outputs lowest word first.  Each block
-    of up to `_DRAW_BLOCK` draws is one `getrandbits` call and one
-    `searchsorted`, written into the index; the picks and the generator's
-    final state equal those of `count` calls to `random()`.  Any other
-    generator (a subclass that overrides either method, `SystemRandom`) is
-    asked for each draw by `random()`, whose value is bisected into the
-    cumulative Fractions; Python compares a float or a Fraction with a
-    Fraction exactly.
+    among integer thresholds, and j comes without a call per draw:
+    `random()` is ((a >> 5) 2^26 + (b >> 6)) / 2^53 for two successive
+    32-bit Mersenne Twister outputs a and b, and `getrandbits(64 k)`
+    returns 2k outputs lowest word first.  Each block of up to
+    `_DRAW_BLOCK` draws is one `rng.getrandbits` call and one
+    `searchsorted`, written into the index.  The picks and the generator's
+    final state equal those of `count` calls to `random.Random.random()`
+    whenever `rng.getrandbits` is `random.Random`'s own.
     """
     if count < 0:
         raise InvalidParamsError(f"count must be >= 0, got {count}")
     cum = list(itertools.accumulate(mu.probs))[:-1]  # cum_k of all but the last pattern
-    kind = type(rng)
-    if kind.random is random.Random.random and kind.getrandbits is random.Random.getrandbits:
-        limits = [-(-c.numerator * _SCALE // c.denominator) for c in cum]
-        bounds = np.array(limits, dtype=np.uint64)
-        index = np.empty(count, dtype=np.intp)
-        for start in range(0, count, _DRAW_BLOCK):
-            n = min(_DRAW_BLOCK, count - start)
-            # word pairs (a, b) as a + b 2^32; j = (a >> 5) 2^26 + (b >> 6)
-            pairs = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
-            j = (pairs & _MASK32) >> 5 << 26 | pairs >> 38
-            index[start:start + n] = bounds.searchsorted(j, "right")
-    else:
-        index = np.fromiter((bisect_right(cum, rng.random()) for _ in range(count)), np.intp, count)
+    bounds = np.array([-(-c.numerator * _SCALE // c.denominator) for c in cum], dtype=np.uint64)
+    index = np.empty(count, dtype=np.intp)
+    for start in range(0, count, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, count - start)
+        # word pairs (a, b) as a + b 2^32; j = (a >> 5) 2^26 + (b >> 6)
+        pairs = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+        j = (pairs & _MASK32) >> 5 << 26 | pairs >> 38
+        index[start:start + n] = bounds.searchsorted(j, "right")
     return _PatternDraws(mu.patterns, index)
 
 

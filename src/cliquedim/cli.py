@@ -466,6 +466,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # argparse (Python 3.11 at least) reads `--flag=--` as [] and skips the type
+    bare = next((name for name, value in vars(args).items() if value == []), None)
+    if bare is not None:
+        print(f"error: --{bare.replace('_', '-')} needs a value, got '--'", file=sys.stderr)
+        return 2
     try:
         cls = _load_class(args.cls) if "cls" in args else None
         code, body = HANDLERS[args.command](args, cls)

@@ -75,12 +75,18 @@ class Clique:
         return len(self.members)
 
 
+def _check_range(g: ContradictionGraph, members) -> None:
+    """Refuse a member that is not a vertex index of `g`."""
+    n = g.num_vertices
+    for i in members:
+        if not 0 <= i < n:
+            raise IndexError(f"vertex index {i} out of range")
+
+
 def validate_clique(g: ContradictionGraph, members) -> Clique:
     """`members` as a Clique, each pair checked on its ones/zeros masks."""
     members = tuple(sorted(members))
-    for i in members:
-        if not 0 <= i < g.num_vertices:
-            raise IndexError(f"vertex index {i} out of range")
+    _check_range(g, members)
     if len(set(members)) != len(members):
         raise ValueError("duplicate vertex in clique")
     for a, u in enumerate(members):
@@ -283,6 +289,7 @@ def find_balanced_point(g: ContradictionGraph, clique: Clique) -> BalancedPointR
     c = len(members)
     if c < 2:
         raise DegenerateCliqueError("balanced point needs a clique of size >= 2")
+    _check_range(g, members)
     m = g.m
     threshold = Fraction(c - 1, 2 * m)
     # the members' examples as working masks: deleting (p, l) clears bit p
@@ -367,6 +374,7 @@ def tree_from_clique(g: ContradictionGraph, clique: Clique) -> MistakeTree:
     """
     if clique.size < 1:
         raise DegenerateCliqueError("tree extraction needs a nonempty clique")
+    _check_range(g, clique.members)
 
     @functools.cache
     def split(indices: tuple):
@@ -421,6 +429,4 @@ def clique_from_tree(g: ContradictionGraph, tree: MistakeTree) -> Clique:
         if idx is None:
             raise NotShatteredError(f"branch dataset {ds.render()} is not realizable")
         indices.append(idx)
-    if len(set(indices)) != len(indices):
-        raise NotShatteredError("two branches map to the same dataset")
     return validate_clique(g, indices)

@@ -134,10 +134,8 @@ class ContradictionGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def __repr__(self) -> str:
-        return (
-            f"ContradictionGraph(m={self.m}, vertices={self.num_vertices}, "
-            f"edges={self.num_edges})"
-        )
+        # no edge count: it would build and cache `adj`, about n^2/8 bytes
+        return f"ContradictionGraph(m={self.m}, vertices={self.num_vertices})"
 
 
 def neighbour_rows(holders, datasets) -> list:

@@ -625,12 +625,18 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert (code, err) == (2, "error: --gamma '1/0' has a zero denominator\n")
 
     # input error: a margin that is no number, is empty, or has more digits
-    # than Python reads names the flag
+    # (in its mantissa or its exponent) than Python reads names the flag
     unreadable = "error: --gamma must be a fraction such as 1/16 or a decimal such as 0.0625 of at most 4300 digits; got "
     long_decimal = "0.01" + "0" * 5000 + "1"
-    for gamma, shown in (("abc", "'abc'"), ("", "''"), (long_decimal, "a value of 5005 characters")):
+    long_exponent = "1e" + "9" * 5000
+    for gamma, shown in (
+        ("abc", "'abc'"), ("", "''"), (long_decimal, "a value of 5005 characters"),
+        (long_exponent, "a value of 5002 characters"),
+    ):
+        started = time.perf_counter()
         code, _, err = run(capsys, "boost", path, "--gamma", gamma, "--trials", "10")
         assert (code, err) == (2, unreadable + shown + "\n"), gamma
+        assert time.perf_counter() - started < 1, gamma
 
     # input error: a negative trial count and an anchor length below 1 name
     # their flag
@@ -850,6 +856,8 @@ def boost_flags(draw):
 @given(family=st.sampled_from((("disjoint_pairs", 2), ("thresholds", 3))), flags=boost_flags())
 # T = 1 takes any gamma, and the header's alpha must survive gamma^2 = 0.0
 @example(family=("disjoint_pairs", 2), flags=["--m", "1", "--trials", "0", "--gamma=1e-162"])
+# argparse (Python 3.11 at least) reads `--gamma=--` as [] without calling a type
+@example(family=("disjoint_pairs", 2), flags=["--m", "0", "--trials", "0", "--gamma=--"])
 def test_exit_code_contract_holds_on_fuzzed_boost_flags(family, flags):
     argv = ["boost", "-"] + flags
     out, err = io.StringIO(), io.StringIO()

@@ -596,6 +596,8 @@ def test_balanced_point_needs_two_members():
     g = build_graph(generate("full", universe=2), 1)
     with pytest.raises(DegenerateCliqueError):
         find_balanced_point(g, Clique((0,)))
+    with pytest.raises(DegenerateCliqueError, match="^tree extraction needs a nonempty clique$"):
+        tree_from_clique(g, Clique(()))
 
 
 def test_balanced_point_rejects_non_clique():
@@ -604,6 +606,16 @@ def test_balanced_point_rejects_non_clique():
     k = g.index_of(parse_dataset("(0:0);(0:0)"))
     with pytest.raises(ValueError):
         find_balanced_point(g, Clique((i, k)))
+    # members outside 0..n-1 are refused, not read from the end of the
+    # tables or carried into a leaf: -16 is vertex 62 of these 78
+    g = build_graph(generate("paper_example_sec6"), 3)
+    wraps = (8, 12, 18, 29, 36, 42, 53, -16)
+    for extract, members, bad in (
+        (find_balanced_point, wraps, -16), (tree_from_clique, wraps, -16),
+        (find_balanced_point, (8, 10**6), 10**6), (tree_from_clique, (10**6,), 10**6),
+    ):
+        with pytest.raises(IndexError, match=f"^vertex index {bad} out of range$"):
+            extract(g, Clique(members))
 
 
 # ─── clique <-> mistake tree ───────────────────────────────────────────────

@@ -266,6 +266,12 @@ def test_no_clique_entry_point_builds_the_adjacency(adjacency_builds, monkeypatc
     assert adjacency_builds == []
 
 
+def test_repr_leaves_the_adjacency_unbuilt():
+    g = build_graph(generate("paper_example_sec6"), 3)
+    assert repr(g) == "ContradictionGraph(m=3, vertices=78)"
+    assert "adj" not in vars(g)
+
+
 def test_witness_patterns_are_consistent_with_members():
     g = build_graph(generate("thresholds", universe=3), 2)
     fam = independent_sets(g, maximal_only=True)
