@@ -39,27 +39,30 @@ fit under the caps; otherwise the flag honestly degrades to
 lower-bound-at-m-max.  No m past the cutoff is tried.
 
 Each (cls, m) has one record.  It holds the order |V(G_m)|, counted without
-a build; the core of G_m (its vertices with min(m, |X|) distinct points,
-which has the same omega_m and omega*_m: `graph` module docstring) and the
-full G_m, each built on first read; omega_m and omega*_m once exact; and
-the full graph's LP certificate once solved, and nothing derived from it:
-`boosting` normalizes mu* where it reads it.  Values are settled in this
-order.  `dimension_report` settles each row first: m <= ld gives omega_m =
-omega*_m = 2^m with no search, otherwise an exact `max_clique` on the core
-gives omega_m, and a clique at the ceiling gives omega*_m as well.  An LP
-settles omega*_m wherever it runs.  cd, cd* and the report's omega* column
-read what is settled and search or solve only what is not, on the core: the
-LP there settles the value only.  cd reads omega*_m before it searches,
-whenever |X| is within the pattern cap, since omega*_m < 2^m fails m with
-no search; past that cap it searches.  The full graph is built only by the
-readers of its vertices or of a full LP certificate: `cached_graph`,
-`cached_omega_star` and `smallest_separating_m0`, which solves an open
-omega*_m0 on the full graph because boost reads that certificate for the m0
-it finds.  A value settled twice must agree, or InvariantError is raised,
-so a core LP that a later full LP contradicts is an internal error.  Every
-read applies its caps: the vertex cap to the counted order whenever G_m is
-read (and to the count's table while it counts), the LP's pattern cap
-whenever the value comes from an LP.
+a build; the core of G_m (for m <= |X|, its vertices with m distinct
+points, which has the same omega_m and omega*_m: `graph` module docstring)
+and the full G_m, each built on first read; omega_m and omega*_m once
+exact; and the full graph's LP certificate once solved, and nothing derived
+from it: `boosting` normalizes mu* where it reads it.  Values are settled
+in this order.  A record of an m >= |X| settles from (cls, m) alone when it
+is made: omega_m = omega*_m = |H| (`graph` module docstring), so no core
+past |X| is ever built.  `dimension_report` settles each other row first:
+m <= ld gives omega_m = omega*_m = 2^m with no search, otherwise an exact
+`max_clique` on the core gives omega_m, and a clique at the ceiling gives
+omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd* and
+the report's omega* column read what is settled and search or solve only
+what is not, on the core: the LP there settles the value only.  cd reads
+omega*_m before it searches, whenever |X| is within the pattern cap, since
+omega*_m < 2^m fails m with no search; past that cap it searches.  The full
+graph is built only by the readers of its vertices or of a full LP
+certificate: `cached_graph`, `cached_omega_star` and
+`smallest_separating_m0`, which solves an open omega*_m0 on the full graph
+because boost reads that certificate for the m0 it finds.  A value settled
+twice must agree, or InvariantError is raised, so a core LP or a value
+read off the class that a later full LP contradicts is an internal error.
+Every read applies its caps: the vertex cap to the counted order whenever
+G_m is read (and to the count's table while it counts), the LP's pattern
+cap whenever the value comes from an LP.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -106,9 +109,10 @@ _records: dict = {}
 @dataclass(eq=False)
 class _Record:
     """What is known of G_m of one class: its order |V(G_m)|, counted
-    without a build; its core and the full graph, each built on first read;
-    omega_m / omega*_m once exact, with `solved` set when an LP gave
-    omega*_m; and the full graph's LP certificate once solved."""
+    without a build; its core (read only below |X|) and the full graph,
+    each built on first read; omega_m / omega*_m once exact, with `solved`
+    set when an LP gave omega*_m; and the full graph's LP certificate once
+    solved."""
 
     cls: ConceptClass
     m: int
@@ -131,12 +135,16 @@ class _Record:
 def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
     """The record of G_m, with `caps`' vertex cap applied to the counted
     order on every call, as a build under `caps` would apply it, and to
-    the count's own table while it counts."""
+    the count's own table while it counts.  A new record of an m >= |X|
+    settles omega_m = omega*_m = |H| from the class alone (`graph` module
+    docstring), with no build, search or LP."""
     rec = _records.get((cls, m))
     if rec is None:
         if len(_records) >= MEMO_SIZE:
             del _records[next(iter(_records))]
         rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m, caps))
+        if m >= cls.universe_size:
+            rec.omega, rec.omega_star = len(cls.hypotheses), Fraction(len(cls.hypotheses))
     caps.check_vertices(rec.order, m)
     return rec
 
@@ -456,10 +464,11 @@ def dimension_report(
     """Per-m table plus the four dimensions.  omega is exact unless the
     node budget ran out (then the best clique found is reported, flagged).
     Each row settles what it can in the record of G_m before cd and cd*
-    read it: m <= ld settles omega_m = omega*_m = 2^m with no search, and
-    an exact omega_m of the core at the ceiling min(2^m, |H|) is omega*_m
-    too (fact (1)).  Only an omega*_m left open solves an LP, on the core.
-    `num_vertices` is the counted order of the full G_m."""
+    read it: a row of m >= |X| is settled as |H| by its record, m <= ld
+    settles omega_m = omega*_m = 2^m with no search, and an exact omega_m
+    of the core at the ceiling min(2^m, |H|) is omega*_m too (fact (1)).
+    Only an omega*_m left open solves an LP, on the core.  `num_vertices`
+    is the counted order of the full G_m."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)

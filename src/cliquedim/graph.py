@@ -16,14 +16,14 @@ two builders: `holders[2p + l]` masks the vertices holding (p, l).  In
 `neighbour_rows` a vertex is adjacent to each holder of (p, 1 - l) for its
 examples (p, l); in `consistency_mask` V_h drops each holder of (p, 1 - h(p)).
 
-The core of G_m is its set of vertices with exactly k = min(m, |X|)
-distinct points, and `build_core` builds it as a graph of its own.  It has
-the clique number and the fractional clique number of G_m.  Take a vertex S
-with fewer than k distinct points and a row h realizing it, and replace
-repeated copies in S by examples (x, h(x)) at points x outside S until S'
-has k distinct points.  Then S' is realized by h and holds every example of
-S, so S' contradicts every vertex S does, and every labeling consistent
-with S' is consistent with S.
+The core of G_m, for m <= |X|, is its set of vertices with m distinct
+points, one example at each, and `build_core` builds it as a graph of its
+own.  It has the clique number and the fractional clique number of G_m.
+Take a vertex S with fewer than m distinct points and a row h realizing
+it, and replace repeated copies in S by examples (x, h(x)) at points x
+outside S until S' has m distinct points.  Then S' is realized by h and
+holds every example of S, so S' contradicts every vertex S does, and every
+labeling consistent with S' is consistent with S.
   * A clique maps to a clique of the core of the same size: two members
     contradict, so their images contradict, and so differ.
   * A fractional clique of G_m moves its weight from each S to its S',
@@ -34,6 +34,15 @@ So omega_m and omega*_m are the same on both.  A certificate of the core
 is one of G_m: its primal, indexed by the same datasets in G_m, meets every
 V_h of G_m (its weights lie on the core), and its dual coloring covers
 every S of G_m at least as much as it covers S'.
+
+From m = |X| on, the class alone fixes both values.  At m >= |X| the same
+argument maps G_m onto its vertices holding all |X| points.  Each of them
+labels the whole universe, so exactly one row realizes it, and two of them
+contradict exactly when their rows differ: they form the complete
+|H|-partite graph, whose parts are the rows.  A vertex from each part is a
+clique of |H|, and the |H| parts are a coloring, so omega_m = omega*_m =
+|H|.  `dimensions` reads these values off the class and builds no core
+there, and `build_core` refuses m > |X|.
 
 `count_vertices` gives |V(G_m)| without listing a vertex.  A vertex is a
 realizable set of j labeled distinct points with m copies spread over them,
@@ -208,26 +217,27 @@ def count_vertices(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> int:
 def build_graph(cls: ConceptClass, m: int, caps: Caps = DEFAULT_CAPS) -> ContradictionGraph:
     """Enumerate realizable size-m datasets in canonical order and assemble
     the graph."""
-    return _enumerate(cls, m, caps, 0)
+    return _enumerate(cls, m, caps, False)
 
 
 def build_core(cls: ConceptClass, m: int) -> ContradictionGraph:
-    """The core of G_m: the vertices with exactly min(m, |X|) distinct
-    points, in canonical order (module docstring).  Never larger than G_m,
-    whose vertex cap the caller checks on `count_vertices`."""
-    return _enumerate(cls, m, Caps(max_vertices=math.inf), min(m, cls.universe_size))
+    """The core of G_m for m <= |X|: the vertices with m distinct points, in
+    canonical order (module docstring).  Never larger than G_m, whose
+    vertex cap the caller checks on `count_vertices`."""
+    if m > cls.universe_size:
+        raise ValueError(f"the core is built only for m <= |X| = {cls.universe_size}, got m={m}")
+    return _enumerate(cls, m, Caps(max_vertices=math.inf), True)
 
 
-def _enumerate(cls: ConceptClass, m: int, caps: Caps, distinct: int) -> ContradictionGraph:
-    """G_m, or with `distinct` > 0 its vertices with that many distinct
-    points.  DFS over labeled pairs in (point, label) order with the set of
-    still-consistent hypotheses as a prune mask, which each leaf keeps as
-    its vertex's realizer mask; nondecreasing pair sequences enumerate each
-    multiset exactly once, already sorted and free of conflicts, so each
-    leaf becomes a vertex by `Dataset.from_canonical` with the ones/zeros
-    masks its frames carried down.  With `distinct` set, each frame scans
-    only the pairs after which the remaining examples can still bring the
-    prefix up to that many distinct points."""
+def _enumerate(cls: ConceptClass, m: int, caps: Caps, core: bool) -> ContradictionGraph:
+    """G_m, or with `core` set its core (m <= |X|).  DFS over labeled pairs
+    in (point, label) order with the set of still-consistent hypotheses as
+    a prune mask, which each leaf keeps as its vertex's realizer mask;
+    nondecreasing pair sequences enumerate each multiset exactly once,
+    already sorted and free of conflicts, so each leaf becomes a vertex by
+    `Dataset.from_canonical` with the ones/zeros masks its frames carried
+    down.  With `core` set, each example goes at a new point after the last
+    one, leaving one point for each example still to come."""
     pair_masks = _pair_masks(cls, m)
     n = cls.universe_size
     # pair k is the example (k // 2, k % 2), made once and shared by every
@@ -239,7 +249,7 @@ def _enumerate(cls: ConceptClass, m: int, caps: Caps, distinct: int) -> Contradi
     # explicit DFS stack, so no m is too deep for it: one [next pair index,
     # rows consistent with the prefix, its ones mask, its zeros mask, end of
     # the pairs to scan] frame per prefix length below m
-    stack = [[0, (1 << len(cls.hypotheses)) - 1, 0, 0, 2 * min(n, n - distinct + 1)]]
+    stack = [[0, (1 << len(cls.hypotheses)) - 1, 0, 0, 2 * (n - m + 1) if core else 2 * n]]
     while stack:
         frame = stack[-1]
         k, alive, ones, zeros, end = frame
@@ -265,18 +275,7 @@ def _enumerate(cls: ConceptClass, m: int, caps: Caps, distinct: int) -> Contradi
             zeros |= bit
         prefix.append(pairs[k])
         if len(prefix) < m:
-            start, end = k, 2 * n
-            if distinct:
-                # after pair k, `held` points are distinct and `left`
-                # examples are to come: another copy of x can still reach
-                # `distinct` points iff held + min(left - 1, n - 1 - x)
-                # does, and a new point y > x iff left >= distinct - held
-                # and y <= n - distinct + held
-                held, left = (ones | zeros).bit_count(), m - len(prefix)
-                x = k >> 1
-                if held + min(left - 1, n - 1 - x) < distinct:
-                    start = 2 * x + 2
-                end = 2 * min(n, n - distinct + held + 1) if held + left >= distinct else start
+            start, end = ((k | 1) + 1, 2 * (n - m + len(prefix) + 1)) if core else (k, 2 * n)
             stack.append([start, nxt, ones, zeros, end])
             continue
         if len(vertices) >= caps.max_vertices:

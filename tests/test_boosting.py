@@ -1255,28 +1255,35 @@ def test_small_pop_err_counts_a_loss_equal_to_theta():
 
 
 def test_small_pop_table_follows_the_certificate_after_clear_caches(monkeypatch):
-    # mu* all on the all-zero labeling, at a made-up omega* of 3
-    real = omega_star(build_graph(ANCHOR, 2))
+    # mu* all on the all-zero labeling, at a made-up omega* of 3.  G_2 of
+    # the disjoint pairs on 3 points has 2 < |X|, so its omega* is read
+    # from the LP alone
+    cls = generate("disjoint_pairs", universe=3)
+    real = omega_star(build_graph(cls, 2))
     fake = dataclasses.replace(
         real,
         value=F(3),
-        coloring=dataclasses.replace(real.coloring, weights={(0, 0): F(3)}, colors=F(3)),
+        coloring=dataclasses.replace(real.coloring, weights={(0, 0, 0): F(3)}, colors=F(3)),
     )
     dist = {(0, 0): F(1, 2), (1, 0): F(1, 2)}
     clear_caches()
     try:
-        before = small_pop_err_check(ANCHOR, 2, dist)
+        before = small_pop_err_check(cls, 2, dist)
         assert before[0] == (F(0), F(1, 2), F(-1, 2), True)
         monkeypatch.setattr("cliquedim.dimensions.omega_star", lambda g, caps=DEFAULT_CAPS: fake)
-        assert small_pop_err_check(ANCHOR, 2, dist) == before
+        assert small_pop_err_check(cls, 2, dist) == before
         clear_caches()
-        after = small_pop_err_check(ANCHOR, 2, dist)
-        mu = boosting._mu_star(ANCHOR, 2, DEFAULT_CAPS)
-        assert (mu.patterns, mu.weights, mu.denominator) == (((0, 0),), (1,), 1)
+        after = small_pop_err_check(cls, 2, dist)
+        mu = boosting._mu_star(cls, 2, DEFAULT_CAPS)
+        assert (mu.patterns, mu.weights, mu.denominator) == (((0, 0, 0),), (1,), 1)
         # 1/3 - (1 - theta)^2 at theta = 0, 1/4, 1/2, 1
         assert boosting._pop_bounds(mu.value, 2) == (F(-2, 3), F(-11, 48), F(1, 12), F(1, 3))
         assert after[0] == (F(0), F(1), F(1, 3) - 1, True)
-        assert after == oracles.reference_small_pop_err_check(ANCHOR, 2, dist)
+        assert after == oracles.reference_small_pop_err_check(cls, 2, dist)
+        # at m >= |X| the record reads omega*_m = |H| = 2 off the class, and
+        # an LP that disagrees is an internal error
+        with pytest.raises(InvariantError, match="^omega_star of G_2 settled as 2 and as 3$"):
+            small_pop_err_check(ANCHOR, 2, dist)
     finally:
         clear_caches()
 

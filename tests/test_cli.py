@@ -319,6 +319,34 @@ def test_curves_builds_each_graph_once(capsys, monkeypatch):
     assert lps == {}
 
 
+def test_curves_past_the_universe_builds_no_core(capsys, monkeypatch):
+    # paper_example_sec6 has |X| = 4 and |H| = 8: every record of m >= 4
+    # reads omega_m = omega*_m = 8 off the class, so curves builds the
+    # cores of m <= 3 only, and a long sweep stops at the vertex cap
+    import cliquedim.dimensions as dims
+
+    build_core, built = dims.build_core, []
+    monkeypatch.setattr(dims, "build_core", lambda cls, m: built.append(m) or build_core(cls, m))
+    text = format_class_text(generate("paper_example_sec6"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    clear_caches()
+    try:
+        code, out, err = run(capsys, "curves", "-", "--m-max", "30")
+        assert (code, err) == (0, "")
+        # m <= ld = 2 are settled by the mistake tree, so G_3's is the one core
+        assert built == [3]
+        rows = out.splitlines()[2:-4]
+        assert [row.split(",")[0] for row in rows] == [str(m) for m in range(1, 31)]
+        for m, row in enumerate(rows[3:], start=4):
+            assert row.split(",")[2:] == ["8", "true", "8", "1", str(1 << m)], row
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "curves", "-", "--m-max", "1000")
+        refused = "resource limit (vertex-cap): more than 1000000 realizable datasets at m=90\n"
+        assert (code, out, err) == (3, "", refused)
+    finally:
+        clear_caches()
+
+
 def test_curves_of_paper_example_reads_the_reports_values(capsys, monkeypatch):
     # the report settles omega_1..4 and omega*_1..3 (m <= ld = 2 by the
     # mistake tree, omega_3 = 8 at the ceiling), and cd and cd* read them

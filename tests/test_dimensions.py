@@ -466,7 +466,7 @@ def test_sweep_tries_no_m_past_its_upper_bound():
 
 def test_report_runs_no_max_clique_up_to_ld(monkeypatch):
     # a complete shattered tree of depth ld settles omega_m = omega*_m = 2^m
-    # for every m <= ld
+    # for every m <= ld, and the record of every m >= |X| holds |H|
     import cliquedim.dimensions as dims
     from cliquedim import clear_caches
 
@@ -477,10 +477,12 @@ def test_report_runs_no_max_clique_up_to_ld(monkeypatch):
         searched.clear()
         clear_caches()
         rep = dimension_report(cls)
-        assert searched == list(range(rep.ld + 1, 5)), name
+        assert searched == list(range(rep.ld + 1, min(5, cls.universe_size))), name
         for row in rep.rows[: rep.ld]:
             two = 1 << row.m
             assert (row.omega, row.omega_exact, row.omega_star) == (two, True, two), name
+        for row in rep.rows[cls.universe_size - 1 :]:
+            assert (row.omega, row.omega_exact) == (len(cls.hypotheses), True), name
     clear_caches()
 
 
@@ -569,6 +571,46 @@ def test_settled_values_are_read_without_the_lps_pattern_cap():
         assert exc.value.dimension == "pattern-cap"
     finally:
         clear_caches()
+
+
+@st.composite
+def classes_and_lengths_past_the_universe(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8))
+    return ConceptClass(n, rows), n + draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes_and_lengths_past_the_universe())
+def test_records_from_the_universe_on_read_the_row_count(case):
+    # at m >= |X| the core of G_m is the complete |H|-partite graph, so the
+    # record reads omega_m = omega*_m = |H| off the class and builds no
+    # core; the full G_m's clique search and LP are the referee
+    import cliquedim.dimensions as dims
+    from cliquedim.graph import build_core
+
+    cls, m = case
+    n, rows = cls.universe_size, len(cls.hypotheses)
+    g = build_graph(cls, m)
+    assert (max_clique(g).size, omega_star(g).value) == (rows, rows)
+
+    def below_the_universe(c, k):
+        if k >= c.universe_size:
+            pytest.fail(f"built the core of G_{k}")
+        return build_core(c, k)
+
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dims, "build_core", below_the_universe)
+            report = dimension_report(cls, m_max_clique=m, m_max_lp=m)
+            for row in report.rows[n - 1 :]:
+                assert (row.omega, row.omega_exact, row.omega_star) == (rows, True, rows)
+            assert cached_omega_star(cls, m, DEFAULT_CAPS).value == rows
+    finally:
+        clear_caches()
+    with pytest.raises(ValueError, match=f"^the core is built only for m <= [|]X[|] = {n}, got m={n + 1}$"):
+        build_core(cls, n + 1)
 
 
 @st.composite
