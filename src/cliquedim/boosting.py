@@ -466,8 +466,8 @@ def forced_gamma_good_check(
     the rounds left, and a decided run adds no violation.  Later blocks are
     still drawn for all B runs and keep the live runs' columns, so every
     live run sees the uniforms, and makes the picks, it would have without
-    either exit; the live runs' buffers are views of their first allocation.
-    Drawing stops once no run is live.
+    either exit; the buffers are allocated afresh whenever the live-run
+    count changes.  Drawing stops once no run is live.
     """
     if transcripts < 0:
         raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
@@ -494,17 +494,16 @@ def forced_gamma_good_check(
     per_block = max(1, _DRAW_BLOCK // max(transcripts, 1))
     w, correct = np.full((m, transcripts), 1.0 / m), np.zeros((m, transcripts))
     live = np.arange(transcripts)  # each live run's column in a draw block
-    # (rows, n) views for n live runs: mass (then 1.0 where good), prefix counts
-    # over a +inf row, those <= r c, the block's picks, update rows over sums
-    flats = [np.empty(size * transcripts, dtype) for size, dtype in (
-        (n_pats, float), (n_pats + 1, float), (n_pats + 1, bool), (per_block, np.intp), (m + 1, float))]
     violations, n = 0, -1
     for start in range(0, t_rounds, per_block):
         if len(live) != n:
             n = len(live)
             if not n:
                 break
-            mass, seen, below, picks, step = (f[:f.size // transcripts * n].reshape(-1, n) for f in flats)
+            # (rows, n) buffers for n live runs: mass (then 1.0 where good), prefix counts
+            # over a +inf row, those <= r c, the block's picks, update rows over sums
+            mass, seen, below, picks, step = (np.empty((rows, n), dtype) for rows, dtype in (
+                (n_pats, float), (n_pats + 1, float), (n_pats + 1, bool), (per_block, np.intp), (m + 1, float)))
             seen[n_pats] = np.inf
             prefix, count, step, total = seen[:n_pats], seen[n_pats - 1], step[:m], step[m]
         block = rng.random((min(per_block, t_rounds - start), transcripts))[:, live]

@@ -467,9 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # argparse up to Python 3.12 reads `--flag=--` as [] and skips the type;
-    # 3.13 reads it as the text '--', which the flag's own type or handler
-    # then takes or refuses
-    bare = next((name for name, value in vars(args).items() if value == []), None)
+    # 3.13 reads it as the text '--' (and a typed flag's type refuses it).
+    # Both are refused, except in CLASS: `-- --` names a class file `--`
+    bare = next((name for name, value in vars(args).items() if value in ([], "--") and name != "cls"), None)
     if bare is not None:
         print(f"error: --{bare.replace('_', '-')} needs a value, got '--'", file=sys.stderr)
         return 2

@@ -62,7 +62,11 @@ twice must agree, or InvariantError is raised, so a core LP or a value
 read off the class that a later full LP contradicts is an internal error.
 Every read applies its caps: the vertex cap to the counted order whenever
 G_m is read (and to the count's table while it counts), the LP's pattern
-cap whenever the value comes from an LP.
+cap to a settled omega*_m whose omega_m is not at the ceiling
+min(2^m, |H|) and to every certificate.  ld, |X| and a ceiling clique
+settle omega_m at the ceiling, and nothing else settles omega*_m without
+an LP, so a value is read with the pattern cap exactly when a fresh run
+would solve an LP for it.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -110,16 +114,16 @@ _records: dict = {}
 class _Record:
     """What is known of G_m of one class: its order |V(G_m)|, counted
     without a build; its core (read only below |X|) and the full graph,
-    each built on first read; omega_m / omega*_m once exact, with `solved`
-    set when an LP gave omega*_m; and the full graph's LP certificate once
-    solved."""
+    each built on first read; omega_m / omega*_m once exact; and the full
+    graph's LP certificate once solved.  Only an LP settles omega*_m with
+    omega_m open or below the ceiling min(2^m, |H|): ld, |X| and a ceiling
+    clique settle both at the ceiling."""
 
     cls: ConceptClass
     m: int
     order: int
     omega: Optional[int] = None
     omega_star: Optional[Fraction] = None
-    solved: bool = False
     cert: Optional[DualityCertificate] = None
 
     @cached_property
@@ -164,7 +168,7 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
     if rec.cert is None:
         cert = omega_star(rec.graph, caps)
         _settle(rec, "omega_star", cert.value)
-        rec.cert, rec.solved = cert, True
+        rec.cert = cert
     else:
         caps.check_universe(rec.cls.universe_size)
     return rec.cert
@@ -172,12 +176,12 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
 
 def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
     """omega*_m as the record holds it, solving the LP of the core only
-    when nothing settled it; a value an LP gave is read with the LP's
-    caps."""
+    when nothing settled it.  A value whose omega_m is not at the ceiling
+    min(2^m, |H|) is one a fresh run would solve an LP for, so it is read
+    with the LP's pattern cap."""
     if rec.omega_star is None:
         _settle(rec, "omega_star", omega_star(rec.core, caps).value)
-        rec.solved = True
-    elif rec.solved:
+    elif rec.omega != min(1 << rec.m, len(rec.cls.hypotheses)):
         caps.check_universe(rec.cls.universe_size)
     return rec.omega_star
 

@@ -693,10 +693,10 @@ def test_runs_settling_partway_equal_the_loop():
     assert got == reference_forced_violations(ds, 4, cfg, 300, seed=78) == (156, 300)
 
 
-def test_forced_runs_leaving_in_two_blocks_keep_their_first_buffers(monkeypatch):
+def test_forced_runs_leaving_in_two_blocks_shrink_their_buffers(monkeypatch):
     # 200 runs take blocks of 10 rounds: 34 runs leave after one block and 146
     # after a later one, and the last 20 play all 51 rounds.  Each product
-    # writes into views of the buffer it wrote first
+    # writes into a buffer with one column per live run
     cfg = dataclasses.replace(boost_config(ANCHOR, m0=2, m=3), gamma=F(-1, 8), T=51)
     ds = Dataset([(0, 0), (1, 0), (1, 0), (1, 0)])
     outs = defaultdict(list)
@@ -716,7 +716,6 @@ def test_forced_runs_leaving_in_two_blocks_keep_their_first_buffers(monkeypatch)
     for written in outs.values():
         assert len(written) == 51
         assert sorted({out.shape[1] for out in written}, reverse=True) == [200, 166, 20]
-        assert all(np.shares_memory(out, written[0]) for out in written)
 
 
 @pytest.mark.parametrize("transcripts", [0, 1, 2])

@@ -884,7 +884,8 @@ def boost_flags(draw):
 @given(family=st.sampled_from((("disjoint_pairs", 2), ("thresholds", 3))), flags=boost_flags())
 # T = 1 takes any gamma, and the header's alpha must survive gamma^2 = 0.0
 @example(family=("disjoint_pairs", 2), flags=["--m", "1", "--trials", "0", "--gamma=1e-162"])
-# argparse (Python 3.11 at least) reads `--gamma=--` as [] without calling a type
+# argparse reads `--gamma=--` as [] (Python 3.10-3.12) or as the text '--'
+# (3.13), without calling a type; main refuses both as a bare flag
 @example(family=("disjoint_pairs", 2), flags=["--m", "0", "--trials", "0", "--gamma=--"])
 def test_exit_code_contract_holds_on_fuzzed_boost_flags(family, flags):
     argv = ["boost", "-"] + flags
@@ -901,6 +902,25 @@ def test_exit_code_contract_holds_on_fuzzed_boost_flags(family, flags):
             argv, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["gen", "full", "--universe", "1", "--out=--"], "out", "--"),
+    (["clique-from-tree", "-", "--tree=--"], "tree", "--"),
+    # argparse 3.10-3.12 hand `--flag=--` over as []
+    (["gen", "full", "--universe", "1", "--out=--"], "out", []),
+])
+def test_a_flag_given_two_dashes_needs_a_value(capsys, tmp_path, monkeypatch, argv, flag, value):
+    # argparse 3.13 reads `--out=--` as the text '--': main is handed that
+    # namespace, and must neither write nor read a file named `--`
+    import cliquedim.cli as cli
+
+    args = cli._build_parser().parse_args([a for a in argv if not a.endswith("=--")] + [f"--{flag}", "x"])
+    setattr(args, flag, value)
+    monkeypatch.setattr(cli, "_build_parser", lambda: mock.Mock(parse_args=lambda _: args))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: --{flag} needs a value, got '--'\n")
+    assert not (tmp_path / "--").exists()
 
 
 # sha256 of the stdout of each command at its default horizons: `cd`,

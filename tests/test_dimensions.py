@@ -574,6 +574,44 @@ def test_settled_values_are_read_without_the_lps_pattern_cap():
 
 
 @st.composite
+def classes_and_cached_lengths(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8))
+    return ConceptClass(n, rows), draw(st.integers(1, n + 1))
+
+
+def _report_or_refusal(cls, caps):
+    from cliquedim import ResourceLimitError
+
+    try:
+        rep = dimension_report(cls, caps=caps)
+    except ResourceLimitError as exc:
+        return exc.dimension
+    return rep.rows, rep.cd, rep.cd_star
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes_and_cached_lengths())
+# omega*_1 = 2 is settled by ld = 2; a full LP that only confirms it must
+# not make the report refuse the pattern cap a fresh report passes
+@example((generate("paper_example_sec6"), 1))
+def test_a_cached_certificate_leaves_a_capped_report_as_a_fresh_one(case):
+    # a certificate cached under the default caps is read with the LP's
+    # pattern cap exactly when a fresh report would solve an LP for omega*_m
+    cls, m = case
+    try:
+        for cap in (0, cls.universe_size - 1):
+            caps = Caps(max_pattern_universe=cap)
+            clear_caches()
+            fresh = _report_or_refusal(cls, caps)
+            clear_caches()
+            cached_omega_star(cls, m, Caps())
+            assert _report_or_refusal(cls, caps) == fresh
+    finally:
+        clear_caches()
+
+
+@st.composite
 def classes_and_lengths_past_the_universe(draw):
     n = draw(st.integers(1, 4))
     rows = draw(st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8))
