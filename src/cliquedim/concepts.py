@@ -15,6 +15,7 @@ inside r and its zeros avoid r.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from typing import Iterable, NamedTuple, Sequence
@@ -266,32 +267,15 @@ def example_red_clique_datasets() -> tuple:
     return tuple(out)
 
 
-def _gen_full(universe: int) -> ConceptClass:
-    if not 1 <= universe <= 20:
-        raise InvalidParamsError("full: universe size must be in 1..20")
-    rows = [mask_to_pattern(m, universe) for m in range(1 << universe)]
-    return ConceptClass(universe, rows)
-
-
-def _gen_singleton(universe: int) -> ConceptClass:
-    if universe < 1:
-        raise InvalidParamsError("singleton: universe size must be >= 1")
-    return ConceptClass(universe, [(0,) * universe])
-
-
-def _gen_thresholds(universe: int) -> ConceptClass:
+def _gen_thresholds(universe: int, count: int, seed: int) -> ConceptClass:
     """Rows 1^k 0^(n-k) for k = 0..n; n+1 hypotheses."""
-    if universe < 1:
-        raise InvalidParamsError("thresholds: universe size must be >= 1")
     rows = [tuple(1 if p < k else 0 for p in range(universe)) for k in range(universe + 1)]
     return ConceptClass(universe, rows)
 
 
-def _gen_parities(universe: int) -> ConceptClass:
+def _gen_parities(universe: int, count: int, seed: int) -> ConceptClass:
     """Points read as bit-vectors (point p = binary of p); one hypothesis per
     parity mask w: h_w(p) = popcount(w & p) mod 2.  Duplicate rows collapse."""
-    if universe < 1:
-        raise InvalidParamsError("parities: universe size must be >= 1")
     bits = max(1, (universe - 1).bit_length())
     rows = []
     for w in range(1 << bits):
@@ -299,17 +283,7 @@ def _gen_parities(universe: int) -> ConceptClass:
     return ConceptClass(universe, rows)
 
 
-def _gen_disjoint_pairs(universe: int) -> ConceptClass:
-    """{all-zeros, all-ones}: the m=1 contradiction graph is `universe`
-    disjoint edges."""
-    if universe < 1:
-        raise InvalidParamsError("disjoint_pairs: universe size must be >= 1")
-    return ConceptClass(universe, [(0,) * universe, (1,) * universe])
-
-
 def _gen_random(universe: int, count: int, seed: int) -> ConceptClass:
-    if universe < 1 or universe > 20:
-        raise InvalidParamsError("random: universe size must be in 1..20")
     if not 1 <= count <= (1 << universe):
         raise InvalidParamsError(
             f"random: count must be in 1..2^{universe} = {1 << universe}"
@@ -321,15 +295,21 @@ def _gen_random(universe: int, count: int, seed: int) -> ConceptClass:
     return ConceptClass(universe, rows)
 
 
-FAMILIES = (
-    "full",
-    "singleton",
-    "thresholds",
-    "parities",
-    "paper_example_sec6",
-    "random",
-    "disjoint_pairs",
-)
+# family -> (generator of (universe, count, seed), largest universe), in the
+# order `gen` lists them.  `generate` refuses a universe outside
+# 1..largest; paper_example_sec6 (None) has its own 4 points.  disjoint_pairs
+# is {all-zeros, all-ones}: its m=1 contradiction graph is `universe`
+# disjoint edges.
+_GENERATORS = {
+    "full": (lambda n, count, seed: ConceptClass(n, [mask_to_pattern(m, n) for m in range(1 << n)]), 20),
+    "singleton": (lambda n, count, seed: ConceptClass(n, [(0,) * n]), math.inf),
+    "thresholds": (_gen_thresholds, math.inf),
+    "parities": (_gen_parities, math.inf),
+    "paper_example_sec6": (lambda n, count, seed: ConceptClass(4, _GAP_EXAMPLE_ROWS), None),
+    "random": (_gen_random, 20),
+    "disjoint_pairs": (lambda n, count, seed: ConceptClass(n, [(0,) * n, (1,) * n]), math.inf),
+}
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(family: str, universe: int = 2, count: int = 4, seed: int = 0) -> ConceptClass:
@@ -338,21 +318,13 @@ def generate(family: str, universe: int = 2, count: int = 4, seed: int = 0) -> C
     `universe` is ignored by paper_example_sec6 (fixed at 4 points); `count`
     and `seed` apply to `random` only.
     """
-    if family == "full":
-        return _gen_full(universe)
-    if family == "singleton":
-        return _gen_singleton(universe)
-    if family == "thresholds":
-        return _gen_thresholds(universe)
-    if family == "parities":
-        return _gen_parities(universe)
-    if family == "paper_example_sec6":
-        return ConceptClass(4, _GAP_EXAMPLE_ROWS)
-    if family == "random":
-        return _gen_random(universe, count, seed)
-    if family == "disjoint_pairs":
-        return _gen_disjoint_pairs(universe)
-    raise InvalidParamsError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if family not in FAMILIES:
+        raise InvalidParamsError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    make, largest = _GENERATORS[family]
+    if largest is not None and not 1 <= universe <= largest:
+        bound = ">= 1" if largest == math.inf else f"in 1..{largest}"
+        raise InvalidParamsError(f"{family}: universe size must be {bound}")
+    return make(universe, count, seed)
 
 
 # ─── text format ─────────────────────────────────────────────────────────

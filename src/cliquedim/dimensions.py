@@ -56,17 +56,19 @@ omega*_m before it searches, whenever |X| is within the pattern cap, since
 omega*_m < 2^m fails m with no search; past that cap it searches.  The full
 graph is built only by the readers of its vertices or of a full LP
 certificate: `cached_graph`, `cached_omega_star` and
-`smallest_separating_m0`, which solves an open omega*_m0 on the full graph
+`smallest_separating_m0`, which reads the full LP at every m0 it tries
 because boost reads that certificate for the m0 it finds.  A value settled
 twice must agree, or InvariantError is raised, so a core LP or a value
 read off the class that a later full LP contradicts is an internal error.
-Every read applies its caps: the vertex cap to the counted order whenever
-G_m is read (and to the count's table while it counts), the LP's pattern
-cap to a settled omega*_m whose omega_m is not at the ceiling
-min(2^m, |H|) and to every certificate.  ld, |X| and a ceiling clique
-settle omega_m at the ceiling, and nothing else settles omega*_m without
-an LP, so a value is read with the pattern cap exactly when a fresh run
-would solve an LP for it.
+Every read applies its caps as a fresh run of the reading call would: the
+vertex cap to the counted order whenever G_m is read (and to the count's
+table while it counts), and the LP's pattern cap to every certificate and
+to a settled omega*_m below |X|, unless the reading call settles omega_m
+itself at that m (by ld, or by its own `max_clique`, as
+`dimension_report` does up to its m_max_clique) and omega_m is at the
+ceiling min(2^m, |H|): only then would a fresh run of it read omega*_m
+with no LP.  Past |X| omega*_m is read off the class.  The node budget is
+not applied again to an omega_m that a search has settled.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -174,14 +176,16 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
     return rec.cert
 
 
-def _settled_omega_star(rec: _Record, caps: Caps) -> Fraction:
+def _settled_omega_star(rec: _Record, caps: Caps, searched: int) -> Fraction:
     """omega*_m as the record holds it, solving the LP of the core only
-    when nothing settled it.  A value whose omega_m is not at the ceiling
-    min(2^m, |H|) is one a fresh run would solve an LP for, so it is read
-    with the LP's pattern cap."""
+    when nothing settled it.  `searched` is the largest m whose omega_m the
+    reading call settles itself, by ld or by its own `max_clique`.  Below
+    |X| a value is read with the LP's pattern cap unless m <= searched and
+    omega_m is at the ceiling min(2^m, |H|): only then would a fresh run of
+    the reading call settle it with no LP."""
     if rec.omega_star is None:
         _settle(rec, "omega_star", omega_star(rec.core, caps).value)
-    elif rec.omega != min(1 << rec.m, len(rec.cls.hypotheses)):
+    elif rec.m < rec.cls.universe_size and (rec.m > searched or rec.omega != min(1 << rec.m, len(rec.cls.hypotheses))):
         caps.check_universe(rec.cls.universe_size)
     return rec.omega_star
 
@@ -374,7 +378,7 @@ def _clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> Dim
         rec = _record(cls, m, caps)
         if rec.omega is not None:
             return rec.omega == 1 << m
-        if cls.universe_size <= caps.max_pattern_universe and _settled_omega_star(rec, caps) < 1 << m:
+        if cls.universe_size <= caps.max_pattern_universe and _settled_omega_star(rec, caps, 0) < 1 << m:
             return False  # omega_m <= omega*_m < 2^m
         return has_clique_of_size(rec.core, 1 << m, caps)
 
@@ -389,17 +393,20 @@ def fractional_clique_dimension(
     No LP runs for an m with ld >= m, which passes, with 2^m > |H|, which
     cannot pass (fact (1)), or whose omega*_m is already settled.  Every
     other m, past m_max too, solves the LP of the core of G_m under `caps`.
+    The sweep searches no clique, so below |X| a settled omega*_m is read
+    under the LP's pattern cap, as a fresh sweep would solve its LP.
     """
     cls.require_nonempty()
-    return _fractional_clique_dimension(cls, m_max, caps, littlestone_dimension(cls))
+    return _fractional_clique_dimension(cls, m_max, caps, littlestone_dimension(cls), 0)
 
 
-def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
-    """`fractional_clique_dimension` of a nonempty class whose ld is known."""
+def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int, searched: int) -> DimensionValue:
+    """`fractional_clique_dimension` of a nonempty class whose ld is known,
+    read by a call that settles omega_m itself up to m = `searched`."""
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
-        return ld >= m or _settled_omega_star(_record(cls, m, caps), caps) == 1 << m
+        return ld >= m or _settled_omega_star(_record(cls, m, caps), caps, searched) == 1 << m
 
     return _sweep(m_max, top, passes)
 
@@ -407,16 +414,13 @@ def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: 
 def smallest_separating_m0(cls: ConceptClass, caps: Caps = DEFAULT_CAPS) -> int:
     """Least m0 with omega*_{m0} < 2^{m0}.  Every m0 <= ld has omega*_{m0}
     = 2^{m0} and every m0 > floor(log2 |H|) separates (fact (1)), so only
-    the m0 between are read.  An open omega*_{m0} is read from the full
-    LP, whose certificate `boost_config` reads for the m0 found."""
+    the m0 between are read.  omega*_{m0} is read from the full LP at every
+    m0, as a fresh run solves it, under the LP's pattern cap; `boost_config`
+    reads its certificate for the m0 found, and a value settled before must
+    agree with it."""
     top = _log2_rows(cls)
     for m0 in range(littlestone_dimension(cls) + 1, top + 1):
-        rec = _record(cls, m0, caps)
-        if rec.omega_star is None:
-            star = _certificate(rec, caps).value
-        else:
-            star = _settled_omega_star(rec, caps)
-        if star < 1 << m0:
+        if _certificate(_record(cls, m0, caps), caps).value < 1 << m0:
             return m0
     return top + 1
 
@@ -476,6 +480,7 @@ def dimension_report(
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
+    searched = max(ld, m_max_clique)
     rows = []
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
         rec = _record(cls, m, caps)
@@ -496,13 +501,13 @@ def dimension_report(
                 _settle(rec, "omega", clique.size)
         if m <= m_max_clique and rec.omega is not None:
             omega, omega_exact = rec.omega, True
-        star = _settled_omega_star(rec, caps) if m <= m_max_lp else None
+        star = _settled_omega_star(rec, caps, searched) if m <= m_max_lp else None
         rows.append(
             PerMRow(m=m, num_vertices=rec.order, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
         )
     cd = _clique_dimension(cls, m_max_clique, caps, ld)
-    cd_star = _fractional_clique_dimension(cls, m_max_lp, caps, ld)
+    cd_star = _fractional_clique_dimension(cls, m_max_lp, caps, ld, searched)
     return DimensionReport(cls=cls, vc=vc, ld=ld, cd=cd, cd_star=cd_star, rows=tuple(rows))
 
 

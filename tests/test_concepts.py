@@ -208,6 +208,10 @@ def test_family_list_is_stable():
         "random",
         "paper_example_sec6",
     }
+    # `gen` lists the families in this order in its help and its errors
+    assert FAMILIES == (
+        "full", "singleton", "thresholds", "parities", "paper_example_sec6", "random", "disjoint_pairs",
+    )
 
 
 def test_generate_full():

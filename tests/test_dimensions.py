@@ -540,6 +540,8 @@ def test_a_core_lp_the_full_lp_contradicts_is_an_internal_error(monkeypatch, cap
     try:
         assert dimension_report(cls).rows[2].omega_star == Fraction(15, 2)
         with pytest.raises(InvariantError, match=f"^{clash}$"):
+            smallest_separating_m0(cls)
+        with pytest.raises(InvariantError, match=f"^{clash}$"):
             cached_omega_star(cls, 3, DEFAULT_CAPS)
         clear_caches()
         capsys.readouterr()
@@ -701,6 +703,41 @@ def test_settled_values_agree_with_the_oracles(cls):
             assert rep.cd_star == fractional_clique_dimension(cls, m_max_lp)
             clear_caches()
             assert smallest_separating_m0(cls) == first
+    finally:
+        clear_caches()
+
+
+def _value_or_refusal(query):
+    from cliquedim import ResourceLimitError
+
+    try:
+        return query()
+    except ResourceLimitError as exc:
+        return exc.dimension
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_classes())
+# a default report settles omega*_3 = 8 by the 8-clique at the ceiling;
+# under pattern cap 0 a fresh cd*, m0 search and report searching only up
+# to m = 2 each need an LP for omega*_3, so each refuses or stops there
+@example(generate("paper_example_sec6"))
+def test_a_memo_read_takes_the_pattern_cap_of_the_reading_calls_fresh_run(cls):
+    # a value another call's search settled is read with the LP's pattern
+    # cap unless the reading call would settle it by its own search
+    try:
+        for cap in (0, cls.universe_size - 1):
+            caps = Caps(max_pattern_universe=cap)
+            for query in (
+                lambda: fractional_clique_dimension(cls, 3, caps),
+                lambda: smallest_separating_m0(cls, caps),
+                lambda: dimension_report(cls, m_max_clique=2, m_max_lp=3, caps=caps),
+            ):
+                clear_caches()
+                fresh = _value_or_refusal(query)
+                clear_caches()
+                dimension_report(cls)
+                assert _value_or_refusal(query) == fresh
     finally:
         clear_caches()
 
