@@ -41,34 +41,31 @@ lower-bound-at-m-max.  No m past the cutoff is tried.
 Each (cls, m) has one record.  It holds the order |V(G_m)|, counted without
 a build; the core of G_m (for m <= |X|, its vertices with m distinct
 points, which has the same omega_m and omega*_m: `graph` module docstring)
-and the full G_m, each built on first read; omega_m and omega*_m once
-exact; and the full graph's LP certificate once solved, and nothing derived
-from it: `boosting` normalizes mu* where it reads it.  Values are settled
-in this order.  A record of an m >= |X| settles from (cls, m) alone when it
-is made: omega_m = omega*_m = |H| (`graph` module docstring), so no core
-past |X| is ever built.  `dimension_report` settles each other row first:
-m <= ld gives omega_m = omega*_m = 2^m with no search, otherwise an exact
-`max_clique` on the core gives omega_m, and a clique at the ceiling gives
-omega*_m as well.  An LP settles omega*_m wherever it runs.  cd, cd* and
-the report's omega* column read what is settled and search or solve only
-what is not, on the core: the LP there settles the value only.  cd reads
-omega*_m before it searches, whenever |X| is within the pattern cap, since
-omega*_m < 2^m fails m with no search; past that cap it searches.  The full
-graph is built only by the readers of its vertices or of a full LP
-certificate: `cached_graph`, `cached_omega_star` and
-`smallest_separating_m0`, which reads the full LP at every m0 it tries
-because boost reads that certificate for the m0 it finds.  A value settled
-twice must agree, or InvariantError is raised, so a core LP or a value
-read off the class that a later full LP contradicts is an internal error.
-Every read applies its caps as a fresh run of the reading call would: the
-vertex cap to the counted order whenever G_m is read (and to the count's
-table while it counts), and the LP's pattern cap to every certificate and
-to a settled omega*_m below |X|, unless the reading call settles omega_m
-itself at that m (by ld, or by its own `max_clique`, as
-`dimension_report` does up to its m_max_clique) and omega_m is at the
-ceiling min(2^m, |H|): only then would a fresh run of it read omega*_m
-with no LP.  Past |X| omega*_m is read off the class.  The node budget is
-not applied again to an omega_m that a search has settled.
+and the full G_m, each built on first read; omega*_m once exact; and the
+full graph's LP certificate once solved, and nothing derived from it:
+`boosting` normalizes mu* where it reads it.  omega_m is not kept: it
+stays in the call that searched for it.  A record of an m >= |X| settles
+omega*_m = |H| from (cls, m) alone when it is made (`graph` module
+docstring), so no core past |X| is ever built.  `dimension_report` settles
+omega_m of each row itself and hands these values to its cd and cd*
+sweeps: min(2^m, |H|) for m <= ld or m >= |X|, with no search, and
+otherwise its own exact `max_clique` on the core, run on every call.  An
+omega_m at the ceiling min(2^m, |H|) is omega*_m too; an LP settles
+omega*_m wherever it runs.  cd reads omega*_m before it searches, whenever
+|X| is within the pattern cap, since omega*_m < 2^m fails m with no
+search; past that cap it searches.  The full graph is built only by the
+readers of its vertices or of a full LP certificate: `cached_graph`,
+`cached_omega_star` and `smallest_separating_m0`, which reads the full LP
+at every m0 it tries because boost reads that certificate for the m0 it
+finds.  A value settled twice must agree, or InvariantError is raised, so
+a core LP, a ceiling clique or a value read off the class that a later
+full LP contradicts is an internal error.  The record holds only what a
+fresh run of the reading call would compute again under its own caps, so
+emptying or evicting a record changes the work done, never an answer: the
+vertex cap applies to the counted order whenever G_m is read (and to the
+count's table while it counts), and the LP's pattern cap to every
+certificate and to every omega*_m below |X| that the reading call does
+not take from its own omega_m.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -107,24 +104,23 @@ LN2_HI = Fraction(693148, 10**6)
 # `build_core`, `build_graph` and `omega_star` are called through this
 # module's globals, so a wrapper installed on those names sees every miss.
 # ld is decided afresh on each call: a decision memoises only within that
-# call, and `dimension_report` hands its one decision to the cd and cd* sweeps.
+# call, and `dimension_report` hands its one decision, like the omega_m it
+# settles, to its cd and cd* sweeps.
 MEMO_SIZE = 256
 _records: dict = {}
 
 
 @dataclass(eq=False)
 class _Record:
-    """What is known of G_m of one class: its order |V(G_m)|, counted
-    without a build; its core (read only below |X|) and the full graph,
-    each built on first read; omega_m / omega*_m once exact; and the full
-    graph's LP certificate once solved.  Only an LP settles omega*_m with
-    omega_m open or below the ceiling min(2^m, |H|): ld, |X| and a ceiling
-    clique settle both at the ceiling."""
+    """What is known of G_m of one class, all of it what a fresh run would
+    compute again: its order |V(G_m)|, counted without a build; its
+    core (read only below |X|) and the full graph, each built on first
+    read; omega*_m once exact; and the full graph's LP certificate once
+    solved.  omega_m is not kept: it stays in the call that searched."""
 
     cls: ConceptClass
     m: int
     order: int
-    omega: Optional[int] = None
     omega_star: Optional[Fraction] = None
     cert: Optional[DualityCertificate] = None
 
@@ -142,26 +138,24 @@ def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
     """The record of G_m, with `caps`' vertex cap applied to the counted
     order on every call, as a build under `caps` would apply it, and to
     the count's own table while it counts.  A new record of an m >= |X|
-    settles omega_m = omega*_m = |H| from the class alone (`graph` module
-    docstring), with no build, search or LP."""
+    settles omega*_m = |H| from the class alone (`graph` module
+    docstring), with no build or LP."""
     rec = _records.get((cls, m))
     if rec is None:
         if len(_records) >= MEMO_SIZE:
             del _records[next(iter(_records))]
-        rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m, caps))
-        if m >= cls.universe_size:
-            rec.omega, rec.omega_star = len(cls.hypotheses), Fraction(len(cls.hypotheses))
+        star = Fraction(len(cls.hypotheses)) if m >= cls.universe_size else None
+        rec = _records[cls, m] = _Record(cls, m, count_vertices(cls, m, caps), star)
     caps.check_vertices(rec.order, m)
     return rec
 
 
-def _settle(rec: _Record, name: str, value) -> None:
-    """Record the exact value `name` ('omega' or 'omega_star') of G_m; a
-    value settled before must be the same."""
-    known = getattr(rec, name)
-    if known is not None and known != value:
-        raise InvariantError(f"{name} of G_{rec.m} settled as {known} and as {value}")
-    setattr(rec, name, value)
+def _settle(rec: _Record, value: Fraction) -> None:
+    """Record the exact omega*_m of G_m; a value settled before, by ld, |X|,
+    a clique at the ceiling, the core LP or the full LP, must be the same."""
+    if rec.omega_star is not None and rec.omega_star != value:
+        raise InvariantError(f"omega_star of G_{rec.m} settled as {rec.omega_star} and as {value}")
+    rec.omega_star = value
 
 
 def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
@@ -169,23 +163,23 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
     call, with the LP's pattern cap applied on every later one."""
     if rec.cert is None:
         cert = omega_star(rec.graph, caps)
-        _settle(rec, "omega_star", cert.value)
+        _settle(rec, cert.value)
         rec.cert = cert
     else:
         caps.check_universe(rec.cls.universe_size)
     return rec.cert
 
 
-def _settled_omega_star(rec: _Record, caps: Caps, searched: int) -> Fraction:
-    """omega*_m as the record holds it, solving the LP of the core only
-    when nothing settled it.  `searched` is the largest m whose omega_m the
-    reading call settles itself, by ld or by its own `max_clique`.  Below
-    |X| a value is read with the LP's pattern cap unless m <= searched and
-    omega_m is at the ceiling min(2^m, |H|): only then would a fresh run of
-    the reading call settle it with no LP."""
-    if rec.omega_star is None:
-        _settle(rec, "omega_star", omega_star(rec.core, caps).value)
-    elif rec.m < rec.cls.universe_size and (rec.m > searched or rec.omega != min(1 << rec.m, len(rec.cls.hypotheses))):
+def _settled_omega_star(rec: _Record, caps: Caps, omegas: dict) -> Fraction:
+    """omega*_m of G_m.  `omegas` maps m to the exact omega_m the reading
+    call settled itself; one at the ceiling min(2^m, |H|) is omega*_m too.
+    Otherwise the record's value is read, under the LP's pattern cap below
+    |X|, or the LP of the core is solved."""
+    if omegas.get(rec.m) == min(1 << rec.m, len(rec.cls.hypotheses)):
+        _settle(rec, Fraction(omegas[rec.m]))
+    elif rec.omega_star is None:
+        _settle(rec, omega_star(rec.core, caps).value)
+    elif rec.m < rec.cls.universe_size:
         caps.check_universe(rec.cls.universe_size)
     return rec.omega_star
 
@@ -354,31 +348,32 @@ def clique_dimension(cls: ConceptClass, m_max: int, caps: Caps = DEFAULT_CAPS) -
     """Largest m <= m_max with omega_m = 2^m, plus exactness.
 
     An m is decided by the first of: the mistake-tree fast path (ld >= m
-    certifies a 2^m-clique; no graph is built), an omega_m settled in the
-    record of G_m (by a report's `max_clique`; compared with 2^m), then,
-    when |X| is within the pattern cap, omega*_m (read from the record, or
-    the LP of the core of G_m solved when open): omega*_m < 2^m fails m
-    with no search.  Only an m that is left runs targeted branch-and-bound
-    on the core, and a budget hit there stands.  Facts (1) and (2) end the
-    sweep, so 2^m <= |H|.  Under a pattern cap below |X| no omega*_m is
-    read, not even one an earlier call settled, so the answer is the one a
-    fresh run gives.
+    certifies a 2^m-clique; no graph is built), then, when |X| is within
+    the pattern cap, omega*_m (read from the record, or the LP of the core
+    of G_m solved when open): omega*_m < 2^m fails m with no search.  Only
+    an m that is left runs targeted branch-and-bound on the core, and a
+    budget hit there stands.  Facts (1) and (2) end the sweep, so 2^m <=
+    |H|.  Under a pattern cap below |X| no omega*_m is read, not even one
+    an earlier call settled, so the answer is the one a fresh run gives.
+    Within `dimension_report` the report's own exact omega_m decides each
+    m it settled, before any of these.
     """
     cls.require_nonempty()
-    return _clique_dimension(cls, m_max, caps, littlestone_dimension(cls))
+    return _clique_dimension(cls, m_max, caps, littlestone_dimension(cls), {})
 
 
-def _clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int) -> DimensionValue:
-    """`clique_dimension` of a nonempty class whose ld is known."""
+def _clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int, omegas: dict) -> DimensionValue:
+    """`clique_dimension` of a nonempty class whose ld is known, read by a
+    call that settled the exact omega_m of each m in `omegas` itself."""
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
         if ld >= m:
             return True
+        if m in omegas:
+            return omegas[m] == 1 << m
         rec = _record(cls, m, caps)
-        if rec.omega is not None:
-            return rec.omega == 1 << m
-        if cls.universe_size <= caps.max_pattern_universe and _settled_omega_star(rec, caps, 0) < 1 << m:
+        if cls.universe_size <= caps.max_pattern_universe and _settled_omega_star(rec, caps, omegas) < 1 << m:
             return False  # omega_m <= omega*_m < 2^m
         return has_clique_of_size(rec.core, 1 << m, caps)
 
@@ -395,18 +390,20 @@ def fractional_clique_dimension(
     other m, past m_max too, solves the LP of the core of G_m under `caps`.
     The sweep searches no clique, so below |X| a settled omega*_m is read
     under the LP's pattern cap, as a fresh sweep would solve its LP.
+    Within `dimension_report` an m whose omega_m the report found at the
+    ceiling min(2^m, |H|) reads omega*_m off that value with no LP.
     """
     cls.require_nonempty()
-    return _fractional_clique_dimension(cls, m_max, caps, littlestone_dimension(cls), 0)
+    return _fractional_clique_dimension(cls, m_max, caps, littlestone_dimension(cls), {})
 
 
-def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int, searched: int) -> DimensionValue:
+def _fractional_clique_dimension(cls: ConceptClass, m_max: int, caps: Caps, ld: int, omegas: dict) -> DimensionValue:
     """`fractional_clique_dimension` of a nonempty class whose ld is known,
-    read by a call that settles omega_m itself up to m = `searched`."""
+    read by a call that settled the exact omega_m of each m in `omegas`."""
     top = _log2_rows(cls)
 
     def passes(m: int) -> bool:
-        return ld >= m or _settled_omega_star(_record(cls, m, caps), caps, searched) == 1 << m
+        return ld >= m or _settled_omega_star(_record(cls, m, caps), caps, omegas) == 1 << m
 
     return _sweep(m_max, top, passes)
 
@@ -471,24 +468,27 @@ def dimension_report(
 ) -> DimensionReport:
     """Per-m table plus the four dimensions.  omega is exact unless the
     node budget ran out (then the best clique found is reported, flagged).
-    Each row settles what it can in the record of G_m before cd and cd*
-    read it: a row of m >= |X| is settled as |H| by its record, m <= ld
-    settles omega_m = omega*_m = 2^m with no search, and an exact omega_m
-    of the core at the ceiling min(2^m, |H|) is omega*_m too (fact (1)).
-    Only an omega*_m left open solves an LP, on the core.  `num_vertices`
-    is the counted order of the full G_m."""
+    The report settles omega_m of each row itself and hands the exact
+    values to its cd and cd* sweeps: m <= ld or m >= |X| gives omega_m =
+    omega*_m = min(2^m, |H|) with no search, and every other m up to
+    m_max_clique runs `max_clique` on the core, even when an earlier call
+    searched it; a budget hit leaves that m to the sweeps.  An exact
+    omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact (1)); only
+    an omega*_m left open solves an LP, on the core, or is read from the
+    record under the LP's pattern cap.  `num_vertices` is the counted
+    order of the full G_m."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
-    searched = max(ld, m_max_clique)
+    omegas = {}
     rows = []
     for m in range(1, max(m_max_clique, m_max_lp) + 1):
         rec = _record(cls, m, caps)
         omega = omega_exact = None
-        if m <= ld:
-            _settle(rec, "omega", 1 << m)
-            _settle(rec, "omega_star", Fraction(1 << m))
-        elif m <= m_max_clique and rec.omega is None:
+        if m <= ld or m >= cls.universe_size:
+            omegas[m] = min(1 << m, len(cls.hypotheses))
+            _settle(rec, Fraction(omegas[m]))
+        elif m <= m_max_clique:
             g = rec.core
             try:
                 clique = max_clique(g, caps)
@@ -497,17 +497,17 @@ def dimension_report(
                 omega_exact = False
             else:
                 if clique.size == clique_ceiling(g):
-                    _settle(rec, "omega_star", _omega_star_at_ceiling(g, clique))
-                _settle(rec, "omega", clique.size)
-        if m <= m_max_clique and rec.omega is not None:
-            omega, omega_exact = rec.omega, True
-        star = _settled_omega_star(rec, caps, searched) if m <= m_max_lp else None
+                    _settle(rec, _omega_star_at_ceiling(g, clique))
+                omegas[m] = clique.size
+        if m <= m_max_clique and m in omegas:
+            omega, omega_exact = omegas[m], True
+        star = _settled_omega_star(rec, caps, omegas) if m <= m_max_lp else None
         rows.append(
             PerMRow(m=m, num_vertices=rec.order, omega=omega,
                     omega_exact=omega_exact, omega_star=star)
         )
-    cd = _clique_dimension(cls, m_max_clique, caps, ld)
-    cd_star = _fractional_clique_dimension(cls, m_max_lp, caps, ld, searched)
+    cd = _clique_dimension(cls, m_max_clique, caps, ld, omegas)
+    cd_star = _fractional_clique_dimension(cls, m_max_lp, caps, ld, omegas)
     return DimensionReport(cls=cls, vc=vc, ld=ld, cd=cd, cd_star=cd_star, rows=tuple(rows))
 
 

@@ -672,7 +672,7 @@ def oracle_omega_star(cls, m):
 # decided at m = ld + 1
 @example(ConceptClass(3, {(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}))
 # ld = 2 < 3 = floor(log2 |H|) and omega_3 = 6: without omega*_3 in the
-# report, cd reads the settled omega_3
+# report, cd reads the report's own omega_3
 @example(ConceptClass(4, {
     (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1),
     (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1),
@@ -720,24 +720,44 @@ def _value_or_refusal(query):
 @given(small_classes())
 # a default report settles omega*_3 = 8 by the 8-clique at the ceiling;
 # under pattern cap 0 a fresh cd*, m0 search and report searching only up
-# to m = 2 each need an LP for omega*_3, so each refuses or stops there
+# to m = 2 each need an LP for omega*_3, so each refuses or stops there.
+# With room for one record, a default-range report under pattern cap 0
+# reads omega*_3 = 8 off its own clique after the record of G_3 has gone
 @example(generate("paper_example_sec6"))
+# under node budget 0 a fresh report reads row 3 as omega = 6, inexact; a
+# default report's search finds omega_3 = 7, which must not be read back
+@example(generate("random", universe=5, count=8, seed=2))
 def test_a_memo_read_takes_the_pattern_cap_of_the_reading_calls_fresh_run(cls):
-    # a value another call's search settled is read with the LP's pattern
-    # cap unless the reading call would settle it by its own search
+    # every answer is the one a fresh run of the reading call gives, whatever
+    # other calls left in the memo and whatever it has evicted: a value
+    # another call's search settled is read with the LP's pattern cap, and
+    # the node budget applies to every search the reading call makes
+    import cliquedim.dimensions as dims
+
     try:
-        for cap in (0, cls.universe_size - 1):
-            caps = Caps(max_pattern_universe=cap)
+        for caps in (
+            Caps(max_pattern_universe=0),
+            Caps(max_pattern_universe=cls.universe_size - 1),
+            Caps(node_budget=0),
+            Caps(node_budget=5),
+        ):
             for query in (
                 lambda: fractional_clique_dimension(cls, 3, caps),
                 lambda: smallest_separating_m0(cls, caps),
                 lambda: dimension_report(cls, m_max_clique=2, m_max_lp=3, caps=caps),
+                lambda: clique_dimension(cls, 4, caps),
+                lambda: dimension_report(cls, caps=caps),
             ):
                 clear_caches()
                 fresh = _value_or_refusal(query)
-                clear_caches()
-                dimension_report(cls)
-                assert _value_or_refusal(query) == fresh
+                # after a default report, and with room for one record
+                for room, report_first in ((dims.MEMO_SIZE, True), (1, False)):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(dims, "MEMO_SIZE", room)
+                        clear_caches()
+                        if report_first:
+                            dimension_report(cls)
+                        assert _value_or_refusal(query) == fresh, room
     finally:
         clear_caches()
 
@@ -780,7 +800,7 @@ def test_sweeps_and_reports_refuse_an_m_max_below_one():
 def test_report_survives_node_budget_exhaustion():
     from cliquedim import Caps, clear_caches
 
-    clear_caches()  # cached graphs/certs key on caps, stay tidy across tests
+    clear_caches()  # records key on (cls, m) alone, so start from an empty memo
     caps = Caps(node_budget=1)
     rep = dimension_report(generate("paper_example_sec6"), caps=caps)
     assert rep.cd.exactness == LOWER_BOUND
