@@ -445,9 +445,11 @@ def forced_gamma_good_check(
     the implication the theory says cannot fail.
 
     All P = 2^universe labelings are listed, and the prefix matrix holds
-    P x P float64 entries, 8 * 4^universe bytes.  A universe above
-    `DEFAULT_CAPS`' pattern cap, and then one above 12 (a 128 MiB matrix),
-    raises ResourceLimitError before any labeling is listed.
+    P x P float64 entries, 8 * 4^universe bytes.  An empty dataset, or one
+    with a point at or past `universe`, raises InvalidParamsError, and a
+    universe above `DEFAULT_CAPS`' pattern cap, and then one above 12 (a
+    128 MiB matrix), raises ResourceLimitError, before any labeling is
+    listed.
 
     The arrays are run-minor, with a +inf row under the prefix counts, and
     from 8 examples the normalizing sum may be an ulp off a row-major loop's
@@ -473,6 +475,10 @@ def forced_gamma_good_check(
         raise InvalidParamsError(f"transcripts must be >= 0, got {transcripts}")
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
+    if not dataset.examples:
+        raise InvalidParamsError("the forced check needs a nonempty dataset")
+    if (dataset.ones_mask | dataset.zeros_mask) >> universe:
+        raise InvalidParamsError(f"dataset {dataset.render()} has a point outside the universe of {universe} points")
     DEFAULT_CAPS.check_universe(universe)
     if universe > _FORCED_UNIVERSE:
         raise ResourceLimitError(
@@ -838,12 +844,16 @@ def verify_sspfcd_bound(
     state is checked against numpy's seeding (InvariantError on a mismatch).  A
     row FAILs only when its one-sided 99% upper confidence limit sits below
     the bound.  The bound is m^-alpha, or the proven floor epsilon - 2 gamma
-    when T = 1 (m = 1), where m^-alpha = 1 could never be met.
+    when T = 1 (m = 1), where m^-alpha = 1 could never be met.  A config
+    whose mu~ patterns are not labelings of `cls`'s universe raises
+    InvalidParamsError before G_m is read or any trial drawn.
     """
     if trials < 0:
         raise InvalidParamsError(f"trials must be >= 0, got {trials}")
     if master_seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {master_seed}")
+    if any(len(h) != cls.universe_size for h in config.mu.patterns):
+        raise InvalidParamsError(f"the config's mu~ patterns do not label the class's {cls.universe_size} points")
     g = cached_graph(cls, config.m, caps)
     if g.num_vertices <= ENUMERATE_CAP:
         chosen = list(range(g.num_vertices))

@@ -43,29 +43,33 @@ a build; the core of G_m (for m <= |X|, its vertices with m distinct
 points, which has the same omega_m and omega*_m: `graph` module docstring)
 and the full G_m, each built on first read; omega*_m once exact; and the
 full graph's LP certificate once solved, and nothing derived from it:
-`boosting` normalizes mu* where it reads it.  omega_m is not kept: it
-stays in the call that searched for it.  A record of an m >= |X| settles
-omega*_m = |H| from (cls, m) alone when it is made (`graph` module
-docstring), so no core past |X| is ever built.  `dimension_report` settles
-omega_m of each row itself and hands these values to its cd and cd*
-sweeps: min(2^m, |H|) for m <= ld or m >= |X|, with no search, and
-otherwise its own exact `max_clique` on the core, run on every call.  An
-omega_m at the ceiling min(2^m, |H|) is omega*_m too; an LP settles
-omega*_m wherever it runs.  cd reads omega*_m before it searches, whenever
-|X| is within the pattern cap, since omega*_m < 2^m fails m with no
-search; past that cap it searches.  The full graph is built only by the
-readers of its vertices or of a full LP certificate: `cached_graph`,
-`cached_omega_star` and `smallest_separating_m0`, which reads the full LP
-at every m0 it tries because boost reads that certificate for the m0 it
-finds.  A value settled twice must agree, or InvariantError is raised, so
-a core LP, a ceiling clique or a value read off the class that a later
-full LP contradicts is an internal error.  The record holds only what a
-fresh run of the reading call would compute again under its own caps, so
-emptying or evicting a record changes the work done, never an answer: the
-vertex cap applies to the counted order whenever G_m is read (and to the
-count's table while it counts), and the LP's pattern cap to every
-certificate and to every omega*_m below |X| that the reading call does
-not take from its own omega_m.
+`boosting` normalizes mu* where it reads it.  omega_m is not kept: it stays
+in the call that searched for it.  omega*_m has three writers: a record of
+an m >= |X| settles |H| from (cls, m) alone when it is made (`graph`
+module docstring), so no core past |X| is ever built; an LP settles it
+wherever it runs, the full graph's in `_certificate` and the core's in
+`_settled_omega_star`; and `_settled_omega_star` settles an exact omega_m
+of the reading call at the ceiling min(2^m, |H|), which is omega*_m too.
+`dimension_report` finds omega_m of each row itself and hands these values
+to its cd and cd* sweeps: min(2^m, |H|) for m <= ld or m >= |X|, with no
+search, and otherwise its own exact `max_clique` on the core, run on every
+call.  It writes no record itself: its rows up to m_max_lp and its sweeps
+read omega*_m through `_settled_omega_star`, so a record none of them
+reads gets no omega*_m from the report.  cd reads omega*_m before it
+searches, whenever |X| is within the pattern cap, since omega*_m < 2^m
+fails m with no search; past that cap it searches.  The full graph is built
+only by the readers of its vertices or of a full LP certificate:
+`cached_graph`, `cached_omega_star` and `smallest_separating_m0`, which
+reads the full LP at every m0 it tries because boost reads that
+certificate for the m0 it finds.  A value settled twice must agree, or
+InvariantError is raised, so a core LP, a ceiling clique or a value read
+off the class that a later full LP contradicts is an internal error.  The
+record holds only what a fresh run of the reading call would compute again
+under its own caps, so emptying or evicting a record changes the work
+done, never an answer: the vertex cap applies to the counted order
+whenever G_m is read (and to the count's table while it counts), and the
+LP's pattern cap to every certificate and to every omega*_m below |X| that
+the reading call does not take from its own omega_m.
 
 The boosting-exponent cutoff `fcd_alpha_cutoff` never binds for cd*, so it
 is not computed: a margin eps = 1/omega*_m - 2^-m = p/q in (0, 1) has
@@ -105,7 +109,7 @@ LN2_HI = Fraction(693148, 10**6)
 # module's globals, so a wrapper installed on those names sees every miss.
 # ld is decided afresh on each call: a decision memoises only within that
 # call, and `dimension_report` hands its one decision, like the omega_m it
-# settles, to its cd and cd* sweeps.
+# finds, to its cd and cd* sweeps.
 MEMO_SIZE = 256
 _records: dict = {}
 
@@ -151,8 +155,10 @@ def _record(cls: ConceptClass, m: int, caps: Caps) -> _Record:
 
 
 def _settle(rec: _Record, value: Fraction) -> None:
-    """Record the exact omega*_m of G_m; a value settled before, by ld, |X|,
-    a clique at the ceiling, the core LP or the full LP, must be the same."""
+    """Record the exact omega*_m of G_m, found by an LP (`_certificate`,
+    `_settled_omega_star`) or read off the reading call's own omega_m at the
+    ceiling (`_settled_omega_star`); a value settled before, by one of these
+    or by |X| when the record was made, must be the same."""
     if rec.omega_star is not None and rec.omega_star != value:
         raise InvariantError(f"omega_star of G_{rec.m} settled as {rec.omega_star} and as {value}")
     rec.omega_star = value
@@ -172,9 +178,10 @@ def _certificate(rec: _Record, caps: Caps) -> DualityCertificate:
 
 def _settled_omega_star(rec: _Record, caps: Caps, omegas: dict) -> Fraction:
     """omega*_m of G_m.  `omegas` maps m to the exact omega_m the reading
-    call settled itself; one at the ceiling min(2^m, |H|) is omega*_m too.
-    Otherwise the record's value is read, under the LP's pattern cap below
-    |X|, or the LP of the core is solved."""
+    call settled itself; one at the ceiling min(2^m, |H|) is omega*_m too,
+    and is settled here, the one place a call's own omega_m becomes the
+    record's omega*_m.  Otherwise the record's value is read, under the
+    LP's pattern cap below |X|, or the LP of the core is solved."""
     if omegas.get(rec.m) == min(1 << rec.m, len(rec.cls.hypotheses)):
         _settle(rec, Fraction(omegas[rec.m]))
     elif rec.omega_star is None:
@@ -445,19 +452,18 @@ class DimensionReport:
     rows: tuple  # tuple[PerMRow, ...]
 
 
-def _omega_star_at_ceiling(g, clique) -> Fraction:
-    """omega*_m of a G_m, or of its core, whose maximum clique reaches
-    clique_ceiling(g): the clique is a fractional clique of its size, and
-    the uniform coloring (2^m) or the row coloring (|H|) a fractional
-    coloring of the same total.  The clique and the row coloring's cover
-    are checked again."""
+def _check_ceiling_clique(g, clique) -> None:
+    """Check again a maximum clique of a G_m, or of its core, that reaches
+    clique_ceiling(g), and so makes omega*_m its size: the clique is a
+    fractional clique of that size, and the uniform coloring (2^m) or the
+    row coloring (|H|) a fractional coloring of the same total.  The clique
+    and the row coloring's cover are checked."""
     try:
         validate_clique(g, clique.members)
     except (IndexError, ValueError) as exc:
         raise InvariantError(f"ceiling clique at m={g.m} is not a clique: {exc}") from exc
     if clique.size == len(g.cls.hypotheses) and not all(g.realizers):
         raise InvariantError(f"a vertex of G_{g.m} has no realizing row")
-    return Fraction(clique.size)
 
 
 def dimension_report(
@@ -472,11 +478,14 @@ def dimension_report(
     values to its cd and cd* sweeps: m <= ld or m >= |X| gives omega_m =
     omega*_m = min(2^m, |H|) with no search, and every other m up to
     m_max_clique runs `max_clique` on the core, even when an earlier call
-    searched it; a budget hit leaves that m to the sweeps.  An exact
-    omega_m at the ceiling min(2^m, |H|) is omega*_m too (fact (1)); only
-    an omega*_m left open solves an LP, on the core, or is read from the
-    record under the LP's pattern cap.  `num_vertices` is the counted
-    order of the full G_m."""
+    searched it; a budget hit leaves that m to the sweeps.  A clique at
+    the ceiling is checked again.  The report writes no record: every
+    omega*_m it reads, in its rows up to m_max_lp and in its sweeps, goes
+    through `_settled_omega_star`, which settles an exact omega_m at the
+    ceiling min(2^m, |H|) as omega*_m (fact (1)); only an omega*_m left
+    open solves an LP, on the core, or is read from the record under the
+    LP's pattern cap.  `num_vertices` is the counted order of the full
+    G_m."""
     cls.require_nonempty()
     vc = vc_dimension(cls)
     ld = littlestone_dimension(cls)
@@ -487,7 +496,6 @@ def dimension_report(
         omega = omega_exact = None
         if m <= ld or m >= cls.universe_size:
             omegas[m] = min(1 << m, len(cls.hypotheses))
-            _settle(rec, Fraction(omegas[m]))
         elif m <= m_max_clique:
             g = rec.core
             try:
@@ -497,7 +505,7 @@ def dimension_report(
                 omega_exact = False
             else:
                 if clique.size == clique_ceiling(g):
-                    _settle(rec, _omega_star_at_ceiling(g, clique))
+                    _check_ceiling_clique(g, clique)
                 omegas[m] = clique.size
         if m <= m_max_clique and m in omegas:
             omega, omega_exact = omegas[m], True

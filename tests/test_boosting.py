@@ -801,6 +801,25 @@ def test_forced_check_refuses_a_universe_above_the_pattern_cap(monkeypatch):
         forced_gamma_good_check(Dataset([(0, 0)]), 13, cfg, 1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "dataset, refused",
+    [
+        (Dataset([]), "^the forced check needs a nonempty dataset$"),
+        (Dataset([(0, 0), (3, 1)]), r"^dataset \(0:0\);\(3:1\) has a point outside the universe of 2 points$"),
+        (Dataset([(2, 1)]), r"^dataset \(2:1\) has a point outside the universe of 2 points$"),
+    ],
+    ids=["empty", "past-the-universe", "at-the-universe"],
+)
+def test_forced_check_refuses_a_dataset_it_cannot_play_before_listing(monkeypatch, dataset, refused):
+    def listed(*_):
+        raise AssertionError("a labeling was listed")
+
+    monkeypatch.setattr(boosting, "mask_to_pattern", listed)
+    cfg = boost_config(generate("paper_example_sec6"), 4, 2)
+    with pytest.raises(InvalidParamsError, match=refused):
+        forced_gamma_good_check(dataset, 2, cfg, 4, seed=0)
+
+
 def test_boosting_rejects_negative_counts_and_seeds():
     cfg = boost_config(ANCHOR, m0=2, m=3)
     ds = Dataset([(0, 1), (1, 1), (1, 1)])
@@ -948,6 +967,17 @@ def test_verify_report_equals_the_per_trial_loop_at_chunk_edges(monkeypatch):
                 assert rep.trials == trials and all(row.trials == trials for row in rep.rows)
                 want = reference_successes(rep, cfg, seed, cls.universe_size)
                 assert [row.successes for row in rep.rows] == want, (trials, seed)
+
+
+@pytest.mark.parametrize("universe, family", [(5, "thresholds"), (2, "disjoint_pairs")])
+def test_verify_report_refuses_a_config_of_another_universe(monkeypatch, universe, family):
+    # sec6's mu~ labels 4 points, so it can judge no dataset of a class on
+    # 5 points or on 2
+    cfg = boost_config(generate("paper_example_sec6"), 4, 2)
+    monkeypatch.setattr(boosting, "cached_graph", lambda *_: pytest.fail("read G_m"))
+    refused = f"^the config's mu~ patterns do not label the class's {universe} points$"
+    with pytest.raises(InvalidParamsError, match=refused):
+        verify_sspfcd_bound(generate(family, universe=universe), cfg, trials=50)
 
 
 def test_verify_report_with_zero_trials_skips_every_row():

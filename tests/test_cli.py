@@ -401,6 +401,17 @@ def test_a_closed_stdout_is_an_input_error_without_a_traceback():
 
 
 
+def test_a_closed_pipe_is_an_input_error_in_process(capsys, monkeypatch):
+    # the subprocess test above reaches the same branch out of the line trace
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["gen", "full", "--universe", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: stdout closed before the output was written\n"
+
+
 def test_an_unopened_stdout_is_an_input_error(capsys, monkeypatch):
     # with fd 1 closed at start (`>&-`), Python sets sys.stdout to None
     monkeypatch.setattr(sys, "stdout", None)
